@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import EOS_TOKEN, UNK_TOKEN, URL_TOKEN, USER_TOKEN
-from .errors import DecodeError, EncodeError, KeyInvariantError, VocabMismatchError
-from .keying import COMMON, BitBlock, StegoKey
+from .errors import ConfigError, DecodeError, EncodeError, VocabMismatchError
+from .keying import BitBlock, StegoKey
 from .lm.base import LanguageModel
 
 
@@ -64,9 +64,9 @@ class GenPolicy:
 
     def __post_init__(self):
         if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
+            raise ConfigError("temperature must be positive")
         if self.max_common_run < 1:
-            raise ValueError("max_common_run must be at least 1")
+            raise ConfigError("max_common_run must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -141,8 +141,22 @@ def to_bit_blocks(payload: Payload, block_bits: int) -> list[BitBlock]:
     return split_blocks(payload_to_bits(payload, block_bits), block_bits)
 
 
-def _session_rng(policy: GenPolicy) -> np.random.Generator:
-    return np.random.default_rng(policy.seed)
+def _pick(probs: np.ndarray, allowed: np.ndarray, policy: GenPolicy,
+          rng: np.random.Generator | None) -> int:
+    """The one selection kernel: the token of ``allowed`` that ``policy`` picks.
+    Tempering divides by the largest probability first, so the weights keep a 1
+    and cannot all underflow to zero at low temperatures."""
+    mass = probs[allowed]
+    top = mass.max(initial=0.0)
+    if not top > 0:
+        raise EncodeError("no probability mass on the allowed tokens")
+    if policy.mode is Mode.GREEDY:
+        return int(allowed[int(np.argmax(mass))])
+    if rng is None:
+        rng = np.random.default_rng(policy.seed)
+    weights = (mass / top) ** (1.0 / policy.temperature)
+    weights /= weights.sum()
+    return int(allowed[rng.choice(len(allowed), p=weights)])
 
 
 def constrained_select(
@@ -175,18 +189,7 @@ def constrained_select(
         raise VocabMismatchError(
             f"model emits {len(probs)} probabilities for |V|={len(key.vocab)}"
         )
-    allowed_arr = np.asarray(allowed, dtype=np.int64)
-    mass = probs[allowed_arr]
-    total = mass.sum()
-    if not total > 0:
-        raise EncodeError("no probability mass on the allowed tokens")
-    if policy.mode is Mode.GREEDY:
-        return int(allowed_arr[int(np.argmax(mass))])
-    if rng is None:
-        rng = _session_rng(policy)
-    weights = (mass / total) ** (1.0 / policy.temperature)
-    weights /= weights.sum()
-    return int(allowed_arr[rng.choice(len(allowed_arr), p=weights)])
+    return _pick(probs, np.asarray(allowed, dtype=np.int64), policy, rng)
 
 
 def _start_context(model: LanguageModel):
@@ -211,7 +214,7 @@ def encode_bits(
         raise EncodeError(
             f"payload of {len(bits)} bits is shorter than one {key.block_bits}-bit block"
         )
-    rng = _session_rng(policy)
+    rng = np.random.default_rng(policy.seed)
     ctx = _start_context(model)
     tokens: list[str] = []
     carrier_count = 0
@@ -247,8 +250,6 @@ def encode(
     render_options: RenderOptions = RenderOptions(),
 ) -> Stegotext:
     """Embed a byte payload under the payload's framing rule."""
-    if key.block_bits < 1:
-        raise EncodeError("a single-bin key carries no bits; nothing can be embedded")
     return encode_bits(payload_to_bits(payload, key.block_bits), key, model,
                        policy, render_options)
 
@@ -264,18 +265,11 @@ def generate(
     vocab = model.vocab
     banned = {vocab.index_of(t) for t in set(exclude) | {UNK_TOKEN} if t in vocab}
     allowed = np.asarray([i for i in range(len(vocab)) if i not in banned], dtype=np.int64)
-    rng = _session_rng(policy)
+    rng = np.random.default_rng(policy.seed)
     ctx = _start_context(model)
     out: list[str] = []
     for _ in range(n_tokens):
-        probs = model.next_distribution(ctx)
-        mass = probs[allowed]
-        if policy.mode is Mode.GREEDY:
-            idx = int(allowed[int(np.argmax(mass))])
-        else:
-            weights = (mass / mass.sum()) ** (1.0 / policy.temperature)
-            weights /= weights.sum()
-            idx = int(allowed[rng.choice(len(allowed), p=weights)])
+        idx = _pick(model.next_distribution(ctx), allowed, policy, rng)
         ctx = model.advance(ctx, idx)
         out.append(vocab.token(idx))
     return out
@@ -283,18 +277,11 @@ def generate(
 
 def decode(tokens, key: StegoKey, framing: Framing = Framing.RAW) -> str:
     """Recover the embedded bit string from a token sequence (no model needed)."""
-    pieces: list[str] = []
-    for position, surface in enumerate(tokens):
-        if surface not in key.vocab:
-            raise DecodeError(f"token not in key vocabulary: {surface!r}", position)
-        try:
-            block = key.bin_of_index(key.vocab.index_of(surface))
-        except KeyInvariantError:
-            raise DecodeError(f"token carries no bin: {surface!r}", position) from None
-        if block is COMMON:
-            continue
-        pieces.append(block.bits)
-    bits = "".join(pieces)
+    slots = key.slots(tokens)
+    carriers = slots[slots >= 0]
+    shifts = np.arange(key.block_bits - 1, -1, -1)
+    digits = ((carriers[:, None] >> shifts) & 1).astype(np.uint8) + ord("0")
+    bits = digits.tobytes().decode("ascii")
     if framing is Framing.RAW:
         return bits
     if len(bits) < LENGTH_HEADER_BITS:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import CorpusError, VocabFormatError
+from .errors import ConfigError, CorpusError, VocabFormatError
 
 USER_TOKEN = "<user>"
 URL_TOKEN = "<url>"
@@ -56,9 +56,9 @@ class CorpusConfig:
 
     def __post_init__(self):
         if self.max_vocab is not None and self.max_vocab < 2:
-            raise ValueError("max_vocab must be at least 2 (sentinels always kept)")
+            raise ConfigError("max_vocab must be at least 2 (sentinels always kept)")
         if self.min_count < 0:
-            raise ValueError("min_count must be non-negative")
+            raise ConfigError("min_count must be non-negative")
 
 
 def check_token(surface: str) -> str:
@@ -157,6 +157,11 @@ class Vocabulary:
         except KeyError:
             raise CorpusError(f"token not in vocabulary: {surface!r}") from None
 
+    def indices(self, surfaces: Iterable[str]) -> list[int]:
+        """Index of every surface, -1 for a surface outside the vocabulary."""
+        get = self._index.get
+        return [get(surface, -1) for surface in surfaces]
+
     def index_or_unk(self, surface: str) -> int:
         idx = self._index.get(surface)
         if idx is None:
@@ -189,8 +194,10 @@ class Vocabulary:
 
     @classmethod
     def deserialize(cls, data: bytes) -> "Vocabulary":
-        text = data.decode("utf-8")
-        lines = text.split("\n")
+        try:
+            lines = data.decode("utf-8").split("\n")
+        except UnicodeDecodeError as exc:
+            raise VocabFormatError(f"vocabulary file is not UTF-8: {exc}") from None
         if not lines or lines[0] != VOCAB_HEADER:
             raise VocabFormatError(f"missing {VOCAB_HEADER!r} header")
         tokens: list[str] = []

@@ -10,6 +10,10 @@ class StegolmError(Exception):
     """Base class for all stegolm errors."""
 
 
+class ConfigError(StegolmError, ValueError):
+    """A configuration value is out of range (temperature, n-gram order, ...)."""
+
+
 class CorpusError(StegolmError):
     """Invalid corpus input (empty token stream, bad token surface, ...)."""
 

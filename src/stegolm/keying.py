@@ -20,11 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from .corpus import EOS_TOKEN, RESERVED_NONCARRIERS, UNK_TOKEN, Vocabulary
-from .errors import KeyFormatError, KeyGenError, KeyInvariantError, VocabMismatchError
+from .errors import DecodeError, KeyFormatError, KeyGenError, KeyInvariantError, VocabMismatchError
 
 KEY_HEADER = "STEGOKEY v1"
 MAX_BLOCK_BITS = 16
@@ -60,8 +61,11 @@ class _CommonMarker:
 #: Returned by bin_of_token for tokens of the common set (they carry no bits).
 COMMON = _CommonMarker()
 
-_BIN_RESERVED = -1
-_BIN_COMMON = -2
+#: Slot of a common token in ``StegoKey.lookup_array``: in no bin, carries no bits.
+BIN_COMMON = -2
+#: Slot of a reserved sentinel: in no bin and not common, so it never appears
+#: in a stegotext. Carrier tokens have their bin index (>= 0) as slot.
+BIN_RESERVED = -1
 
 
 class _SplitMix64:
@@ -103,54 +107,42 @@ class StegoKey:
     vocab: Vocabulary
 
     def __post_init__(self):
-        lookup = self._build_lookup()
-        object.__setattr__(self, "_bin_of", lookup)
+        slots = np.asarray(self._build_slots(), dtype=np.int64)
+        slots.flags.writeable = False
+        object.__setattr__(self, "_slots", slots)
         object.__setattr__(self, "_common_set", frozenset(self.common))
-        object.__setattr__(self, "_lookup_array", None)
 
-    def _build_lookup(self) -> list[int]:
-        size = len(self.vocab)
+    def _build_slots(self) -> list[int]:
+        vocab, size = self.vocab, len(self.vocab)
         if len(self.bins) != 1 << self.block_bits:
             raise KeyInvariantError(
                 f"expected {1 << self.block_bits} bins, found {len(self.bins)}"
             )
-        lookup = [_BIN_RESERVED] * size
-        reserved = {
-            self.vocab.index_of(t) for t in RESERVED_NONCARRIERS if t in self.vocab
-        }
+        slots = [BIN_RESERVED] * size
+        reserved = {vocab.index_of(t) for t in RESERVED_NONCARRIERS if t in vocab}
         # <eos> may join the common set (lets generation end messages); <unk> never.
-        unk_index = self.vocab.index_of(UNK_TOKEN) if UNK_TOKEN in self.vocab else None
-        for idx in self.common:
-            self._check_index(idx, size)
-            if idx == unk_index:
-                raise KeyInvariantError(f"{UNK_TOKEN} can never join the common set")
-            if lookup[idx] != _BIN_RESERVED:
-                raise KeyInvariantError(f"token assigned twice: {self.vocab.token(idx)!r}")
-            lookup[idx] = _BIN_COMMON
-        for bin_index, members in enumerate(self.bins):
+        unk_index = vocab.index_of(UNK_TOKEN) if UNK_TOKEN in vocab else None
+        for slot, members in [(BIN_COMMON, self.common), *enumerate(self.bins)]:
             for idx in members:
                 self._check_index(idx, size)
-                if idx in reserved:
-                    raise KeyInvariantError(
-                        f"reserved sentinel in bin {bin_index}: {self.vocab.token(idx)!r}"
-                    )
-                if lookup[idx] != _BIN_RESERVED:
-                    raise KeyInvariantError(f"token assigned twice: {self.vocab.token(idx)!r}")
-                lookup[idx] = bin_index
-        uncovered = [
-            i for i, b in enumerate(lookup) if b == _BIN_RESERVED and i not in reserved
-        ]
+                if idx == unk_index or (idx in reserved and slot != BIN_COMMON):
+                    where = "the common set" if slot == BIN_COMMON else f"bin {slot}"
+                    raise KeyInvariantError(f"reserved sentinel in {where}: {vocab.token(idx)!r}")
+                if slots[idx] != BIN_RESERVED:
+                    raise KeyInvariantError(f"token assigned twice: {vocab.token(idx)!r}")
+                slots[idx] = slot
+        uncovered = [i for i, b in enumerate(slots) if b == BIN_RESERVED and i not in reserved]
         if uncovered:
             raise KeyInvariantError(
                 f"{len(uncovered)} carrier tokens missing from every bin, e.g. "
-                f"{self.vocab.token(uncovered[0])!r}"
+                f"{vocab.token(uncovered[0])!r}"
             )
         sizes = [len(members) for members in self.bins]
         if max(sizes) - min(sizes) > 1:
             raise KeyInvariantError(f"bin sizes differ by more than one: {sizes}")
-        if self.vocab.content_hash() != self.vocab_hash:
+        if vocab.content_hash() != self.vocab_hash:
             raise VocabMismatchError("key vocab_hash does not match the bound vocabulary")
-        return lookup
+        return slots
 
     @staticmethod
     def _check_index(idx: int, size: int) -> None:
@@ -166,24 +158,37 @@ class StegoKey:
         return self._common_set
 
     def lookup_array(self) -> np.ndarray:
-        """Per-index assignment as an int array: bin index, -2 common, -1 reserved."""
-        if self._lookup_array is None:
-            object.__setattr__(
-                self, "_lookup_array", np.asarray(self._bin_of, dtype=np.int64)
-            )
-        return self._lookup_array
+        """Read-only slot of every vocabulary index: its bin index for a carrier,
+        ``BIN_COMMON`` or ``BIN_RESERVED``. The key's only record of assignment."""
+        return self._slots
+
+    def slots(self, tokens: Sequence[str]) -> np.ndarray:
+        """Slot of every token of a stegotext: a bin index or ``BIN_COMMON``.
+
+        The one classifier of received tokens. Raises ``DecodeError`` with the
+        position of the first token that is outside the vocabulary or reserved.
+        """
+        ids = np.asarray(self.vocab.indices(tokens), dtype=np.int64)
+        slots = np.where(ids >= 0, self._slots[ids], BIN_RESERVED)
+        bad = np.flatnonzero(slots == BIN_RESERVED)
+        if bad.size:
+            position = int(bad[0])
+            surface = tokens[position]
+            if surface not in self.vocab:
+                raise DecodeError(f"token not in key vocabulary: {surface!r}", position)
+            raise DecodeError(f"token carries no bin: {surface!r}", position)
+        return slots
 
     def carrier_count(self) -> int:
         return sum(len(members) for members in self.bins)
 
     def bin_of_index(self, token_index: int) -> BitBlock | _CommonMarker:
         """Bit block of a carrier token, COMMON for common tokens, error otherwise."""
-        if not 0 <= token_index < len(self.vocab):
-            raise KeyInvariantError(f"token index out of range: {token_index}")
-        slot = self._bin_of[token_index]
-        if slot == _BIN_COMMON:
+        self._check_index(token_index, len(self.vocab))
+        slot = int(self._slots[token_index])
+        if slot == BIN_COMMON:
             return COMMON
-        if slot == _BIN_RESERVED:
+        if slot == BIN_RESERVED:
             raise KeyInvariantError(
                 f"token carries no bin: {self.vocab.token(token_index)!r}"
             )
@@ -265,7 +270,10 @@ def _parse_header_line(line: str, prefix: str) -> str:
 
 def deserialize_key(data: bytes, vocab: Vocabulary) -> StegoKey:
     """Parse and validate a key file against the vocabulary it was built from."""
-    lines = data.decode("utf-8").split("\n")
+    try:
+        lines = data.decode("utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise KeyFormatError(f"key file is not UTF-8: {exc}") from None
     if lines and lines[-1] == "":
         lines.pop()
     if len(lines) < 6:
@@ -283,14 +291,11 @@ def deserialize_key(data: bytes, vocab: Vocabulary) -> StegoKey:
 
     def surfaces_to_indices(line: str, prefix: str) -> tuple[int, ...]:
         rest = _parse_header_line(line, prefix)
-        if not rest:
-            return ()
-        out = []
-        for surface in rest.split("\t"):
-            if surface not in vocab:
-                raise KeyFormatError(f"key token not in vocabulary: {surface!r}")
-            out.append(vocab.index_of(surface))
-        return tuple(out)
+        surfaces = rest.split("\t") if rest else []
+        indices = vocab.indices(surfaces)
+        if -1 in indices:
+            raise KeyFormatError(f"key token not in vocabulary: {surfaces[indices.index(-1)]!r}")
+        return tuple(indices)
 
     common = surfaces_to_indices(lines[4], "common:")
     expected_bins = 1 << block_bits if block_bits >= 0 else -1

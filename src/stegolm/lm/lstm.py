@@ -16,13 +16,13 @@ same parameters on a given platform.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
 
 from ..corpus import Vocabulary
-from ..errors import ModelFormatError, TrainingError
+from ..errors import ConfigError, ModelFormatError, TrainingError
 from .base import LanguageModel, softmax
 
 #: Validation-loss slack below which an epoch counts as "did not improve".
@@ -45,15 +45,15 @@ class LstmHyperparams:
     def __post_init__(self):
         for name in ("layers", "units", "embed_dim", "unroll_steps", "batch_size"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be a positive integer")
+                raise ConfigError(f"{name} must be a positive integer")
         if self.lr_init <= 0:
-            raise ValueError("lr_init must be positive")
+            raise ConfigError("lr_init must be positive")
         if self.lr_decay <= 1:
-            raise ValueError("lr_decay must exceed 1")
+            raise ConfigError("lr_decay must exceed 1")
         if self.clip_norm is not None and self.clip_norm <= 0:
-            raise ValueError("clip_norm must be positive or None")
+            raise ConfigError("clip_norm must be positive or None")
         if not 0 <= self.dropout < 1:
-            raise ValueError("dropout must lie in [0, 1)")
+            raise ConfigError("dropout must lie in [0, 1)")
 
 
 #: Named hyperparameter presets. "desk" trains in minutes on a ~100k-token
@@ -100,22 +100,26 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def param_shapes(vocab_size: int, hp: LstmHyperparams) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every parameter array, in initialisation order."""
+    shapes = {"embed": (vocab_size, hp.embed_dim)}
+    for layer in range(hp.layers):
+        in_dim = hp.embed_dim if layer == 0 else hp.units
+        shapes[f"wx{layer}"] = (in_dim, 4 * hp.units)
+        shapes[f"wh{layer}"] = (hp.units, 4 * hp.units)
+        shapes[f"b{layer}"] = (4 * hp.units,)
+    shapes["wo"] = (hp.units, vocab_size)
+    shapes["bo"] = (vocab_size,)
+    return shapes
+
+
 def init_params(vocab_size: int, hp: LstmHyperparams, seed: int) -> dict[str, np.ndarray]:
     """Uniform [-0.1, 0.1] weights, zero biases, from a seeded generator."""
     rng = np.random.default_rng(seed)
-
-    def uniform(*shape):
-        return rng.uniform(-0.1, 0.1, size=shape)
-
-    params = {"embed": uniform(vocab_size, hp.embed_dim)}
-    for layer in range(hp.layers):
-        in_dim = hp.embed_dim if layer == 0 else hp.units
-        params[f"wx{layer}"] = uniform(in_dim, 4 * hp.units)
-        params[f"wh{layer}"] = uniform(hp.units, 4 * hp.units)
-        params[f"b{layer}"] = np.zeros(4 * hp.units)
-    params["wo"] = uniform(hp.units, vocab_size)
-    params["bo"] = np.zeros(vocab_size)
-    return params
+    return {
+        name: np.zeros(shape) if name.startswith("b") else rng.uniform(-0.1, 0.1, size=shape)
+        for name, shape in param_shapes(vocab_size, hp).items()
+    }
 
 
 def _zero_states(hp: LstmHyperparams, batch: int) -> list[list[np.ndarray]]:
@@ -286,10 +290,6 @@ class LstmModel(LanguageModel):
     def __init__(self, vocab: Vocabulary, hp: LstmHyperparams,
                  params: dict[str, np.ndarray], history: Sequence[EpochStats] = ()):
         super().__init__(vocab)
-        if params["embed"].shape[0] != len(vocab):
-            raise ModelFormatError(
-                f"embedding rows ({params['embed'].shape[0]}) != |V| ({len(vocab)})"
-            )
         self.hp = hp
         self.params = params
         self.history = list(history)
@@ -313,19 +313,34 @@ class LstmModel(LanguageModel):
         h_top = ctx.states[-1][0]
         return softmax(h_top @ self.params["wo"] + self.params["bo"])
 
+    def header_config(self) -> dict:
+        """The ``config:`` header of a model file: hyperparameters and history."""
+        return {"hyperparams": asdict(self.hp), "history": [asdict(s) for s in self.history]}
+
     def to_payload(self) -> bytes:
         buf = io.BytesIO()
         np.savez(buf, **self.params)
         return buf.getvalue()
 
     @classmethod
-    def from_payload(cls, vocab: Vocabulary, hp: LstmHyperparams, payload: bytes,
-                     history: Sequence[EpochStats] = ()) -> "LstmModel":
+    def from_payload(cls, vocab: Vocabulary, header: dict, payload: bytes) -> "LstmModel":
+        """Inverse of ``header_config``/``to_payload``: the npz archive must hold
+        exactly the float64 arrays the hyperparameters call for."""
+        try:
+            hp = LstmHyperparams(**header["hyperparams"])
+            history = [EpochStats(**s) for s in header.get("history", [])]
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ModelFormatError(f"bad lstm config: {exc}") from None
         try:
             with np.load(io.BytesIO(payload)) as stash:
                 params = {name: stash[name] for name in stash.files}
         except Exception as exc:
             raise ModelFormatError(f"bad lstm payload: {exc}") from None
+        expected = {n: ("float64", shape) for n, shape in param_shapes(len(vocab), hp).items()}
+        found = {n: (str(array.dtype), array.shape) for n, array in params.items()}
+        wrong = sorted(n for n in expected.keys() | found.keys() if found.get(n) != expected.get(n))
+        if wrong:
+            raise ModelFormatError(f"lstm payload arrays missing, extra or misshapen: {wrong}")
         return cls(vocab, hp, params, history)
 
 

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from ..corpus import Vocabulary
-from ..errors import ModelFormatError, TrainingError
+from ..errors import ConfigError, ModelFormatError, TrainingError
 from .base import LanguageModel
 
 
@@ -26,9 +26,9 @@ class NgramConfig:
 
     def __post_init__(self):
         if self.order < 1:
-            raise ValueError("order must be >= 1")
+            raise ConfigError("order must be >= 1")
         if self.add_k <= 0:
-            raise ValueError("add_k must be positive")
+            raise ConfigError("add_k must be positive")
 
 
 class NgramModel(LanguageModel):
@@ -66,6 +66,10 @@ class NgramModel(LanguageModel):
             dist[token_index] += count / denom
         return dist
 
+    def header_config(self) -> dict:
+        """The ``config:`` header of a model file; the payload holds everything."""
+        return {}
+
     def to_payload(self) -> bytes:
         serializable = []
         for table in self.tables:
@@ -78,7 +82,7 @@ class NgramModel(LanguageModel):
         return json.dumps(doc, sort_keys=True).encode("utf-8")
 
     @classmethod
-    def from_payload(cls, vocab: Vocabulary, payload: bytes) -> "NgramModel":
+    def from_payload(cls, vocab: Vocabulary, header: dict, payload: bytes) -> "NgramModel":
         try:
             doc = json.loads(payload.decode("utf-8"))
             config = NgramConfig(order=doc["order"], add_k=doc["add_k"])

@@ -9,9 +9,10 @@ Layout (UTF-8 header lines, then a raw binary payload):
     payload_bytes: <N>
     <N raw payload bytes>
 
-The payload is backend-defined: a JSON count table for ngram, an npz archive
-of float64 parameter arrays for lstm. Loading requires the vocabulary the
-model was trained against; a hash mismatch is an error.
+Config and payload are backend-defined: the class that ``BACKENDS`` names for
+the tag writes them (``header_config``, ``to_payload``) and reads them back
+(``from_payload``). Loading requires the vocabulary the model was trained
+against; a hash mismatch is an error.
 """
 
 from __future__ import annotations
@@ -22,26 +23,20 @@ from pathlib import Path
 from ..corpus import Vocabulary
 from ..errors import ModelFormatError, VocabMismatchError
 from .base import LanguageModel
-from .lstm import EpochStats, LstmHyperparams, LstmModel
+from .lstm import LstmModel
 from .ngram import NgramModel
 
 MODEL_HEADER = b"STEGOLM v1"
 
+#: Backend tag of the model file -> the class that writes and reads it.
+BACKENDS = {cls.backend: cls for cls in (NgramModel, LstmModel)}
+
 
 def serialize_model(model: LanguageModel) -> bytes:
-    if isinstance(model, NgramModel):
-        config: dict = {}
-        payload = model.to_payload()
-    elif isinstance(model, LstmModel):
-        config = {
-            "hyperparams": {k: getattr(model.hp, k) for k in model.hp.__dataclass_fields__},
-            "history": [
-                {k: getattr(s, k) for k in s.__dataclass_fields__} for s in model.history
-            ],
-        }
-        payload = model.to_payload()
-    else:
+    if model.backend not in BACKENDS:
         raise ModelFormatError(f"unknown model type: {type(model).__name__}")
+    config = model.header_config()
+    payload = model.to_payload()
     header = (
         f"backend: {model.backend}\n"
         f"vocab_hash: {model.vocab_hash}\n"
@@ -64,7 +59,10 @@ def deserialize_model(data: bytes, vocab: Vocabulary) -> LanguageModel:
             if line != MODEL_HEADER:
                 raise ModelFormatError(f"missing {MODEL_HEADER.decode()!r} header")
             continue
-        key, _, value = line.decode("utf-8").partition(": ")
+        try:
+            key, _, value = line.decode("utf-8").partition(": ")
+        except UnicodeDecodeError:
+            raise ModelFormatError(f"model header line {lineno + 1} is not UTF-8") from None
         fields[key] = value
     try:
         payload_bytes = int(fields["payload_bytes"])
@@ -78,16 +76,9 @@ def deserialize_model(data: bytes, vocab: Vocabulary) -> LanguageModel:
     payload = data[offset:offset + payload_bytes]
     if len(payload) != payload_bytes:
         raise ModelFormatError("model payload shorter than declared")
-    if backend == "ngram":
-        return NgramModel.from_payload(vocab, payload)
-    if backend == "lstm":
-        try:
-            hp = LstmHyperparams(**config["hyperparams"])
-            history = [EpochStats(**s) for s in config.get("history", [])]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ModelFormatError(f"bad lstm config: {exc}") from None
-        return LstmModel.from_payload(vocab, hp, payload, history)
-    raise ModelFormatError(f"unknown backend tag: {backend!r}")
+    if backend not in BACKENDS:
+        raise ModelFormatError(f"unknown backend tag: {backend!r}")
+    return BACKENDS[backend].from_payload(vocab, config, payload)
 
 
 def save_model(model: LanguageModel, path: str | Path) -> None:

@@ -26,12 +26,9 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Vocabulary
-from .errors import CorpusError, DecodeError
-from .keying import StegoKey
+from .errors import ConfigError, CorpusError
+from .keying import BIN_COMMON, BIN_RESERVED, StegoKey
 from .lm.base import LanguageModel
-
-_COMMON_SLOT = -2
-_RESERVED_SLOT = -1
 
 
 @dataclass(frozen=True)
@@ -123,12 +120,11 @@ def stego_distribution(probs: np.ndarray, key: StegoKey) -> np.ndarray:
     lookup = key.lookup_array()
     carriers = lookup >= 0
     masses = np.bincount(lookup[carriers], weights=probs[carriers], minlength=key.num_bins)
-    common_mass = float(probs[lookup == _COMMON_SLOT].sum())
-    mask_mass = masses + common_mass
+    common = lookup == BIN_COMMON
+    mask_mass = masses + float(probs[common].sum())
     inv = np.divide(1.0, mask_mass, out=np.zeros_like(mask_mass), where=mask_mass > 0)
     out = np.zeros_like(probs, dtype=np.float64)
     out[carriers] = probs[carriers] * inv[lookup[carriers]]
-    common = lookup == _COMMON_SLOT
     if common.any():
         out[common] = probs[common] * inv.sum()
     return out / key.num_bins
@@ -153,7 +149,7 @@ def stego_perplexity(model: LanguageModel, key: StegoKey,
     skipped = 0
     infinite: list[int] = []
     for position, idx in enumerate(ids):
-        if not vacuous and lookup[idx] == _RESERVED_SLOT:
+        if not vacuous and lookup[idx] == BIN_RESERVED:
             skipped += 1
         else:
             prob = stego_word_prob(model, ctx, key, idx)
@@ -175,9 +171,9 @@ def capacity(block_bits: int, common_fraction: float,
              mean_message_length: float | None = None) -> CapacityReport:
     """Exact arithmetic: (1 - common_fraction) * block_bits bits per word."""
     if block_bits < 0:
-        raise ValueError("block_bits must be non-negative")
+        raise ConfigError("block_bits must be non-negative")
     if not 0 <= common_fraction < 1:
-        raise ValueError(f"common_fraction must lie in [0, 1), got {common_fraction}")
+        raise ConfigError(f"common_fraction must lie in [0, 1), got {common_fraction}")
     bits_per_word = (1.0 - common_fraction) * block_bits
     bits_per_message = (
         bits_per_word * mean_message_length if mean_message_length is not None else None
@@ -190,19 +186,8 @@ def capacity_empirical(tokens: Sequence[str], key: StegoKey,
     """Observed capacity of a stegotext stream: carriers carry block_bits each."""
     if not tokens:
         raise CorpusError("cannot measure capacity of an empty stream")
-    lookup = key.lookup_array()
-    carrier_count = 0
-    common_count = 0
-    for position, surface in enumerate(tokens):
-        if surface not in key.vocab:
-            raise DecodeError(f"token not in key vocabulary: {surface!r}", position)
-        slot = lookup[key.vocab.index_of(surface)]
-        if slot == _RESERVED_SLOT:
-            raise DecodeError(f"undecodable token: {surface!r}", position)
-        if slot == _COMMON_SLOT:
-            common_count += 1
-        else:
-            carrier_count += 1
+    common_count = int((key.slots(tokens) == BIN_COMMON).sum())
+    carrier_count = len(tokens) - common_count
     total = len(tokens)
     fraction = common_count / total
     bits_per_word = key.block_bits * carrier_count / total

@@ -97,6 +97,13 @@ def desk_vocab(desk_tokens, desk_config) -> Vocabulary:
 
 
 @pytest.fixture(scope="session")
+def desk_trigram(desk_tokens, desk_vocab):
+    """Trigram on the first 90 % of the desk corpus (the rest is held out)."""
+    train = desk_tokens[:int(len(desk_tokens) * 0.9)]
+    return train_ngram(train, desk_vocab, NgramConfig(order=3, add_k=0.05))
+
+
+@pytest.fixture(scope="session")
 def mini_tokens():
     """Small synthetic stream for fast codec/model tests."""
     rng = np.random.default_rng(11)

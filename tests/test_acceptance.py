@@ -51,12 +51,6 @@ def desk_split(desk_tokens):
 
 
 @pytest.fixture(scope="module")
-def desk_trigram(desk_split, desk_vocab):
-    train, _ = desk_split
-    return train_ngram(train, desk_vocab, NgramConfig(order=3, add_k=0.05))
-
-
-@pytest.fixture(scope="module")
 def slice_vocab_and_models(desk_text, desk_config):
     """Smaller corpus slice -> fast ngram + lstm pair for the round-trip storm."""
     from stegolm.corpus import CorpusConfig, tokenize

@@ -230,3 +230,35 @@ def test_stdin_stdout_piping(workspace, tmp_path):
         capture_output=True, check=True,
     )
     assert decode.stdout == b"piped-bytes"
+
+
+ENCODE = "encode --vocab {vocab} --key {key} --model {model} --in {corpus} --out {out}"
+TRAIN = "train --tokens {tokens} --vocab {vocab} --out {out} --backend"
+
+
+@pytest.mark.parametrize("argv, damaged, error", [
+    (ENCODE + " --temp 0", None, "ConfigError"),
+    (ENCODE + " --max-common-run 0", None, "ConfigError"),
+    (TRAIN + " ngram --order 0", None, "ConfigError"),
+    (TRAIN + " lstm --units 0", None, "ConfigError"),
+    ("prep --in {corpus} --out-vocab {out} --max-vocab 1", None, "ConfigError"),
+    ("eval --capacity --block-bits -1", None, "ConfigError"),
+    (ENCODE, "vocab", "VocabFormatError"),
+    (ENCODE, "key", "KeyFormatError"),
+    (ENCODE, "model", "ModelFormatError"),
+], ids=["temp-0", "max-common-run-0", "order-0", "units-0", "max-vocab-1", "block-bits-neg",
+        "vocab-not-utf8", "key-not-utf8", "model-not-utf8"])
+def test_bad_input_prints_one_error_line(workspace, tmp_path, capsys, argv, damaged, error):
+    files = {"vocab": "vocab.tsv", "key": "key.sk", "model": "model.slm",
+             "tokens": "tokens.txt", "corpus": "corpus.txt"}
+    paths = {name: str(workspace / f) for name, f in files.items()}
+    paths["out"] = str(tmp_path / "out")
+    if damaged:
+        # a byte that is never valid UTF-8, early in the file's text header
+        data = (workspace / files[damaged]).read_bytes().replace(b"\n", b"\n\xff", 2)
+        paths[damaged] = str(tmp_path / files[damaged])
+        Path(paths[damaged]).write_bytes(data)
+    capsys.readouterr()
+    assert main(argv.format(**paths).split()) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {error}: "), lines

@@ -296,6 +296,16 @@ class TestGenerate:
         assert constrained == generate(mini_bigram, 40, GREEDY)
 
 
+class TestLowTemperature:
+    def test_encode_and_generate_at_temperature_0_002(self, desk_trigram, desk_vocab):
+        # 1/T = 500: weights not scaled by their maximum underflow to all zeros
+        policy = GenPolicy(mode=Mode.SAMPLE, temperature=0.002, seed=3)
+        key = generate_key(desk_vocab, 2, 10, seed=9)
+        out = encode(Payload(b"cold", Framing.LENGTH_PREFIXED), key, desk_trigram, policy)
+        assert decode_payload(out.tokens, key) == b"cold"
+        assert len(generate(desk_trigram, 25, policy)) == 25
+
+
 class TestRender:
     def test_punctuation_reattaches(self):
         assert render(["i", "am", "attaching", "an", "nda", "."]) == "i am attaching an nda."

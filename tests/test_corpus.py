@@ -131,6 +131,10 @@ class TestVocabulary:
         with pytest.raises(VocabFormatError):
             Vocabulary.deserialize(b"NOPE\na\t1\n")
 
+    def test_non_utf8_file_rejected(self):
+        with pytest.raises(VocabFormatError):
+            Vocabulary.deserialize(b"STEGOVOCAB v1\na\t2\n\xff\t1\n")
+
     def test_misordered_file_rejected(self):
         data = b"STEGOVOCAB v1\nb\t1\na\t1\n"
         with pytest.raises(VocabFormatError):

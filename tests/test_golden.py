@@ -1,0 +1,80 @@
+"""Golden outputs: seeded encodes, their decoded bits, key bytes and model bytes.
+
+Any change to which token a seed selects, to the bits a token decodes to, or
+to the key and model wire formats fails here. Only the n-gram backend is
+pinned: LSTM parameters and tokens depend on the platform's BLAS summation
+order.
+"""
+
+import hashlib
+
+import pytest
+
+from stegolm.codec import Framing, GenPolicy, Mode, Payload, decode, decode_payload, encode
+from stegolm.keying import generate_key, serialize_key
+from stegolm.lm.store import serialize_model
+
+# (block_bits, common, mode, temperature, key_seed, policy_seed) -> the SHA-256
+# of the key file, of the newline-joined tokens and of the RAW decoded bits.
+GOLDEN = {
+    (1, 0, "greedy", 1.0, 11, 0): (
+        "44d3b3db9560cd9fec1da422b1ebce579c10e73e461f135f2aaa5afb997276c3",
+        "d43900a81392f4f9ba408116fdb4e9777f03a31639536ec966990f510e290c5d",
+        "6a00fe9031b41903326937efd133d5e96023c95ae03174babb489730fb1ecfd0",
+    ),
+    (2, 10, "greedy", 1.0, 12, 0): (
+        "d1c0e00296561e0b152a3ba11d40317afb236a7ca63ebe8fb924eeaa4f1480dc",
+        "8d0f2320f977a81f8736c65e06b31b2db2fd2421323be087e50045508245a058",
+        "63089c21dd932886fedb1ee47274272a394d25038ef56cb715c91acd01ffd7cd",
+    ),
+    (3, 0, "sample", 1.0, 13, 5): (
+        "dde913ffe6577544e30d6120880851db8c7a0d539142ce23b2e1456ebe6e949b",
+        "eef65496810be2c4e033bd7b169113c4f7c214c494f812fd0964eea28d529535",
+        "c4f8965c52ac5026f757e6522c2178fe617c8bdfdb2fb6ac5d3bb4fe22eb3833",
+    ),
+    (4, 10, "sample", 1.0, 14, 6): (
+        "e581a13511452679c89873d20f50d851cf027eca890f51b1cdf380768e40b3c6",
+        "67b9b68940d669bb90a2a2418a7d28e7934db926719dc8bd803f0c81fe1d5031",
+        "3acd10d5520c983c57455a8a3d651e86f04a42fbfe083676c537834127944266",
+    ),
+    (2, 0, "sample", 0.7, 15, 7): (
+        "facbef0f001adcd8e3597ad8acaa7a1c18d8e01b5769094bb7d2ac4900e28117",
+        "10930777fb954e9e4ba7428a518f60b69b8944538f57da993bef53b7647aa279",
+        "9562436f529d6ab4f6da9b6d2d7dc723de40ec23b5bef2ac2e80ed6f634dc649",
+    ),
+    (3, 10, "sample", 1.5, 16, 8): (
+        "daa8bb3e8805c3e7119f464738a668e05a0a8ee8c687c9854802fd97369f5be9",
+        "2fd26ae38bef26fd39ca071780b7eca8b6c8ec144e4c0a8539bf5e0b40e00e17",
+        "6eca90aaa8ac80de9328baad7652ccd73bc886aa9ace7946cc1fd520f62ae5f1",
+    ),
+}
+
+DESK_TRIGRAM_SHA = "e202f4d054c4b75dd19a06fa52e15530e712bf404134aa55d932bd8ac7c36d43"
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def case_digests(case, model, vocab):
+    """(key, tokens, bits) digests of one seeded LENGTH-framed encode."""
+    block_bits, common, mode, temperature, key_seed, policy_seed = case
+    key = generate_key(vocab, block_bits, common, key_seed)
+    payload = hashlib.sha256(repr(case).encode()).digest()[:12]
+    policy = GenPolicy(mode=Mode(mode), temperature=temperature, seed=policy_seed)
+    stegotext = encode(Payload(payload, Framing.LENGTH_PREFIXED), key, model, policy)
+    assert decode_payload(stegotext.tokens, key) == payload
+    return (
+        _sha(serialize_key(key)),
+        _sha("\n".join(stegotext.tokens).encode("utf-8")),
+        _sha(decode(stegotext.tokens, key).encode("ascii")),
+    )
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN), ids=lambda c: "-".join(map(str, c)))
+def test_seeded_encode_matches_golden(case, desk_trigram, desk_vocab):
+    assert case_digests(case, desk_trigram, desk_vocab) == GOLDEN[case]
+
+
+def test_desk_trigram_model_bytes_match_golden(desk_trigram):
+    assert _sha(serialize_model(desk_trigram)) == DESK_TRIGRAM_SHA

@@ -3,12 +3,15 @@ import pytest
 
 from stegolm.corpus import EOS_TOKEN, UNK_TOKEN, Vocabulary, build_vocab
 from stegolm.errors import (
+    DecodeError,
     KeyFormatError,
     KeyGenError,
     KeyInvariantError,
     VocabMismatchError,
 )
 from stegolm.keying import (
+    BIN_COMMON,
+    BIN_RESERVED,
     COMMON,
     BitBlock,
     StegoKey,
@@ -121,6 +124,29 @@ class TestBinOfToken:
             fixture_key.bin_of_index(10_000)
 
 
+class TestSlots:
+    def test_slot_array_agrees_with_bins_and_common(self):
+        key = generate_key(small_vocab(13), 2, 2, seed=8, include_eos_common=True)
+        lookup = key.lookup_array()
+        for value, members in enumerate(key.bins):
+            assert all(lookup[idx] == value for idx in members)
+        assert all(lookup[idx] == BIN_COMMON for idx in key.common)
+        assert lookup[key.vocab.index_of(UNK_TOKEN)] == BIN_RESERVED
+        with pytest.raises(ValueError):
+            lookup[0] = 0
+
+    def test_classifies_stegotext_tokens(self, fixture_key):
+        assert fixture_key.slots(["I", "am", "NDA", "was"]).tolist() == [2, 0, 3, 1]
+        assert fixture_key.slots([]).tolist() == []
+
+    @pytest.mark.parametrize("bad", ["zzz", EOS_TOKEN, UNK_TOKEN])
+    def test_first_unknown_or_reserved_token_is_reported(self, fixture_key, bad):
+        with pytest.raises(DecodeError) as err:
+            fixture_key.slots(["I", "am", bad, "zzz"])
+        assert err.value.position == 2
+        assert repr(bad) in str(err.value)
+
+
 class TestKeyInvariants:
     @pytest.mark.parametrize("seed", range(25))
     def test_random_keys_partition_carriers(self, seed):
@@ -213,6 +239,11 @@ class TestSerialization:
         key = generate_key(vocab, 1, 0, seed=4)
         with pytest.raises(VocabMismatchError):
             deserialize_key(serialize_key(key), other)
+
+    def test_non_utf8_key_rejected(self, mini_vocab):
+        key = generate_key(mini_vocab, 1, 0, seed=4)
+        with pytest.raises(KeyFormatError):
+            deserialize_key(serialize_key(key) + b"\xff\xfe", mini_vocab)
 
     def test_malformed_header_rejected(self, mini_vocab):
         with pytest.raises(KeyFormatError):

@@ -303,6 +303,26 @@ class TestPersistence:
         with pytest.raises(ModelFormatError):
             deserialize_model(data, mini_vocab)
 
+    def test_non_utf8_header_rejected(self, mini_vocab, mini_bigram):
+        data = serialize_model(mini_bigram).replace(b"backend: ngram", b"backend: \xffngram", 1)
+        with pytest.raises(ModelFormatError):
+            deserialize_model(data, mini_vocab)
+
+    @pytest.mark.parametrize("damage", ["missing wx0", "extra array", "wrong shape", "float32"])
+    def test_payload_must_match_hyperparams(self, trained, mini_vocab, damage):
+        params = dict(trained.params)
+        if damage == "missing wx0":
+            del params["wx0"]
+        elif damage == "extra array":
+            params["wx9"] = params["wx0"]
+        elif damage == "wrong shape":
+            params["wo"] = params["wo"].T.copy()
+        else:
+            params["bo"] = params["bo"].astype(np.float32)
+        data = serialize_model(LstmModel(mini_vocab, trained.hp, params, trained.history))
+        with pytest.raises(ModelFormatError):
+            deserialize_model(data, mini_vocab)
+
     def test_ngram_roundtrip_preserves_counts(self, mini_tokens, mini_vocab, mini_bigram):
         data = serialize_model(mini_bigram)
         again = deserialize_model(data, mini_vocab)

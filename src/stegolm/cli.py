@@ -10,6 +10,8 @@ diagnostics go to stderr as a single machine-parsable line
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -19,7 +21,7 @@ import numpy as np
 from . import codec, corpus, keying, metrics
 from .codec import Framing, GenPolicy, Mode, Payload, RenderOptions
 from .corpus import CorpusConfig, Vocabulary
-from .errors import StegolmError
+from .errors import ConfigError, StegolmError
 from .lm import (
     LstmHyperparams,
     NgramConfig,
@@ -65,7 +67,7 @@ def _write_text(path: str | None, text: str) -> None:
 
 def cmd_prep(args) -> int:
     config = _corpus_config(args)
-    raw = Path(args.infile).read_text(encoding="utf-8")
+    raw = corpus.read_text_file(args.infile)
     tokens = corpus.tokenize(raw, config)
     vocab = corpus.build_vocab(tokens, config)
     if args.out_tokens:
@@ -82,7 +84,6 @@ def cmd_train(args) -> int:
     if args.backend == "ngram":
         model = train_ngram(tokens, vocab, NgramConfig(order=args.order, add_k=args.add_k))
     else:
-        hp = PRESETS[args.preset]
         overrides = {
             "layers": args.layers, "units": args.units, "embed_dim": args.embed_dim,
             "unroll_steps": args.unroll, "batch_size": args.batch_size,
@@ -91,8 +92,7 @@ def cmd_train(args) -> int:
         overrides = {k: v for k, v in overrides.items() if v is not None}
         if args.clip_norm is not None:
             overrides["clip_norm"] = None if args.clip_norm <= 0 else args.clip_norm
-        hp = LstmHyperparams(**{**{f: getattr(hp, f) for f in hp.__dataclass_fields__},
-                                **overrides})
+        hp = dataclasses.replace(PRESETS[args.preset], **overrides)
         model = train_lstm(tokens, vocab, hp, epochs=args.epochs, seed=args.seed)
         for st in model.history:
             print(
@@ -150,7 +150,7 @@ def cmd_decode(args) -> int:
         # Best-effort path: re-tokenize rendered text. Reliable only for
         # punctuation-safe output; the token sidecar is the canonical input.
         # Line boundaries re-tokenize to <eos>, which carries no payload.
-        raw = Path(args.text).read_text(encoding="utf-8")
+        raw = corpus.read_text_file(args.text)
         tokens = [
             t for t in corpus.tokenize(raw, CorpusConfig(lowercase=args.lowercase_text))
             if t != corpus.EOS_TOKEN
@@ -165,14 +165,11 @@ def cmd_decode(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    loaded: dict[str, Vocabulary] = {}
-
+    @functools.cache
     def vocab() -> Vocabulary:
-        if "v" not in loaded:
-            if not args.vocab:
-                raise StegolmError("this evaluation needs --vocab")
-            loaded["v"] = Vocabulary.load(args.vocab)
-        return loaded["v"]
+        if not args.vocab:
+            raise StegolmError("this evaluation needs --vocab")
+        return Vocabulary.load(args.vocab)
 
     sections: dict[str, dict] = {}
     out_lines: list[str] = []
@@ -221,6 +218,8 @@ def cmd_eval(args) -> int:
 
 def cmd_roundtrip(args) -> int:
     """Self-test: random payloads through encode/decode on a synthetic corpus."""
+    if min(args.trials, args.max_bytes) < 1 or args.seed < 0:
+        raise ConfigError("--trials and --max-bytes must be positive, --seed non-negative")
     rng = np.random.default_rng(args.seed)
     base = corpus.tokenize(_roundtrip_corpus(args.seed), CorpusConfig())
     vocab = corpus.build_vocab(base, CorpusConfig())

@@ -2,15 +2,15 @@
 
 Encoding walks the payload one bit block at a time and asks the language
 model for the next token with the distribution masked to the block's bin
-(plus the common set, when the key has one). Common tokens are emitted for
-fluency but consume no bits; a run of them is capped at
-``GenPolicy.max_common_run`` and never repeats a token within the run, which
-guarantees termination under greedy selection. Every emitted token, common or
-carrier, advances the model context. Generation starts from the model's
-initial state after consuming ``<eos>``.
+(plus the common set, when the key has one), both read off the key's slot
+array. Common tokens are emitted for fluency but consume no bits; a run of
+them is capped at ``GenPolicy.max_common_run`` and never repeats a token
+within the run, which guarantees termination under greedy selection. Every
+emitted token, common or carrier, advances the model context. Generation
+starts from the model's initial state after consuming ``<eos>``.
 
-Decoding needs no language model: drop common tokens, map each carrier token
-to its bin, concatenate the bits. With RAW framing the payload boundary is
+Decoding needs no language model: drop common tokens, write each carrier's
+slot (its bin index) as bits. With RAW framing the payload boundary is
 implicit (trailing bits that do not fill a block are never encoded); with
 LENGTH framing a 32-bit big-endian bit count is prepended and the tail is
 zero-padded to a block boundary, so the exact byte payload is recoverable.
@@ -28,7 +28,7 @@ import numpy as np
 
 from .corpus import EOS_TOKEN, UNK_TOKEN, URL_TOKEN, USER_TOKEN
 from .errors import ConfigError, DecodeError, EncodeError, VocabMismatchError
-from .keying import BitBlock, StegoKey
+from .keying import BIN_COMMON, BitBlock, StegoKey
 from .lm.base import LanguageModel
 
 
@@ -65,6 +65,8 @@ class GenPolicy:
     def __post_init__(self):
         if self.temperature <= 0:
             raise ConfigError("temperature must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if self.max_common_run < 1:
             raise ConfigError("max_common_run must be at least 1")
 
@@ -170,26 +172,27 @@ def constrained_select(
     include_common: bool = True,
     banned: frozenset[int] | set[int] = frozenset(),
 ) -> int:
-    """Pick the next token index from the block's bin (plus the common set).
-
-    GREEDY takes the argmax of the masked distribution, ties to the lowest
-    token index; SAMPLE draws from the masked distribution renormalized at
-    ``policy.temperature``.
+    """Pick the next token index from the block's bin (plus the common set,
+    less ``banned``), allowed tokens in index order. GREEDY takes the argmax
+    of the masked distribution, ties to the lowest token index; SAMPLE draws
+    from the masked distribution renormalized at ``policy.temperature``.
     """
     if block.width != key.block_bits:
         raise EncodeError(
             f"block width {block.width} does not match key block_bits {key.block_bits}"
         )
-    allowed = list(key.bins[block.value])
+    slots = key.lookup_array()
+    mask = slots == block.value
     if include_common:
-        allowed.extend(i for i in key.common if i not in banned)
-        allowed.sort()
+        common = slots == BIN_COMMON
+        common[list(banned)] = False
+        mask |= common
     probs = model.next_distribution(ctx)
-    if len(probs) != len(key.vocab):
+    if len(probs) != len(slots):
         raise VocabMismatchError(
-            f"model emits {len(probs)} probabilities for |V|={len(key.vocab)}"
+            f"model emits {len(probs)} probabilities for |V|={len(slots)}"
         )
-    return _pick(probs, np.asarray(allowed, dtype=np.int64), policy, rng)
+    return _pick(probs, np.flatnonzero(mask), policy, rng)
 
 
 def _start_context(model: LanguageModel):
@@ -214,6 +217,7 @@ def encode_bits(
         raise EncodeError(
             f"payload of {len(bits)} bits is shorter than one {key.block_bits}-bit block"
         )
+    slots = key.lookup_array()
     rng = np.random.default_rng(policy.seed)
     ctx = _start_context(model)
     tokens: list[str] = []
@@ -222,14 +226,13 @@ def encode_bits(
         run = 0
         banned: set[int] = set()
         while True:
-            allow_common = bool(key.common) and run < policy.max_common_run
             idx = constrained_select(
                 model, ctx, key, block, policy,
-                rng=rng, include_common=allow_common, banned=banned,
+                rng=rng, include_common=run < policy.max_common_run, banned=banned,
             )
             ctx = model.advance(ctx, idx)
             tokens.append(key.vocab.token(idx))
-            if idx in key.common_set:
+            if slots[idx] == BIN_COMMON:
                 run += 1
                 banned.add(idx)
             else:
@@ -263,8 +266,7 @@ def generate(
 ) -> list[str]:
     """Unconstrained generation (no key, no payload); sentinels are excluded."""
     vocab = model.vocab
-    banned = {vocab.index_of(t) for t in set(exclude) | {UNK_TOKEN} if t in vocab}
-    allowed = np.asarray([i for i in range(len(vocab)) if i not in banned], dtype=np.int64)
+    allowed = np.flatnonzero([t not in exclude and t != UNK_TOKEN for t in vocab.tokens])
     rng = np.random.default_rng(policy.seed)
     ctx = _start_context(model)
     out: list[str] = []

@@ -261,10 +261,18 @@ def top_k_tokens(vocab: Vocabulary, k: int) -> set[str]:
     return set(vocab.tokens[:k])
 
 
+def read_text_file(path: str | Path) -> str:
+    """Text of a UTF-8 corpus, token or stegotext file; ``CorpusError`` if not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{path} is not UTF-8: {exc}") from None
+
+
 def read_token_file(path: str | Path) -> list[str]:
     """Read a one-token-per-line file (the sidecar / prep output format)."""
     out = []
-    for line in Path(path).read_text(encoding="utf-8").split("\n"):
+    for line in read_text_file(path).split("\n"):
         if line:
             out.append(check_token(line))
     return out

@@ -110,7 +110,6 @@ class StegoKey:
         slots = np.asarray(self._build_slots(), dtype=np.int64)
         slots.flags.writeable = False
         object.__setattr__(self, "_slots", slots)
-        object.__setattr__(self, "_common_set", frozenset(self.common))
 
     def _build_slots(self) -> list[int]:
         vocab, size = self.vocab, len(self.vocab)
@@ -155,7 +154,7 @@ class StegoKey:
 
     @property
     def common_set(self) -> frozenset[int]:
-        return self._common_set
+        return frozenset(self.common)
 
     def lookup_array(self) -> np.ndarray:
         """Read-only slot of every vocabulary index: its bin index for a carrier,

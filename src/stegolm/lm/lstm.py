@@ -92,12 +92,8 @@ class LstmContext:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    ex = np.exp(-np.abs(x))  # never overflows
+    return np.where(x >= 0, 1.0, ex) / (1.0 + ex)
 
 
 def param_shapes(vocab_size: int, hp: LstmHyperparams) -> dict[str, tuple[int, ...]]:
@@ -130,10 +126,9 @@ def _zero_states(hp: LstmHyperparams, batch: int) -> list[list[np.ndarray]]:
 def _cell_forward(params, hp, layer, x, h_prev, c_prev):
     units = hp.units
     z = x @ params[f"wx{layer}"] + h_prev @ params[f"wh{layer}"] + params[f"b{layer}"]
-    gi = _sigmoid(z[..., :units])
-    gf = _sigmoid(z[..., units:2 * units])
+    sig = _sigmoid(z)  # the i, f and o gates; the g quarter is unused
+    gi, gf, go = sig[..., :units], sig[..., units:2 * units], sig[..., 3 * units:]
     gg = np.tanh(z[..., 2 * units:3 * units])
-    go = _sigmoid(z[..., 3 * units:])
     c = gf * c_prev + gi * gg
     h = go * np.tanh(c)
     return h, c, (gi, gf, gg, go)
@@ -142,9 +137,10 @@ def _cell_forward(params, hp, layer, x, h_prev, c_prev):
 def window_forward(params, hp, inputs, targets, states, drop_masks=None):
     """Forward pass over one (batch, steps) window.
 
-    Returns (mean NLL in nats/token, caches or None, final states).
-    ``states`` is consumed read-only; ``drop_masks`` is the structure produced
-    by :func:`_sample_drop_masks` or None for inference.
+    Returns (mean NLL in nats/token, caches, final states); the caches end
+    with the exponentiated shifted logits and their row sums, the softmax's
+    parts. ``states`` is consumed read-only; ``drop_masks`` is the structure
+    produced by :func:`_sample_drop_masks` or None for inference.
     """
     batch, steps = inputs.shape
     xin = params["embed"][inputs]  # (B, T, E)
@@ -166,10 +162,11 @@ def window_forward(params, hp, inputs, targets, states, drop_masks=None):
         xin = hs if drop_masks is None else hs * drop_masks[layer + 1]
     logits = xin @ params["wo"] + params["bo"]  # (B, T, V)
     shifted = logits - logits.max(axis=-1, keepdims=True)
-    logz = np.log(np.exp(shifted).sum(axis=-1))
+    expd = np.exp(shifted)
+    sums = expd.sum(axis=-1)
     picked = np.take_along_axis(shifted, targets[..., None], axis=-1)[..., 0]
-    loss = float((logz - picked).mean())
-    return loss, (caches, xin, logits), new_states
+    loss = float((np.log(sums) - picked).mean())
+    return loss, (caches, xin, expd, sums), new_states
 
 
 def _sample_drop_masks(hp, rng, batch, steps):
@@ -186,16 +183,13 @@ def _sample_drop_masks(hp, rng, batch, steps):
 
 def window_loss_and_grads(params, hp, inputs, targets, states, drop_masks=None):
     """Loss, analytic parameter gradients, and carried states for one window."""
-    loss, (caches, top_out, logits), new_states = window_forward(
+    loss, (caches, top_out, expd, sums), new_states = window_forward(
         params, hp, inputs, targets, states, drop_masks)
     batch, steps = inputs.shape
     grads = {k: np.zeros_like(v) for k, v in params.items()}
 
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    expd = np.exp(shifted)
-    dlogits = expd / expd.sum(axis=-1, keepdims=True)
-    rows = np.arange(batch)[:, None], np.arange(steps)[None, :]
-    dlogits[rows[0], rows[1], targets] -= 1.0
+    dlogits = np.divide(expd, sums[..., None], out=expd)  # the softmax
+    dlogits[np.arange(batch)[:, None], np.arange(steps), targets] -= 1.0
     dlogits /= batch * steps
 
     grads["wo"] = np.tensordot(top_out, dlogits, axes=([0, 1], [0, 1]))
@@ -269,15 +263,19 @@ def _batchify(ids: np.ndarray, batch: int) -> np.ndarray:
     return ids[: batch * stream_len].reshape(batch, stream_len)
 
 
+def _windows(data: np.ndarray, unroll_steps: int):
+    """(inputs, targets) of each truncated-BPTT window over a batchified stream."""
+    inputs, targets = data[:, :-1], data[:, 1:]
+    for start in range(0, inputs.shape[1], unroll_steps):
+        yield inputs[:, start:start + unroll_steps], targets[:, start:start + unroll_steps]
+
+
 def _mean_nll(params, hp, data: np.ndarray) -> float:
     """Forward-only mean NLL over a batchified stream (no dropout)."""
-    batch, stream_len = data.shape
-    states = _zero_states(hp, batch)
+    states = _zero_states(hp, data.shape[0])
     total, count = 0.0, 0
-    for start in range(0, stream_len - 1, hp.unroll_steps):
-        steps = min(hp.unroll_steps, stream_len - 1 - start)
-        inputs = data[:, start:start + steps]
-        targets = data[:, start + 1:start + 1 + steps]
+    for inputs, targets in _windows(data, hp.unroll_steps):
+        batch, steps = inputs.shape
         loss, _, states = window_forward(params, hp, inputs, targets, states)
         total += loss * batch * steps
         count += batch * steps
@@ -347,6 +345,8 @@ class LstmModel(LanguageModel):
 def train_lstm(tokens: Sequence[str], vocab: Vocabulary, hp: LstmHyperparams,
                epochs: int, seed: int) -> LstmModel:
     """Train on a token stream (OOV folded to <unk>), last 10% held out."""
+    if seed < 0:
+        raise ConfigError("seed must be non-negative")
     if len(tokens) < hp.unroll_steps * hp.batch_size:
         raise TrainingError(
             f"corpus of {len(tokens)} tokens is smaller than "
@@ -363,14 +363,11 @@ def train_lstm(tokens: Sequence[str], vocab: Vocabulary, hp: LstmHyperparams,
     lr = hp.lr_init
     best_val = np.inf
     history: list[EpochStats] = []
-    stream_len = train_data.shape[1]
     for epoch in range(epochs):
         states = _zero_states(hp, hp.batch_size)
         total, count = 0.0, 0
-        for start in range(0, stream_len - 1, hp.unroll_steps):
-            steps = min(hp.unroll_steps, stream_len - 1 - start)
-            inputs = train_data[:, start:start + steps]
-            targets = train_data[:, start + 1:start + 1 + steps]
+        for inputs, targets in _windows(train_data, hp.unroll_steps):
+            steps = inputs.shape[1]
             masks = _sample_drop_masks(hp, drop_rng, hp.batch_size, steps)
             loss, grads, states = window_loss_and_grads(
                 params, hp, inputs, targets, states, masks)

@@ -4,8 +4,9 @@ Plain perplexity is exp of the mean per-word negative log-probability under
 the model. The steganographic variant replaces each word probability with its
 average over all possible bit blocks: every block's bin (plus the common set)
 masks and renormalizes the distribution, and the word's masked probabilities
-are averaged over the ``2**block_bits`` equally likely blocks. Tokens outside
-every bin and outside the common set (the reserved sentinels) are skipped and
+are averaged over the ``2**block_bits`` equally likely blocks. Bins, common
+set and the reserved sentinels (in no bin and not common) are read off the
+key's slot array (``StegoKey.lookup_array``); sentinels are skipped and
 counted instead of contributing ``-inf``.
 
 A single-bin key with no common tokens constrains nothing, so its stego
@@ -94,17 +95,35 @@ def _stream_ids(vocab: Vocabulary, tokens: Sequence[str]) -> list[int]:
     return [vocab.index_or_unk(t) for t in tokens]
 
 
+def _score(model: LanguageModel, ids: list[int], skip: np.ndarray,
+           word_probs) -> PerplexityReport:
+    """exp of the mean -ln ``word_probs(distribution)[idx]`` over the stream;
+    positions where ``skip`` is set advance the context unscored."""
+    ctx = model.initial_context()
+    total = 0.0
+    infinite: list[int] = []
+    for position, idx in enumerate(ids):
+        if not skip[position]:
+            prob = word_probs(model.next_distribution(ctx))[idx]
+            if prob > 0:
+                total += -math.log(prob)
+            else:
+                infinite.append(position)
+        ctx = model.advance(ctx, idx)
+    skipped = int(skip.sum())
+    scored = len(ids) - skipped
+    if scored == 0:
+        raise CorpusError("no scorable tokens in the stream (all reserved sentinels)")
+    if infinite:
+        return PerplexityReport(scored, math.inf, math.inf, skipped, tuple(infinite))
+    mean = total / scored
+    return PerplexityReport(scored, mean, math.exp(mean), skipped)
+
+
 def perplexity(model: LanguageModel, tokens: Sequence[str]) -> PerplexityReport:
     """exp of the mean negative log-probability over the stream."""
     ids = _stream_ids(model.vocab, tokens)
-    ctx = model.initial_context()
-    total = 0.0
-    for idx in ids:
-        prob = model.next_distribution(ctx)[idx]
-        total += -math.log(prob) if prob > 0 else math.inf
-        ctx = model.advance(ctx, idx)
-    mean = total / len(ids)
-    return PerplexityReport(len(ids), mean, math.exp(mean))
+    return _score(model, ids, np.zeros(len(ids), dtype=bool), lambda probs: probs)
 
 
 def is_vacuous(key: StegoKey) -> bool:
@@ -114,20 +133,17 @@ def is_vacuous(key: StegoKey) -> bool:
 
 def stego_distribution(probs: np.ndarray, key: StegoKey) -> np.ndarray:
     """Block-averaged probabilities: mean over bins of the masked, renormalized
-    distribution. Reserved sentinels get 0; a vacuous key returns ``probs``."""
+    distribution. Reserved sentinels get 0; a vacuous key returns ``probs``.
+    A carrier is scaled by its bin's inverse mask mass, a common token by the
+    sum of them all, each over ``num_bins``."""
     if is_vacuous(key):
         return np.array(probs, dtype=np.float64, copy=True)
-    lookup = key.lookup_array()
-    carriers = lookup >= 0
-    masses = np.bincount(lookup[carriers], weights=probs[carriers], minlength=key.num_bins)
-    common = lookup == BIN_COMMON
-    mask_mass = masses + float(probs[common].sum())
+    rows = key.lookup_array() - BIN_COMMON  # common -> 0, reserved -> 1, bin b -> b + 2
+    masses = np.bincount(rows, weights=probs, minlength=key.num_bins + 2)
+    mask_mass = masses[2:] + masses[0]
     inv = np.divide(1.0, mask_mass, out=np.zeros_like(mask_mass), where=mask_mass > 0)
-    out = np.zeros_like(probs, dtype=np.float64)
-    out[carriers] = probs[carriers] * inv[lookup[carriers]]
-    if common.any():
-        out[common] = probs[common] * inv.sum()
-    return out / key.num_bins
+    factor = np.concatenate(([inv.sum(), 0.0], inv)) / key.num_bins
+    return probs * factor[rows]
 
 
 def stego_word_prob(model: LanguageModel, ctx, key: StegoKey, word_index: int) -> float:
@@ -141,30 +157,8 @@ def stego_perplexity(model: LanguageModel, key: StegoKey,
     """Perplexity with the block-averaged word probability in place of the
     model probability; reserved sentinels are skipped and counted."""
     ids = _stream_ids(model.vocab, tokens)
-    lookup = key.lookup_array()
-    vacuous = is_vacuous(key)
-    ctx = model.initial_context()
-    total = 0.0
-    scored = 0
-    skipped = 0
-    infinite: list[int] = []
-    for position, idx in enumerate(ids):
-        if not vacuous and lookup[idx] == BIN_RESERVED:
-            skipped += 1
-        else:
-            prob = stego_word_prob(model, ctx, key, idx)
-            if prob > 0:
-                total += -math.log(prob)
-            else:
-                infinite.append(position)
-            scored += 1
-        ctx = model.advance(ctx, idx)
-    if scored == 0:
-        raise CorpusError("no scorable tokens in the stream (all reserved sentinels)")
-    if infinite:
-        return PerplexityReport(scored, math.inf, math.inf, skipped, tuple(infinite))
-    mean = total / scored
-    return PerplexityReport(scored, mean, math.exp(mean), skipped)
+    reserved = (key.lookup_array()[ids] == BIN_RESERVED) & (not is_vacuous(key))
+    return _score(model, ids, reserved, lambda probs: stego_distribution(probs, key))
 
 
 def capacity(block_bits: int, common_fraction: float,

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -6,7 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import stegolm
 from stegolm.cli import main
+
+# Child interpreters import the same stegolm as this process, installed or not.
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+    str(Path(stegolm.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
 
 CORPUS = (
     "the cat sat on the mat .\n"
@@ -220,20 +226,21 @@ def test_stdin_stdout_piping(workspace, tmp_path):
          "--vocab", str(workspace / "vocab.tsv"), "--key", str(workspace / "key.sk"),
          "--model", str(workspace / "model.slm"), "--seed", "5",
          "--emit-tokens", str(tmp_path / "pipe.tok")],
-        input=b"piped-bytes", capture_output=True, check=True,
+        input=b"piped-bytes", capture_output=True, check=True, env=CHILD_ENV,
     )
     assert encode.stdout.decode().strip()
     decode = subprocess.run(
         [sys.executable, "-m", "stegolm.cli", "decode",
          "--vocab", str(workspace / "vocab.tsv"), "--key", str(workspace / "key.sk"),
          "--tokens", str(tmp_path / "pipe.tok")],
-        capture_output=True, check=True,
+        capture_output=True, check=True, env=CHILD_ENV,
     )
     assert decode.stdout == b"piped-bytes"
 
 
 ENCODE = "encode --vocab {vocab} --key {key} --model {model} --in {corpus} --out {out}"
 TRAIN = "train --tokens {tokens} --vocab {vocab} --out {out} --backend"
+DECODE = "decode --vocab {vocab} --key {key}"
 
 
 @pytest.mark.parametrize("argv, damaged, error", [
@@ -246,8 +253,19 @@ TRAIN = "train --tokens {tokens} --vocab {vocab} --out {out} --backend"
     (ENCODE, "vocab", "VocabFormatError"),
     (ENCODE, "key", "KeyFormatError"),
     (ENCODE, "model", "ModelFormatError"),
+    (ENCODE + " --seed -1", None, "ConfigError"),
+    (TRAIN + " lstm --seed -1", None, "ConfigError"),
+    ("roundtrip --max-bytes 0", None, "ConfigError"),
+    ("roundtrip --trials -1", None, "ConfigError"),
+    (DECODE + " --tokens {tokens}", "tokens", "CorpusError"),
+    (DECODE + " --text {corpus}", "corpus", "CorpusError"),
+    ("prep --in {corpus} --out-vocab {out}", "corpus", "CorpusError"),
+    (TRAIN + " ngram", "tokens", "CorpusError"),
+    ("eval --vocab {vocab} --model {model} --tokens {tokens} --ppl", "tokens", "CorpusError"),
 ], ids=["temp-0", "max-common-run-0", "order-0", "units-0", "max-vocab-1", "block-bits-neg",
-        "vocab-not-utf8", "key-not-utf8", "model-not-utf8"])
+        "vocab-not-utf8", "key-not-utf8", "model-not-utf8", "encode-seed-neg", "train-seed-neg",
+        "max-bytes-0", "trials-neg", "decode-tokens-not-utf8", "decode-text-not-utf8",
+        "prep-in-not-utf8", "train-tokens-not-utf8", "eval-tokens-not-utf8"])
 def test_bad_input_prints_one_error_line(workspace, tmp_path, capsys, argv, damaged, error):
     files = {"vocab": "vocab.tsv", "key": "key.sk", "model": "model.slm",
              "tokens": "tokens.txt", "corpus": "corpus.txt"}

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FixedModel
+from stegolm import codec
 from stegolm.codec import (
     Framing,
     GenPolicy,
@@ -25,7 +26,7 @@ from stegolm.codec import (
 )
 from stegolm.corpus import EOS_TOKEN, USER_TOKEN, build_vocab
 from stegolm.errors import DecodeError, EncodeError, VocabMismatchError
-from stegolm.keying import generate_key
+from stegolm.keying import BitBlock, generate_key
 
 GREEDY = GenPolicy(mode=Mode.GREEDY)
 
@@ -100,6 +101,34 @@ class TestConstrainedSelect:
         assert first in key.common_set
         second = constrained_select(model, (), key, block, GREEDY, banned={first})
         assert second in key.common_set and second != first
+
+    def test_allowed_set_is_sorted_bin_plus_unbanned_common(self, mini_vocab, monkeypatch):
+        # The order of the allowed set decides which token a seeded SAMPLE
+        # draw picks, so it is pinned element for element.
+        seen = []
+
+        def capture(probs, allowed, policy, rng):
+            seen.append(np.array(allowed))
+            return int(allowed[0])
+
+        monkeypatch.setattr(codec, "_pick", capture)
+        model = FixedModel(mini_vocab, np.full(len(mini_vocab), 1 / len(mini_vocab)))
+        rng = np.random.default_rng(3)
+        for trial in range(120):
+            block_bits = trial % 5
+            key = generate_key(mini_vocab, block_bits, int(rng.choice([0, 3])), seed=trial,
+                               include_eos_common=bool(trial % 2))
+            value = int(rng.integers(1 << block_bits))
+            bin_members = set(key.bins[value])
+            pool = sorted(key.common_set | {key.bins[value][0]})
+            banned = {int(i) for i in rng.choice(pool, size=rng.integers(len(pool) + 1),
+                                                 replace=False)}
+            include_common = bool(rng.integers(2))
+            constrained_select(model, (), key, BitBlock(value, block_bits), GREEDY,
+                               include_common=include_common, banned=banned)
+            want = bin_members | (key.common_set - banned if include_common else set())
+            assert seen[-1].tolist() == sorted(want), (trial, banned, include_common)
+            assert seen[-1].dtype.kind == "i"
 
     def test_zero_mass_guarded(self, mini_vocab):
         key = generate_key(mini_vocab, 1, 0, seed=1)

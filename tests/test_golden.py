@@ -1,18 +1,24 @@
-"""Golden outputs: seeded encodes, their decoded bits, key bytes and model bytes.
+"""Golden outputs: seeded encodes, their decoded bits, key bytes, model bytes
+and the desk-trigram stego perplexity.
 
-Any change to which token a seed selects, to the bits a token decodes to, or
-to the key and model wire formats fails here. Only the n-gram backend is
-pinned: LSTM parameters and tokens depend on the platform's BLAS summation
-order.
+Any change to which token a seed selects, to the bits a token decodes to, to
+the key and model wire formats, to LSTM training or to the stego scoring
+fails here. The LSTM digests also depend on the platform's floating-point
+summation order (BLAS, SIMD exp): they were recorded on x86-64 with numpy
+2.4.6 and its bundled OpenBLAS, and another platform may need them
+re-recorded from an unchanged commit.
 """
 
 import hashlib
+import math
 
 import pytest
 
 from stegolm.codec import Framing, GenPolicy, Mode, Payload, decode, decode_payload, encode
 from stegolm.keying import generate_key, serialize_key
+from stegolm.lm.lstm import LstmHyperparams, train_lstm
 from stegolm.lm.store import serialize_model
+from stegolm.metrics import stego_perplexity
 
 # (block_bits, common, mode, temperature, key_seed, policy_seed) -> the SHA-256
 # of the key file, of the newline-joined tokens and of the RAW decoded bits.
@@ -51,6 +57,20 @@ GOLDEN = {
 
 DESK_TRIGRAM_SHA = "e202f4d054c4b75dd19a06fa52e15530e712bf404134aa55d932bd8ac7c36d43"
 
+# A two-layer LSTM with dropout, 2 epochs on the first 4000 desk tokens, seed 5;
+# then one SAMPLE encode with it (key: block_bits 2, common 10 plus <eos>).
+TINY_LSTM = LstmHyperparams(layers=2, units=16, embed_dim=8, unroll_steps=8, batch_size=8,
+                            dropout=0.1)
+TINY_LSTM_SHA = "76d2dd97c2f25877e4c52a1c155176a7d998bb1e9c03ae33cbf88c9fc605f6d8"
+TINY_LSTM_TOKENS_SHA = "12a7af1daaeb35a3811bf35d9627602a2503cc0c61d33912df643cfdf238c090"
+
+# (block_bits, common, <eos> common) of a seed-7 key -> mean NLL of the desk
+# trigram's stego perplexity over the held-out 10 % of the desk corpus.
+DESK_STEGO_NLL = {
+    (2, 10, False): 4.039433345627213,
+    (3, 10, True): 3.761585271058932,
+}
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -78,3 +98,23 @@ def test_seeded_encode_matches_golden(case, desk_trigram, desk_vocab):
 
 def test_desk_trigram_model_bytes_match_golden(desk_trigram):
     assert _sha(serialize_model(desk_trigram)) == DESK_TRIGRAM_SHA
+
+
+def test_tiny_lstm_model_and_encode_match_golden(desk_tokens, desk_vocab):
+    model = train_lstm(desk_tokens[:4000], desk_vocab, TINY_LSTM, epochs=2, seed=5)
+    assert _sha(serialize_model(model)) == TINY_LSTM_SHA
+    key = generate_key(desk_vocab, 2, 10, 21, include_eos_common=True)
+    payload = b"lstm golden payload"
+    policy = GenPolicy(mode=Mode.SAMPLE, seed=9)
+    stegotext = encode(Payload(payload, Framing.LENGTH_PREFIXED), key, model, policy)
+    assert decode_payload(stegotext.tokens, key) == payload
+    assert _sha("\n".join(stegotext.tokens).encode("utf-8")) == TINY_LSTM_TOKENS_SHA
+
+
+@pytest.mark.parametrize("case", sorted(DESK_STEGO_NLL), ids=lambda c: "-".join(map(str, c)))
+def test_desk_trigram_stego_nll_matches_golden(case, desk_trigram, desk_tokens, desk_vocab):
+    block_bits, common, eos_common = case
+    key = generate_key(desk_vocab, block_bits, common, 7, include_eos_common=eos_common)
+    held_out = desk_tokens[int(len(desk_tokens) * 0.9):]
+    report = stego_perplexity(desk_trigram, key, held_out)
+    assert math.isclose(report.mean_nll, DESK_STEGO_NLL[case], rel_tol=1e-12, abs_tol=0)

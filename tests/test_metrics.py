@@ -51,6 +51,12 @@ class TestPerplexity:
         assert report.mean_nll == pytest.approx(hand, abs=1e-9)
         assert report.perplexity == pytest.approx(math.exp(hand), abs=1e-9)
 
+    def test_zero_probability_reported_infinite(self):
+        vocab = Vocabulary(("a", "b", "c", "d"), (4, 3, 2, 1))
+        report = perplexity(FixedModel(vocab, [1.0, 0.0, 0.0, 0.0]), ["a", "b", "a"])
+        assert report.perplexity == math.inf
+        assert report.infinite_positions == (1,)
+
     def test_oov_scored_as_unk(self, mini_bigram):
         report = perplexity(mini_bigram, ["definitely-not-a-token"] * 3)
         assert report.token_count == 3
@@ -128,6 +134,52 @@ class TestStegoWordProb:
             p = stego_word_prob(model, (), key, idx)
             se = math.sqrt(max(p * (1 - p), 1e-12) / trials)
             assert abs(freq[idx] - p) <= 3.5 * se + 1e-9
+
+
+def reference_stego_distribution(probs, key):
+    """Mask each bin plus the common set, renormalise, average over the bins."""
+    masks = [list(members) + list(key.common) for members in key.bins]
+    if key.block_bits == 0 and not key.common:
+        masks = [list(range(len(probs)))]  # the vacuous key masks nothing
+    out = np.zeros(len(probs))
+    for mask in masks:
+        mass = probs[mask].sum()
+        if mass > 0:
+            out[mask] += probs[mask] / mass
+    return out / len(masks)
+
+
+class TestStegoDistributionReference:
+    def check(self, probs, key):
+        got = stego_distribution(probs, key)
+        want = reference_stego_distribution(probs, key)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_random_keys(self, mini_vocab):
+        rng = np.random.default_rng(17)
+        for trial in range(60):
+            key = generate_key(mini_vocab, trial % 5, int(rng.choice([0, 3])), seed=trial,
+                               include_eos_common=bool(trial % 3 == 0))
+            self.check(rng.dirichlet(np.full(len(mini_vocab), 0.5)), key)
+
+    def test_eos_in_common(self, mini_vocab):
+        key = generate_key(mini_vocab, 2, 3, seed=4, include_eos_common=True)
+        assert mini_vocab.index_of(EOS_TOKEN) in key.common_set
+        self.check(np.random.default_rng(1).dirichlet(np.ones(len(mini_vocab))), key)
+
+    @pytest.mark.parametrize("common", [0, 3])
+    def test_zero_mass_bin(self, mini_vocab, common):
+        key = generate_key(mini_vocab, 2, common, seed=6)
+        probs = np.random.default_rng(2).dirichlet(np.ones(len(mini_vocab)))
+        probs[list(key.bins[1]) + list(key.common)] = 0.0
+        probs /= probs.sum()
+        self.check(probs, key)
+        assert not stego_distribution(probs, key)[list(key.bins[1])].any()
+
+    def test_vacuous_key(self, mini_vocab):
+        key = generate_key(mini_vocab, 0, 0, seed=1)
+        probs = np.random.default_rng(3).dirichlet(np.ones(len(mini_vocab)))
+        self.check(probs, key)
 
 
 class TestStegoPerplexity:

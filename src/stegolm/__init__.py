@@ -28,11 +28,9 @@ from .corpus import (
     Vocabulary,
     build_vocab,
     tokenize,
-    top_k_tokens,
 )
 from .errors import StegolmError
 from .keying import (
-    COMMON,
     BitBlock,
     StegoKey,
     deserialize_key,

@@ -181,21 +181,21 @@ def cmd_eval(args) -> int:
     if args.ppl:
         report = metrics.perplexity(model, tokens)
         out_lines += ["[perplexity]", report.to_text()]
-        sections["perplexity"] = json.loads(report.to_json())
+        sections["perplexity"] = dataclasses.asdict(report)
     if args.stego_ppl:
         if not args.key:
             raise StegolmError("--stego-ppl requires --key")
         key = keying.load_key(args.key, vocab())
         report = metrics.stego_perplexity(model, key, tokens)
         out_lines += ["[stego_perplexity]", report.to_text()]
-        sections["stego_perplexity"] = json.loads(report.to_json())
+        sections["stego_perplexity"] = dataclasses.asdict(report)
     if args.capacity:
         if args.block_bits is None:
             raise StegolmError("--capacity requires --block-bits")
         report = metrics.capacity(args.block_bits, args.common_fraction,
                                   args.mean_length)
         out_lines += ["[capacity]", report.to_text()]
-        sections["capacity"] = json.loads(report.to_json())
+        sections["capacity"] = dataclasses.asdict(report)
     if args.capacity_empirical:
         if not args.key or not args.tokens:
             raise StegolmError("--capacity-empirical requires --key and --tokens")
@@ -203,7 +203,7 @@ def cmd_eval(args) -> int:
         tokens = corpus.read_token_file(args.tokens)
         report = metrics.capacity_empirical(tokens, key, args.mean_length)
         out_lines += ["[capacity_empirical]", report.to_text()]
-        sections["capacity_empirical"] = json.loads(report.to_json())
+        sections["capacity_empirical"] = dataclasses.asdict(report)
     if not sections:
         raise StegolmError(
             "nothing to evaluate: pass --ppl, --stego-ppl, --capacity "
@@ -227,9 +227,7 @@ def cmd_roundtrip(args) -> int:
     if args.backend in ("lstm", "both"):
         hp = LstmHyperparams(units=32, embed_dim=16, unroll_steps=8, batch_size=8)
         models["lstm"] = train_lstm(base, vocab, hp, epochs=1, seed=args.seed)
-    backends = list(models) if args.backend == "both" else [
-        args.backend if args.backend in models else "ngram"
-    ]
+    backends = list(models) if args.backend == "both" else [args.backend]
     successes = 0
     for trial in range(args.trials):
         block_bits = int(rng.integers(1, 4))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import EOS_TOKEN, UNK_TOKEN, URL_TOKEN, USER_TOKEN
+from .corpus import EOS_TOKEN, RESERVED_NONCARRIERS, URL_TOKEN, USER_TOKEN
 from .errors import ConfigError, DecodeError, EncodeError, VocabMismatchError
 from .keying import BIN_COMMON, BitBlock, StegoKey
 from .lm.base import LanguageModel
@@ -48,9 +48,6 @@ class Payload:
 
     data: bytes
     framing: Framing = Framing.RAW
-
-    def bit_string(self) -> str:
-        return bytes_to_bits(self.data)
 
 
 @dataclass(frozen=True)
@@ -117,7 +114,7 @@ def bits_to_bytes(bits: str) -> bytes:
 
 def payload_to_bits(payload: Payload, block_bits: int) -> str:
     """Frame the payload as the exact bit string handed to the block splitter."""
-    bits = payload.bit_string()
+    bits = bytes_to_bits(payload.data)
     if payload.framing is Framing.RAW:
         return bits
     header = format(len(bits), f"0{LENGTH_HEADER_BITS}b")
@@ -136,11 +133,6 @@ def split_blocks(bits: str, block_bits: int) -> list[BitBlock]:
         BitBlock.from_bits(bits[i * block_bits:(i + 1) * block_bits])
         for i in range(full)
     ]
-
-
-def to_bit_blocks(payload: Payload, block_bits: int) -> list[BitBlock]:
-    """MSB-first bit blocks of a framed payload (RAW drops the remainder)."""
-    return split_blocks(payload_to_bits(payload, block_bits), block_bits)
 
 
 def _pick(probs: np.ndarray, allowed: np.ndarray, policy: GenPolicy,
@@ -261,12 +253,10 @@ def generate(
     model: LanguageModel,
     n_tokens: int,
     policy: GenPolicy = GenPolicy(),
-    *,
-    exclude: tuple[str, ...] = (EOS_TOKEN,),
 ) -> list[str]:
     """Unconstrained generation (no key, no payload); sentinels are excluded."""
     vocab = model.vocab
-    allowed = np.flatnonzero([t not in exclude and t != UNK_TOKEN for t in vocab.tokens])
+    allowed = np.flatnonzero([t not in RESERVED_NONCARRIERS for t in vocab.tokens])
     rng = np.random.default_rng(policy.seed)
     ctx = _start_context(model)
     out: list[str] = []

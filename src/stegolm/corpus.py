@@ -254,13 +254,6 @@ def build_vocab(tokens: Sequence[str], config: CorpusConfig = CorpusConfig()) ->
     return vocab
 
 
-def top_k_tokens(vocab: Vocabulary, k: int) -> set[str]:
-    """The k highest-count tokens under the vocabulary's deterministic order."""
-    if k < 1 or k > len(vocab):
-        raise CorpusError(f"k must be in [1, {len(vocab)}], got {k}")
-    return set(vocab.tokens[:k])
-
-
 def read_text_file(path: str | Path) -> str:
     """Text of a UTF-8 corpus, token or stegotext file; ``CorpusError`` if not UTF-8."""
     try:

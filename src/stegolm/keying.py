@@ -53,14 +53,6 @@ class BitBlock:
         return cls(int(bits, 2) if bits else 0, len(bits))
 
 
-class _CommonMarker:
-    def __repr__(self) -> str:
-        return "COMMON"
-
-
-#: Returned by bin_of_token for tokens of the common set (they carry no bits).
-COMMON = _CommonMarker()
-
 #: Slot of a common token in ``StegoKey.lookup_array``: in no bin, carries no bits.
 BIN_COMMON = -2
 #: Slot of a reserved sentinel: in no bin and not common, so it never appears
@@ -102,7 +94,6 @@ class StegoKey:
     block_bits: int
     bins: tuple[tuple[int, ...], ...]
     common: tuple[int, ...]
-    vocab_hash: str
     seed: int
     vocab: Vocabulary
 
@@ -118,12 +109,13 @@ class StegoKey:
                 f"expected {1 << self.block_bits} bins, found {len(self.bins)}"
             )
         slots = [BIN_RESERVED] * size
-        reserved = {vocab.index_of(t) for t in RESERVED_NONCARRIERS if t in vocab}
+        reserved = _reserved_indices(vocab)
         # <eos> may join the common set (lets generation end messages); <unk> never.
         unk_index = vocab.index_of(UNK_TOKEN) if UNK_TOKEN in vocab else None
         for slot, members in [(BIN_COMMON, self.common), *enumerate(self.bins)]:
             for idx in members:
-                self._check_index(idx, size)
+                if not 0 <= idx < size:
+                    raise KeyInvariantError(f"token index out of range: {idx}")
                 if idx == unk_index or (idx in reserved and slot != BIN_COMMON):
                     where = "the common set" if slot == BIN_COMMON else f"bin {slot}"
                     raise KeyInvariantError(f"reserved sentinel in {where}: {vocab.token(idx)!r}")
@@ -139,22 +131,16 @@ class StegoKey:
         sizes = [len(members) for members in self.bins]
         if max(sizes) - min(sizes) > 1:
             raise KeyInvariantError(f"bin sizes differ by more than one: {sizes}")
-        if vocab.content_hash() != self.vocab_hash:
-            raise VocabMismatchError("key vocab_hash does not match the bound vocabulary")
         return slots
 
-    @staticmethod
-    def _check_index(idx: int, size: int) -> None:
-        if not 0 <= idx < size:
-            raise KeyInvariantError(f"token index out of range: {idx}")
+    @property
+    def vocab_hash(self) -> str:
+        """Content hash of the bound vocabulary, written into the key file."""
+        return self.vocab.content_hash()
 
     @property
     def num_bins(self) -> int:
         return len(self.bins)
-
-    @property
-    def common_set(self) -> frozenset[int]:
-        return frozenset(self.common)
 
     def lookup_array(self) -> np.ndarray:
         """Read-only slot of every vocabulary index: its bin index for a carrier,
@@ -181,20 +167,10 @@ class StegoKey:
     def carrier_count(self) -> int:
         return sum(len(members) for members in self.bins)
 
-    def bin_of_index(self, token_index: int) -> BitBlock | _CommonMarker:
-        """Bit block of a carrier token, COMMON for common tokens, error otherwise."""
-        self._check_index(token_index, len(self.vocab))
-        slot = int(self._slots[token_index])
-        if slot == BIN_COMMON:
-            return COMMON
-        if slot == BIN_RESERVED:
-            raise KeyInvariantError(
-                f"token carries no bin: {self.vocab.token(token_index)!r}"
-            )
-        return BitBlock(slot, self.block_bits)
 
-    def bin_of_token(self, surface: str) -> BitBlock | _CommonMarker:
-        return self.bin_of_index(self.vocab.index_of(surface))
+def _reserved_indices(vocab: Vocabulary) -> set[int]:
+    """Indices of the sentinels that never carry bits (``RESERVED_NONCARRIERS``)."""
+    return set(vocab.indices(RESERVED_NONCARRIERS)) - {-1}
 
 
 def generate_key(
@@ -204,7 +180,6 @@ def generate_key(
     seed: int,
     *,
     include_eos_common: bool = False,
-    max_block_bits: int = MAX_BLOCK_BITS,
 ) -> StegoKey:
     """Deterministically derive a key from (vocab, block_bits, common_count, seed).
 
@@ -212,8 +187,8 @@ def generate_key(
     ``include_eos_common`` additionally adds ``<eos>`` so generated messages
     may end naturally.
     """
-    if block_bits < 0 or block_bits > max_block_bits:
-        raise KeyGenError(f"block_bits must be in [0, {max_block_bits}], got {block_bits}")
+    if not 0 <= block_bits <= MAX_BLOCK_BITS:
+        raise KeyGenError(f"block_bits must be in [0, {MAX_BLOCK_BITS}], got {block_bits}")
     if common_count < 0:
         raise KeyGenError("common_count must be non-negative")
     num_bins = 1 << block_bits
@@ -221,7 +196,7 @@ def generate_key(
         raise KeyGenError(
             f"common_count={common_count} plus {num_bins} bins exceeds |V|={len(vocab)}"
         )
-    reserved = {vocab.index_of(t) for t in RESERVED_NONCARRIERS if t in vocab}
+    reserved = _reserved_indices(vocab)
     eligible = [i for i in range(len(vocab)) if i not in reserved]
     if common_count > len(eligible):
         raise KeyGenError("not enough non-sentinel tokens for the requested common set")
@@ -241,7 +216,6 @@ def generate_key(
         block_bits=block_bits,
         bins=tuple(tuple(sorted(members)) for members in bins),
         common=tuple(sorted(common)),
-        vocab_hash=vocab.content_hash(),
         seed=seed,
         vocab=vocab,
     )
@@ -256,9 +230,15 @@ def serialize_key(key: StegoKey) -> bytes:
         "common:" + "".join(f"\t{key.vocab.token(i)}" for i in key.common),
     ]
     for bin_index, members in enumerate(key.bins):
-        label = format(bin_index, f"0{key.block_bits}b") if key.block_bits else "0"
-        lines.append(f"bin {label}:" + "".join(f"\t{key.vocab.token(i)}" for i in members))
+        lines.append(_bin_prefix(bin_index, key.block_bits)
+                     + "".join(f"\t{key.vocab.token(i)}" for i in members))
     return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _bin_prefix(bin_index: int, block_bits: int) -> str:
+    """``bin <label>:`` line prefix; the label is the block's bits ("0" for one bin)."""
+    label = format(bin_index, f"0{block_bits}b") if block_bits else "0"
+    return f"bin {label}:"
 
 
 def _parse_header_line(line: str, prefix: str) -> str:
@@ -297,22 +277,20 @@ def deserialize_key(data: bytes, vocab: Vocabulary) -> StegoKey:
         return tuple(indices)
 
     common = surfaces_to_indices(lines[4], "common:")
-    expected_bins = 1 << block_bits if block_bits >= 0 else -1
+    if not 0 <= block_bits <= MAX_BLOCK_BITS:
+        raise KeyFormatError(f"block_bits must be in [0, {MAX_BLOCK_BITS}], got {block_bits}")
     bin_lines = lines[5:]
-    if block_bits < 0 or len(bin_lines) != expected_bins:
+    if len(bin_lines) != 1 << block_bits:
         raise KeyFormatError(
-            f"expected {expected_bins} bin lines for block_bits={block_bits}, "
+            f"expected {1 << block_bits} bin lines for block_bits={block_bits}, "
             f"found {len(bin_lines)}"
         )
-    bins = []
-    for bin_index, line in enumerate(bin_lines):
-        label = format(bin_index, f"0{block_bits}b") if block_bits else "0"
-        bins.append(surfaces_to_indices(line, f"bin {label}:"))
+    bins = [surfaces_to_indices(line, _bin_prefix(bin_index, block_bits))
+            for bin_index, line in enumerate(bin_lines)]
     return StegoKey(
         block_bits=block_bits,
         bins=tuple(bins),
         common=common,
-        vocab_hash=vocab_hash,
         seed=seed,
         vocab=vocab,
     )

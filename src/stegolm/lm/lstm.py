@@ -323,7 +323,7 @@ class LstmModel(LanguageModel):
     @classmethod
     def from_payload(cls, vocab: Vocabulary, header: dict, payload: bytes) -> "LstmModel":
         """Inverse of ``header_config``/``to_payload``: the npz archive must hold
-        exactly the float64 arrays the hyperparameters call for."""
+        exactly the finite float64 arrays the hyperparameters call for."""
         try:
             hp = LstmHyperparams(**header["hyperparams"])
             history = [EpochStats(**s) for s in header.get("history", [])]
@@ -339,6 +339,9 @@ class LstmModel(LanguageModel):
         wrong = sorted(n for n in expected.keys() | found.keys() if found.get(n) != expected.get(n))
         if wrong:
             raise ModelFormatError(f"lstm payload arrays missing, extra or misshapen: {wrong}")
+        nonfinite = sorted(n for n, array in params.items() if not np.isfinite(array).all())
+        if nonfinite:
+            raise ModelFormatError(f"lstm payload arrays hold NaN or inf: {nonfinite}")
         return cls(vocab, hp, params, history)
 
 
@@ -347,6 +350,8 @@ def train_lstm(tokens: Sequence[str], vocab: Vocabulary, hp: LstmHyperparams,
     """Train on a token stream (OOV folded to <unk>), last 10% held out."""
     if seed < 0:
         raise ConfigError("seed must be non-negative")
+    if epochs < 1:
+        raise ConfigError("epochs must be at least 1")
     if len(tokens) < hp.unroll_steps * hp.batch_size:
         raise TrainingError(
             f"corpus of {len(tokens)} tokens is smaller than "

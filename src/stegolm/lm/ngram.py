@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -83,17 +84,29 @@ class NgramModel(LanguageModel):
 
     @classmethod
     def from_payload(cls, vocab: Vocabulary, header: dict, payload: bytes) -> "NgramModel":
+        """Inverse of ``to_payload``: table ``m`` holds length-``m`` contexts,
+        every index lies in ``[0, |V|)`` and every count is at least 1."""
         try:
             doc = json.loads(payload.decode("utf-8"))
+            if type(doc["order"]) is not int:
+                raise ModelFormatError(f"ngram order is not an integer: {doc['order']!r}")
             config = NgramConfig(order=doc["order"], add_k=doc["add_k"])
             tables: list[dict[tuple[int, ...], dict[int, int]]] = []
-            for entries in doc["tables"]:
+            for m, entries in enumerate(doc["tables"]):
                 table: dict[tuple[int, ...], dict[int, int]] = {}
                 for ctx_str, successors in entries:
                     ctx = tuple(int(p) for p in ctx_str.split(",")) if ctx_str else ()
+                    if len(ctx) != m:
+                        raise ModelFormatError(f"context {ctx} in the length-{m} table")
                     table[ctx] = {int(w): int(c) for w, c in successors}
+                # Flattening the contexts and the successor dicts yields every index.
+                indices = list(chain.from_iterable(chain(table, table.values())))
+                if indices and not 0 <= min(indices) <= max(indices) < len(vocab):
+                    raise ModelFormatError(f"ngram token index outside [0, {len(vocab)})")
+                if min(chain.from_iterable(map(dict.values, table.values())), default=1) < 1:
+                    raise ModelFormatError("ngram count below 1")
                 tables.append(table)
-        except (KeyError, ValueError, TypeError) as exc:
+        except (AttributeError, KeyError, ValueError, TypeError) as exc:
             raise ModelFormatError(f"bad ngram payload: {exc}") from None
         if len(tables) != config.order:
             raise ModelFormatError("ngram payload order does not match its tables")

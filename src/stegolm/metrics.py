@@ -19,9 +19,8 @@ per word.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -55,11 +54,6 @@ class PerplexityReport:
             )
         return "\n".join(lines)
 
-    def to_json(self) -> str:
-        doc = asdict(self)
-        doc["infinite_positions"] = list(self.infinite_positions)
-        return json.dumps(doc, sort_keys=True)
-
 
 @dataclass(frozen=True)
 class CapacityReport:
@@ -84,9 +78,6 @@ class CapacityReport:
             lines.append(f"carrier_count: {self.carrier_count}")
             lines.append(f"common_count: {self.common_count}")
         return "\n".join(lines)
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
 
 
 def _stream_ids(vocab: Vocabulary, tokens: Sequence[str]) -> list[int]:

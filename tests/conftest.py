@@ -64,7 +64,6 @@ def fixture_key(fixture_vocab) -> StegoKey:
         block_bits=2,
         bins=bins,
         common=(),
-        vocab_hash=fixture_vocab.content_hash(),
         seed=0,
         vocab=fixture_vocab,
     )

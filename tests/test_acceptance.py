@@ -21,10 +21,9 @@ from stegolm.codec import (
     decode,
     decode_payload,
     encode,
-    to_bit_blocks,
 )
 from stegolm.corpus import EOS_TOKEN, UNK_TOKEN, Vocabulary, build_vocab
-from stegolm.keying import StegoKey, deserialize_key, generate_key, serialize_key
+from stegolm.keying import BitBlock, StegoKey, deserialize_key, generate_key, serialize_key
 from stegolm.lm.lstm import (
     LstmHyperparams,
     _zero_states,
@@ -83,7 +82,7 @@ def test_01_round_trip_1000_random_payloads(slice_vocab_and_models):
         )
         model = models["lstm" if (trial // 2) % 2 else "ngram"]
         stegotext = encode(payload, key, model, policy)
-        bits = payload.bit_string()
+        bits = bytes_to_bits(payload.data)
         prefix = bits[: (len(bits) // block_bits) * block_bits]
         if decode(stegotext.tokens, key) != prefix:
             failures += 1
@@ -146,7 +145,7 @@ def test_05_stego_word_prob_oracles():
     # hand-computed four-word case
     vocab4 = Vocabulary(("t1", "t2", "t3", "t4"), (4, 3, 2, 1))
     model4 = FixedModel(vocab4, [0.4, 0.3, 0.2, 0.1])
-    key4 = StegoKey(1, ((0, 1), (2, 3)), (), vocab4.content_hash(), 0, vocab4)
+    key4 = StegoKey(1, ((0, 1), (2, 3)), (), 0, vocab4)
     hand = [0.2857142857142857, 0.21428571428571427,
             0.3333333333333333, 0.16666666666666666]
     hand_ok = all(
@@ -162,7 +161,7 @@ def test_05_stego_word_prob_oracles():
     model = FixedModel(vocab, rng.dirichlet(np.ones(size) * 1.5))
     key = generate_key(vocab, 2, 6, seed=9)
     trials = 100_000
-    blocks = [key.bin_of_index(key.bins[v][0]) for v in range(4)]
+    blocks = [BitBlock(v, key.block_bits) for v in range(4)]
     draws = rng.integers(0, 4, size=trials)
     counts = np.zeros(size)
     policy = GenPolicy(mode=Mode.SAMPLE, seed=0)
@@ -192,7 +191,7 @@ def test_06_degenerate_key_equivalence(desk_trigram, desk_vocab, desk_split):
 
     # under GREEDY, single-bin constrained selection must equal unconstrained
     # generation; the unconstrained side is computed independently here
-    empty_block = key.bin_of_index(key.bins[0][0])
+    empty_block = BitBlock(0, key.block_bits)
     banned = {desk_vocab.index_of(EOS_TOKEN), desk_vocab.index_of(UNK_TOKEN)}
     policy = GenPolicy(mode=Mode.GREEDY)
     rng = np.random.default_rng(66)

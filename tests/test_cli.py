@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -9,6 +10,9 @@ import pytest
 
 import stegolm
 from stegolm.cli import main
+from stegolm.corpus import Vocabulary
+from stegolm.lm import LstmHyperparams, LstmModel, save_model
+from stegolm.lm.lstm import init_params
 
 # Child interpreters import the same stegolm as this process, installed or not.
 CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
@@ -243,39 +247,99 @@ TRAIN = "train --tokens {tokens} --vocab {vocab} --out {out} --backend"
 DECODE = "decode --vocab {vocab} --key {key}"
 
 
-@pytest.mark.parametrize("argv, damaged, error", [
+def not_utf8(data: bytes) -> bytes:
+    """A byte that is never valid UTF-8, early in the file's text header."""
+    return data.replace(b"\n", b"\n\xff", 2)
+
+
+def model_payload(edit):
+    """Damage for a model file: ``edit`` rewrites its payload, the header follows."""
+    def damage(data: bytes) -> bytes:
+        head = data.split(b"\n", 5)  # five header lines, then the payload
+        payload = edit(head[5])
+        return b"\n".join(head[:4] + [b"payload_bytes: %d" % len(payload), payload])
+    return damage
+
+
+def ngram_doc(change):
+    """Damage for an n-gram model: ``change`` edits its decoded JSON payload."""
+    def edit(payload: bytes) -> bytes:
+        doc = json.loads(payload)
+        change(doc)
+        return json.dumps(doc).encode()
+    return model_payload(edit)
+
+
+def first_successor(field: int, value):
+    """Sets the index (field 0) or count (field 1) of the first bigram successor."""
+    def change(doc):
+        doc["tables"][1][0][1][0][field] = value
+    return change
+
+
+def nan_in_lstm_output(payload: bytes) -> bytes:
+    with np.load(io.BytesIO(payload)) as stash:
+        params = dict(stash)
+    params["wo"][0, 0] = np.nan
+    buf = io.BytesIO()
+    np.savez(buf, **params)
+    return buf.getvalue()
+
+
+@pytest.fixture(scope="module")
+def lstm_file(workspace):
+    """An untrained tiny LSTM over the workspace vocabulary."""
+    vocab = Vocabulary.load(workspace / "vocab.tsv")
+    hp = LstmHyperparams(units=4, embed_dim=4, unroll_steps=4, batch_size=2)
+    save_model(LstmModel(vocab, hp, init_params(len(vocab), hp, 0)), workspace / "lstm.slm")
+    return workspace / "lstm.slm"
+
+
+@pytest.mark.parametrize("argv, damage, error", [
     (ENCODE + " --temp 0", None, "ConfigError"),
     (ENCODE + " --max-common-run 0", None, "ConfigError"),
     (TRAIN + " ngram --order 0", None, "ConfigError"),
     (TRAIN + " lstm --units 0", None, "ConfigError"),
     ("prep --in {corpus} --out-vocab {out} --max-vocab 1", None, "ConfigError"),
     ("eval --capacity --block-bits -1", None, "ConfigError"),
-    (ENCODE, "vocab", "VocabFormatError"),
-    (ENCODE, "key", "KeyFormatError"),
-    (ENCODE, "model", "ModelFormatError"),
+    (ENCODE, ("vocab", not_utf8), "VocabFormatError"),
+    (ENCODE, ("key", not_utf8), "KeyFormatError"),
+    (ENCODE, ("model", not_utf8), "ModelFormatError"),
     (ENCODE + " --seed -1", None, "ConfigError"),
     (TRAIN + " lstm --seed -1", None, "ConfigError"),
     ("roundtrip --max-bytes 0", None, "ConfigError"),
     ("roundtrip --trials -1", None, "ConfigError"),
-    (DECODE + " --tokens {tokens}", "tokens", "CorpusError"),
-    (DECODE + " --text {corpus}", "corpus", "CorpusError"),
-    ("prep --in {corpus} --out-vocab {out}", "corpus", "CorpusError"),
-    (TRAIN + " ngram", "tokens", "CorpusError"),
-    ("eval --vocab {vocab} --model {model} --tokens {tokens} --ppl", "tokens", "CorpusError"),
+    (DECODE + " --tokens {tokens}", ("tokens", not_utf8), "CorpusError"),
+    (DECODE + " --text {corpus}", ("corpus", not_utf8), "CorpusError"),
+    ("prep --in {corpus} --out-vocab {out}", ("corpus", not_utf8), "CorpusError"),
+    (TRAIN + " ngram", ("tokens", not_utf8), "CorpusError"),
+    ("eval --vocab {vocab} --model {model} --tokens {tokens} --ppl", ("tokens", not_utf8),
+     "CorpusError"),
+    (ENCODE, ("model", ngram_doc(first_successor(0, 99999))), "ModelFormatError"),
+    (ENCODE, ("model", ngram_doc(first_successor(0, -1))), "ModelFormatError"),
+    (ENCODE, ("model", ngram_doc(lambda doc: doc.update(order=2.0))), "ModelFormatError"),
+    (ENCODE, ("model", ngram_doc(first_successor(1, 0))), "ModelFormatError"),
+    (ENCODE.replace("{model}", "{lstm}"), ("lstm", model_payload(nan_in_lstm_output)),
+     "ModelFormatError"),
+    (ENCODE, ("key", lambda data: data.replace(b"block_bits: 2", b"block_bits: 20000")),
+     "KeyFormatError"),
+    (TRAIN + " lstm --epochs 0", None, "ConfigError"),
 ], ids=["temp-0", "max-common-run-0", "order-0", "units-0", "max-vocab-1", "block-bits-neg",
         "vocab-not-utf8", "key-not-utf8", "model-not-utf8", "encode-seed-neg", "train-seed-neg",
         "max-bytes-0", "trials-neg", "decode-tokens-not-utf8", "decode-text-not-utf8",
-        "prep-in-not-utf8", "train-tokens-not-utf8", "eval-tokens-not-utf8"])
-def test_bad_input_prints_one_error_line(workspace, tmp_path, capsys, argv, damaged, error):
+        "prep-in-not-utf8", "train-tokens-not-utf8", "eval-tokens-not-utf8",
+        "ngram-index-high", "ngram-index-neg", "ngram-order-float", "ngram-count-0",
+        "lstm-nan", "key-block-bits-huge", "train-epochs-0"])
+def test_bad_input_prints_one_error_line(workspace, lstm_file, tmp_path, capsys,
+                                         argv, damage, error):
     files = {"vocab": "vocab.tsv", "key": "key.sk", "model": "model.slm",
-             "tokens": "tokens.txt", "corpus": "corpus.txt"}
+             "tokens": "tokens.txt", "corpus": "corpus.txt", "lstm": lstm_file.name}
     paths = {name: str(workspace / f) for name, f in files.items()}
     paths["out"] = str(tmp_path / "out")
-    if damaged:
-        # a byte that is never valid UTF-8, early in the file's text header
-        data = (workspace / files[damaged]).read_bytes().replace(b"\n", b"\n\xff", 2)
-        paths[damaged] = str(tmp_path / files[damaged])
-        Path(paths[damaged]).write_bytes(data)
+    if damage:
+        name, edit = damage
+        paths[name] = str(tmp_path / files[name])
+        Path(paths[name]).write_bytes(edit((workspace / files[name]).read_bytes()))
     capsys.readouterr()
     assert main(argv.format(**paths).split()) == 1
     lines = capsys.readouterr().err.splitlines()

@@ -22,7 +22,6 @@ from stegolm.codec import (
     payload_to_bits,
     render,
     split_blocks,
-    to_bit_blocks,
 )
 from stegolm.corpus import EOS_TOKEN, USER_TOKEN, build_vocab
 from stegolm.errors import DecodeError, EncodeError, VocabMismatchError
@@ -41,7 +40,7 @@ class TestBitBlocks:
         assert [b.bits for b in blocks] == ["10", "00"]
 
     def test_byte_msb_first(self):
-        blocks = to_bit_blocks(Payload(b"\xa5"), 4)
+        blocks = split_blocks(payload_to_bits(Payload(b"\xa5"), 4), 4)
         assert [b.bits for b in blocks] == ["1010", "0101"]
 
     def test_length_framing_prepends_bit_count(self):
@@ -66,10 +65,10 @@ class TestConstrainedSelect:
         rng = np.random.default_rng(0)
         ctx = mini_bigram.initial_context()
         for trial in range(200):
-            block = key.bin_of_index(key.bins[trial % 4][0])
+            block = BitBlock(trial % 4, key.block_bits)
             policy = GenPolicy(mode=Mode.SAMPLE if trial % 2 else Mode.GREEDY, seed=trial)
             idx = constrained_select(mini_bigram, ctx, key, block, policy, rng=rng)
-            assert idx in set(key.bins[block.value]) | key.common_set
+            assert idx in set(key.bins[block.value]) | set(key.common)
             ctx = mini_bigram.advance(ctx, idx)
 
     def test_greedy_tie_breaks_to_lowest_index(self):
@@ -79,28 +78,28 @@ class TestConstrainedSelect:
         key = generate_key(vocab, 1, 0, seed=2)
         model = FixedModel(vocab, np.full(len(vocab), 1 / len(vocab)))
         for value in (0, 1):
-            block = key.bin_of_index(key.bins[value][0])
+            block = BitBlock(value, key.block_bits)
             picked = constrained_select(model, (), key, block, GREEDY)
             assert picked == min(key.bins[value])
 
     def test_greedy_picks_known_argmax(self, steered_bigram, fixture_key, fixture_vocab):
         ctx = steered_bigram.advance(
             steered_bigram.initial_context(), fixture_vocab.index_of("I"))
-        block = fixture_key.bin_of_token("am")
+        block = BitBlock(int(fixture_key.slots(["am"])[0]), fixture_key.block_bits)
         picked = constrained_select(steered_bigram, ctx, fixture_key, block, GREEDY)
         assert fixture_vocab.token(picked) == "am"
 
     def test_banned_common_excluded(self, mini_bigram, mini_vocab):
         key = generate_key(mini_vocab, 1, 3, seed=5)
-        block = key.bin_of_index(key.bins[0][0])
+        block = BitBlock(0, key.block_bits)
         probs = np.full(len(mini_vocab), 1e-9)
-        probs[list(key.common_set)] = 0.3
+        probs[list(key.common)] = 0.3
         probs /= probs.sum()
         model = FixedModel(mini_vocab, probs)
         first = constrained_select(model, (), key, block, GREEDY)
-        assert first in key.common_set
+        assert first in set(key.common)
         second = constrained_select(model, (), key, block, GREEDY, banned={first})
-        assert second in key.common_set and second != first
+        assert second in set(key.common) and second != first
 
     def test_allowed_set_is_sorted_bin_plus_unbanned_common(self, mini_vocab, monkeypatch):
         # The order of the allowed set decides which token a seeded SAMPLE
@@ -120,13 +119,13 @@ class TestConstrainedSelect:
                                include_eos_common=bool(trial % 2))
             value = int(rng.integers(1 << block_bits))
             bin_members = set(key.bins[value])
-            pool = sorted(key.common_set | {key.bins[value][0]})
+            pool = sorted(set(key.common) | {key.bins[value][0]})
             banned = {int(i) for i in rng.choice(pool, size=rng.integers(len(pool) + 1),
                                                  replace=False)}
             include_common = bool(rng.integers(2))
             constrained_select(model, (), key, BitBlock(value, block_bits), GREEDY,
                                include_common=include_common, banned=banned)
-            want = bin_members | (key.common_set - banned if include_common else set())
+            want = bin_members | (set(key.common) - banned if include_common else set())
             assert seen[-1].tolist() == sorted(want), (trial, banned, include_common)
             assert seen[-1].dtype.kind == "i"
 
@@ -135,7 +134,7 @@ class TestConstrainedSelect:
         probs = np.zeros(len(mini_vocab))
         probs[key.bins[1][0]] = 1.0
         model = FixedModel(mini_vocab, probs)
-        block0 = key.bin_of_index(key.bins[0][0])
+        block0 = BitBlock(0, key.block_bits)
         with pytest.raises(EncodeError):
             constrained_select(model, (), key, block0, GREEDY)
 
@@ -171,25 +170,22 @@ class TestEncode:
             payload = Payload(rng.bytes(int(rng.integers(1, 20))))
             policy = GenPolicy(mode=Mode.SAMPLE if trial % 2 else Mode.GREEDY, seed=trial)
             out = encode(payload, key, mini_bigram, policy)
-            blocks = to_bit_blocks(payload, block_bits)
-            observed = [
-                key.bin_of_token(t) for t in out.tokens
-                if key.vocab.index_of(t) not in key.common_set
-            ]
-            assert [b.bits for b in observed] == [b.bits for b in blocks]
+            blocks = split_blocks(payload_to_bits(payload, block_bits), block_bits)
+            observed = [slot for slot in key.slots(out.tokens) if slot >= 0]
+            assert observed == [b.value for b in blocks]
             assert out.carrier_count == len(blocks)
 
     def test_every_token_advances_context_and_common_runs_bounded(self, mini_vocab):
         key = generate_key(mini_vocab, 1, 10, seed=3)
         probs = np.full(len(mini_vocab), 1e-9)
-        probs[list(key.common_set)] = 0.1
+        probs[list(key.common)] = 0.1
         probs /= probs.sum()
         model = FixedModel(mini_vocab, probs)
         policy = GenPolicy(mode=Mode.GREEDY, max_common_run=4)
         out = encode_bits("1010", key, model, policy)
         run = 0
         for surface in out.tokens:
-            if mini_vocab.index_of(surface) in key.common_set:
+            if mini_vocab.index_of(surface) in set(key.common):
                 run += 1
                 assert run <= 4
             else:
@@ -243,7 +239,7 @@ class TestDecode:
                 tokens.insert(pos, common_surfaces[int(rng.integers(len(common_surfaces)))])
             assert decode(tokens, key) == reference
         stripped = [
-            t for t in out.tokens if mini_vocab.index_of(t) not in key.common_set
+            t for t in out.tokens if mini_vocab.index_of(t) not in set(key.common)
         ]
         assert decode(stripped, key) == reference
 
@@ -299,7 +295,7 @@ class TestRoundTrip:
         if framing is Framing.LENGTH_PREFIXED:
             assert decode_payload(out.tokens, key) == data
         else:
-            bits = payload.bit_string()
+            bits = bytes_to_bits(payload.data)
             prefix_len = (len(bits) // block_bits) * block_bits
             assert decode(out.tokens, key) == bits[:prefix_len]
 
@@ -313,7 +309,7 @@ class TestGenerate:
 
     def test_greedy_matches_single_bin_encode_path(self, mini_bigram, mini_vocab):
         key = generate_key(mini_vocab, 0, 0, seed=1)
-        empty_block = key.bin_of_index(key.bins[0][0])
+        empty_block = BitBlock(0, key.block_bits)
         assert empty_block.width == 0
         ctx = mini_bigram.advance(
             mini_bigram.initial_context(), mini_vocab.index_of(EOS_TOKEN))

@@ -12,7 +12,6 @@ from stegolm.corpus import (
     build_vocab,
     read_token_file,
     tokenize,
-    top_k_tokens,
     write_token_file,
 )
 from stegolm.errors import CorpusError, VocabFormatError
@@ -155,26 +154,6 @@ class TestVocabulary:
 
     def test_index_or_unk(self, mini_vocab):
         assert mini_vocab.index_or_unk("never-seen") == mini_vocab.index_of(UNK_TOKEN)
-
-
-class TestTopK:
-    def test_max_count(self):
-        vocab = Vocabulary(("a", "b", "c"), (5, 3, 1))
-        assert top_k_tokens(vocab, 1) == {"a"}
-
-    def test_tie_breaks_lexicographically(self):
-        vocab = Vocabulary(("a", "b"), (5, 5))
-        assert top_k_tokens(vocab, 1) == {"a"}
-
-    def test_nested_for_growing_k(self, desk_vocab):
-        for k1, k2 in [(1, 5), (5, 20), (20, len(desk_vocab))]:
-            assert top_k_tokens(desk_vocab, k1) <= top_k_tokens(desk_vocab, k2)
-
-    def test_k_out_of_range(self, mini_vocab):
-        with pytest.raises(CorpusError):
-            top_k_tokens(mini_vocab, len(mini_vocab) + 1)
-        with pytest.raises(CorpusError):
-            top_k_tokens(mini_vocab, 0)
 
 
 def test_token_file_roundtrip(tmp_path, mini_tokens):

@@ -12,7 +12,6 @@ from stegolm.errors import (
 from stegolm.keying import (
     BIN_COMMON,
     BIN_RESERVED,
-    COMMON,
     BitBlock,
     StegoKey,
     deserialize_key,
@@ -73,8 +72,8 @@ class TestGenerateKey:
     def test_common_eos_option(self):
         vocab = small_vocab(8)
         key = generate_key(vocab, 1, 2, seed=1, include_eos_common=True)
-        assert vocab.index_of(EOS_TOKEN) in key.common_set
-        assert key.bin_of_token(EOS_TOKEN) is COMMON
+        assert vocab.index_of(EOS_TOKEN) in set(key.common)
+        assert key.slots([EOS_TOKEN]).tolist() == [BIN_COMMON]
 
     def test_block_bits_zero_gives_single_bin(self):
         vocab = small_vocab(5)
@@ -96,32 +95,27 @@ class TestGenerateKey:
 
 class TestBinOfToken:
     def test_fixture_mapping(self, fixture_key):
-        assert fixture_key.bin_of_token("attaching").bits == "01"
-        assert fixture_key.bin_of_token("I").bits == "10"
-        assert fixture_key.bin_of_token("am").bits == "00"
-        assert fixture_key.bin_of_token("NDA").bits == "11"
+        tokens = ["attaching", "I", "am", "NDA"]
+        blocks = [BitBlock(int(s), 2).bits for s in fixture_key.slots(tokens)]
+        assert blocks == ["01", "10", "00", "11"]
 
     def test_common_marker(self):
         key = generate_key(small_vocab(9), 1, 2, seed=5)
-        for idx in key.common:
-            assert key.bin_of_index(idx) is COMMON
+        common = [key.vocab.token(i) for i in key.common]
+        assert key.slots(common).tolist() == [BIN_COMMON] * 2
 
     def test_inverse_of_bin_membership(self):
         key = generate_key(small_vocab(13), 2, 2, seed=8)
+        lookup = key.lookup_array()
         for value, members in enumerate(key.bins):
-            for idx in members:
-                block = key.bin_of_index(idx)
-                assert block.value == value
+            assert all(lookup[idx] == value for idx in members)
+        assert lookup[key.vocab.index_of(EOS_TOKEN)] == BIN_RESERVED
 
     def test_sentinels_rejected(self, fixture_key):
-        with pytest.raises(KeyInvariantError):
-            fixture_key.bin_of_token(EOS_TOKEN)
-        with pytest.raises(KeyInvariantError):
-            fixture_key.bin_of_token(UNK_TOKEN)
-
-    def test_out_of_range_rejected(self, fixture_key):
-        with pytest.raises(KeyInvariantError):
-            fixture_key.bin_of_index(10_000)
+        with pytest.raises(DecodeError):
+            fixture_key.slots([EOS_TOKEN])
+        with pytest.raises(DecodeError):
+            fixture_key.slots([UNK_TOKEN])
 
 
 class TestSlots:
@@ -132,6 +126,7 @@ class TestSlots:
             assert all(lookup[idx] == value for idx in members)
         assert all(lookup[idx] == BIN_COMMON for idx in key.common)
         assert lookup[key.vocab.index_of(UNK_TOKEN)] == BIN_RESERVED
+        assert lookup[key.vocab.index_of(EOS_TOKEN)] == BIN_COMMON
         with pytest.raises(ValueError):
             lookup[0] = 0
 
@@ -172,20 +167,26 @@ class TestKeyInvariants:
         bins = list(fixture_key.bins)
         bins[0] = bins[0] + (bins[1][0],)
         with pytest.raises(KeyInvariantError):
-            StegoKey(2, tuple(bins), (), fixture_vocab.content_hash(), 0, fixture_vocab)
+            StegoKey(2, tuple(bins), (), 0, fixture_vocab)
 
     def test_missing_carrier_rejected(self, fixture_vocab, fixture_key):
         bins = list(fixture_key.bins)
         bins[3] = bins[3][:-1]
         with pytest.raises(KeyInvariantError):
-            StegoKey(2, tuple(bins), (), fixture_vocab.content_hash(), 0, fixture_vocab)
+            StegoKey(2, tuple(bins), (), 0, fixture_vocab)
 
     def test_lopsided_bins_rejected(self):
         vocab = small_vocab(8)
         key = generate_key(vocab, 1, 0, seed=0)
         all_in_one = (key.bins[0] + key.bins[1], ())
         with pytest.raises(KeyInvariantError):
-            StegoKey(1, all_in_one, (), vocab.content_hash(), 0, vocab)
+            StegoKey(1, all_in_one, (), 0, vocab)
+
+    def test_index_outside_vocabulary_rejected(self, fixture_vocab, fixture_key):
+        bins = list(fixture_key.bins)
+        bins[0] = bins[0] + (len(fixture_vocab),)
+        with pytest.raises(KeyInvariantError, match="out of range"):
+            StegoKey(2, tuple(bins), (), 0, fixture_vocab)
 
 
 class TestSerialization:

@@ -10,7 +10,6 @@ from .codec import (
     GenPolicy,
     Mode,
     Payload,
-    RenderOptions,
     Stegotext,
     decode,
     decode_payload,

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import codec, corpus, keying, metrics
-from .codec import Framing, GenPolicy, Mode, Payload, RenderOptions
+from .codec import Framing, GenPolicy, Mode, Payload
 from .corpus import CorpusConfig, Vocabulary
 from .errors import ConfigError, StegolmError
 from .lm import (
@@ -129,11 +129,10 @@ def cmd_encode(args) -> int:
         mode=Mode(args.mode), temperature=args.temp, seed=args.seed,
         max_common_run=args.max_common_run,
     )
-    options = RenderOptions(capitalize=args.capitalize)
-    stegotext = codec.encode(payload, key, model, policy, options)
+    stegotext = codec.encode(payload, key, model, policy)
     if args.emit_tokens:
         corpus.write_token_file(args.emit_tokens, stegotext.tokens)
-    _write_text(args.out, stegotext.rendered + "\n")
+    _write_text(args.out, codec.render(stegotext.tokens, capitalize=args.capitalize) + "\n")
     print(
         f"tokens: {len(stegotext.tokens)} carriers: {stegotext.carrier_count}",
         file=sys.stderr,

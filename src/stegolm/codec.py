@@ -22,6 +22,7 @@ leftmost bit of a block is its most significant when indexing bins.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,8 +61,8 @@ class GenPolicy:
     max_common_run: int = 5
 
     def __post_init__(self):
-        if self.temperature <= 0:
-            raise ConfigError("temperature must be positive")
+        if not 0 < self.temperature < math.inf:  # refuses NaN too
+            raise ConfigError("temperature must be positive and finite")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
         if self.max_common_run < 1:
@@ -69,31 +70,11 @@ class GenPolicy:
 
 
 @dataclass(frozen=True)
-class RenderOptions:
-    """Presentation knobs for the surface string; decoding never sees it."""
-
-    user_subs: tuple[str, ...] = ()
-    url_subs: tuple[str, ...] = ()
-    capitalize: bool = False
-
-    def user_mock(self, occurrence: int) -> str:
-        if occurrence < len(self.user_subs):
-            return self.user_subs[occurrence]
-        return f"@user{occurrence + 1:03d}"
-
-    def url_mock(self, occurrence: int) -> str:
-        if occurrence < len(self.url_subs):
-            return self.url_subs[occurrence]
-        return f"http://example.com/{occurrence + 1}"
-
-
-@dataclass(frozen=True)
 class Stegotext:
-    """Generated token sequence plus its rendered surface form."""
+    """Generated token sequence and how many of its tokens carry bits."""
 
     tokens: tuple[str, ...]
     carrier_count: int
-    rendered: str
 
 
 LENGTH_HEADER_BITS = 32
@@ -197,7 +178,6 @@ def encode_bits(
     key: StegoKey,
     model: LanguageModel,
     policy: GenPolicy = GenPolicy(),
-    render_options: RenderOptions = RenderOptions(),
 ) -> Stegotext:
     """Embed a raw bit string (trailing bits short of a block are dropped)."""
     if key.block_bits < 1:
@@ -213,8 +193,7 @@ def encode_bits(
     rng = np.random.default_rng(policy.seed)
     ctx = _start_context(model)
     tokens: list[str] = []
-    carrier_count = 0
-    for block in blocks:
+    for block in blocks:  # each block ends on exactly one carrier
         run = 0
         banned: set[int] = set()
         while True:
@@ -224,17 +203,11 @@ def encode_bits(
             )
             ctx = model.advance(ctx, idx)
             tokens.append(key.vocab.token(idx))
-            if slots[idx] == BIN_COMMON:
-                run += 1
-                banned.add(idx)
-            else:
-                carrier_count += 1
+            if slots[idx] != BIN_COMMON:
                 break
-    return Stegotext(
-        tokens=tuple(tokens),
-        carrier_count=carrier_count,
-        rendered=render(tokens, render_options),
-    )
+            run += 1
+            banned.add(idx)
+    return Stegotext(tuple(tokens), len(blocks))
 
 
 def encode(
@@ -242,11 +215,9 @@ def encode(
     key: StegoKey,
     model: LanguageModel,
     policy: GenPolicy = GenPolicy(),
-    render_options: RenderOptions = RenderOptions(),
 ) -> Stegotext:
     """Embed a byte payload under the payload's framing rule."""
-    return encode_bits(payload_to_bits(payload, key.block_bits), key, model,
-                       policy, render_options)
+    return encode_bits(payload_to_bits(payload, key.block_bits), key, model, policy)
 
 
 def generate(
@@ -297,13 +268,14 @@ def decode_payload(tokens, key: StegoKey) -> bytes:
     return bits_to_bytes(bits)
 
 
-def render(tokens, options: RenderOptions = RenderOptions()) -> str:
+def render(tokens, *, capitalize: bool = False) -> str:
     """Join tokens into a surface string.
 
     Punctuation in ``.,!?;:`` attaches to the previous word; ``<user>`` and
-    ``<url>`` are substituted (supplied values first, deterministic mocks
-    after); ``<eos>`` is a boundary marker and renders as nothing. Purely
-    presentational: decoding consumes the token sequence, not this string.
+    ``<url>`` become numbered mocks (``@user001``, ``http://example.com/1``);
+    ``<eos>`` is a boundary marker and renders as nothing. ``capitalize``
+    upper-cases the first letter of each sentence. Purely presentational:
+    decoding consumes the token sequence, not this string.
     """
     words: list[str] = []
     users = urls = 0
@@ -311,21 +283,18 @@ def render(tokens, options: RenderOptions = RenderOptions()) -> str:
     for surface in tokens:
         if surface == EOS_TOKEN:
             continue
-        substituted = False
-        if surface == USER_TOKEN:
-            surface = options.user_mock(users)
-            users += 1
-            substituted = True
-        elif surface == URL_TOKEN:
-            surface = options.url_mock(urls)
-            urls += 1
-            substituted = True
         if surface in _NO_SPACE_BEFORE and words and attachable:
             words[-1] += surface
+        elif surface == USER_TOKEN:
+            users += 1
+            words.append(f"@user{users:03d}")
+        elif surface == URL_TOKEN:
+            urls += 1
+            words.append(f"http://example.com/{urls}")
         else:
             words.append(surface)
-        attachable = not substituted
-    if options.capitalize:
+        attachable = surface not in (USER_TOKEN, URL_TOKEN)
+    if capitalize:
         sentence_start = True
         for i, word in enumerate(words):
             if sentence_start and word[0].isalpha():

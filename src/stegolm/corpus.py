@@ -248,10 +248,7 @@ def build_vocab(tokens: Sequence[str], config: CorpusConfig = CorpusConfig()) ->
     items.append((EOS_TOKEN, eos_count))
     items.append((UNK_TOKEN, unk_count + dropped))
     items.sort(key=_vocab_sort_key)
-    vocab = Vocabulary(tuple(t for t, _ in items), tuple(c for _, c in items))
-    if len(vocab) < 2:
-        raise CorpusError("vocabulary too small to partition into bins")
-    return vocab
+    return Vocabulary(tuple(t for t, _ in items), tuple(c for _, c in items))
 
 
 def read_text_file(path: str | Path) -> str:

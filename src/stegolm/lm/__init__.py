@@ -3,7 +3,6 @@
 from .base import LanguageModel, softmax
 from .lstm import (
     EpochStats,
-    LstmContext,
     LstmHyperparams,
     LstmModel,
     PRESETS,
@@ -15,7 +14,6 @@ from .store import deserialize_model, load_model, save_model, serialize_model
 __all__ = [
     "EpochStats",
     "LanguageModel",
-    "LstmContext",
     "LstmHyperparams",
     "LstmModel",
     "NgramConfig",

@@ -16,6 +16,7 @@ same parameters on a given platform.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -46,12 +47,13 @@ class LstmHyperparams:
         for name in ("layers", "units", "embed_dim", "unroll_steps", "batch_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be a positive integer")
-        if self.lr_init <= 0:
-            raise ConfigError("lr_init must be positive")
-        if self.lr_decay <= 1:
-            raise ConfigError("lr_decay must exceed 1")
-        if self.clip_norm is not None and self.clip_norm <= 0:
-            raise ConfigError("clip_norm must be positive or None")
+        # Chained comparisons with math.inf refuse NaN and infinity too.
+        if not 0 < self.lr_init < math.inf:
+            raise ConfigError("lr_init must be positive and finite")
+        if not 1 < self.lr_decay < math.inf:
+            raise ConfigError("lr_decay must be finite and exceed 1")
+        if self.clip_norm is not None and not 0 < self.clip_norm < math.inf:
+            raise ConfigError("clip_norm must be positive and finite, or None")
         if not 0 <= self.dropout < 1:
             raise ConfigError("dropout must lie in [0, 1)")
 
@@ -82,15 +84,6 @@ class EpochStats:
     decayed: bool
 
 
-class LstmContext:
-    """Per-layer (hidden, cell) vectors; treated as an immutable value."""
-
-    __slots__ = ("states",)
-
-    def __init__(self, states: tuple[tuple[np.ndarray, np.ndarray], ...]):
-        self.states = states
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     ex = np.exp(-np.abs(x))  # never overflows
     return np.where(x >= 0, 1.0, ex) / (1.0 + ex)
@@ -118,9 +111,11 @@ def init_params(vocab_size: int, hp: LstmHyperparams, seed: int) -> dict[str, np
     }
 
 
-def _zero_states(hp: LstmHyperparams, batch: int) -> list[list[np.ndarray]]:
-    return [[np.zeros((batch, hp.units)), np.zeros((batch, hp.units))]
-            for _ in range(hp.layers)]
+def _zero_states(hp: LstmHyperparams, *batch: int) -> tuple:
+    """Zero per-layer (hidden, cell) pairs of shape ``(*batch, units)``: an LSTM
+    context (no batch) or the carried state of a training window."""
+    return tuple((np.zeros((*batch, hp.units)), np.zeros((*batch, hp.units)))
+                 for _ in range(hp.layers))
 
 
 def _cell_forward(params, hp, layer, x, h_prev, c_prev):
@@ -158,7 +153,7 @@ def window_forward(params, hp, inputs, targets, states, drop_masks=None):
             h_prev, c_prev = h, c
             hs[:, t] = h
         caches.append(layer_cache)
-        new_states.append([h_prev, c_prev])
+        new_states.append((h_prev, c_prev))
         xin = hs if drop_masks is None else hs * drop_masks[layer + 1]
     logits = xin @ params["wo"] + params["bo"]  # (B, T, V)
     shifted = logits - logits.max(axis=-1, keepdims=True)
@@ -166,7 +161,7 @@ def window_forward(params, hp, inputs, targets, states, drop_masks=None):
     sums = expd.sum(axis=-1)
     picked = np.take_along_axis(shifted, targets[..., None], axis=-1)[..., 0]
     loss = float((np.log(sums) - picked).mean())
-    return loss, (caches, xin, expd, sums), new_states
+    return loss, (caches, xin, expd, sums), tuple(new_states)
 
 
 def _sample_drop_masks(hp, rng, batch, steps):
@@ -233,25 +228,17 @@ def window_loss_and_grads(params, hp, inputs, targets, states, drop_masks=None):
     return loss, grads, new_states
 
 
-def global_grad_norm(grads: dict[str, np.ndarray]) -> float:
-    return float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
-
-
-def clip_gradients(grads: dict[str, np.ndarray], clip_norm: float | None) -> float:
-    """Scale all gradients in place so the global norm is at most clip_norm."""
-    norm = global_grad_norm(grads)
+def sgd_step(params, grads, lr: float, clip_norm: float | None = None) -> float:
+    """In-place update: scale ``grads`` so their global norm is at most
+    ``clip_norm``, then theta <- theta - lr * grad. Returns the pre-clip norm."""
+    norm = float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
     if clip_norm is not None and norm > clip_norm:
         scale = clip_norm / norm
         for g in grads.values():
             g *= scale
-    return norm
-
-
-def sgd_step(params, grads, lr: float, clip_norm: float | None = None) -> None:
-    """In-place update: clip globally, then theta <- theta - lr * grad."""
-    clip_gradients(grads, clip_norm)
     for name, grad in grads.items():
         params[name] -= lr * grad
+    return norm
 
 
 def _batchify(ids: np.ndarray, batch: int) -> np.ndarray:
@@ -292,23 +279,22 @@ class LstmModel(LanguageModel):
         self.params = params
         self.history = list(history)
 
-    def initial_context(self) -> LstmContext:
-        zeros = np.zeros(self.hp.units)
-        return LstmContext(tuple((zeros, zeros) for _ in range(self.hp.layers)))
+    def initial_context(self) -> tuple:
+        """Per-layer (hidden, cell) vectors; treated as an immutable value."""
+        return _zero_states(self.hp)
 
-    def advance(self, ctx: LstmContext, token_index: int) -> LstmContext:
+    def advance(self, ctx: tuple, token_index: int) -> tuple:
         self.check_index(token_index)
         x = self.params["embed"][token_index]
         states = []
-        for layer in range(self.hp.layers):
-            h_prev, c_prev = ctx.states[layer]
+        for layer, (h_prev, c_prev) in enumerate(ctx):
             h, c, _ = _cell_forward(self.params, self.hp, layer, x, h_prev, c_prev)
             states.append((h, c))
             x = h
-        return LstmContext(tuple(states))
+        return tuple(states)
 
-    def next_distribution(self, ctx: LstmContext) -> np.ndarray:
-        h_top = ctx.states[-1][0]
+    def next_distribution(self, ctx: tuple) -> np.ndarray:
+        h_top = ctx[-1][0]
         return softmax(h_top @ self.params["wo"] + self.params["bo"])
 
     def header_config(self) -> dict:

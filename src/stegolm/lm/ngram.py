@@ -8,6 +8,7 @@ yields the smoothed unigram distribution.
 from __future__ import annotations
 
 import json
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain
@@ -28,8 +29,8 @@ class NgramConfig:
     def __post_init__(self):
         if self.order < 1:
             raise ConfigError("order must be >= 1")
-        if self.add_k <= 0:
-            raise ConfigError("add_k must be positive")
+        if not 0 < self.add_k < math.inf:  # refuses NaN too
+            raise ConfigError("add_k must be positive and finite")
 
 
 class NgramModel(LanguageModel):
@@ -85,7 +86,8 @@ class NgramModel(LanguageModel):
     @classmethod
     def from_payload(cls, vocab: Vocabulary, header: dict, payload: bytes) -> "NgramModel":
         """Inverse of ``to_payload``: table ``m`` holds length-``m`` contexts,
-        every index lies in ``[0, |V|)`` and every count is at least 1."""
+        every index lies in ``[0, |V|)``, every successor index and count is a
+        JSON integer and every count lies in ``[1, 2**53]``."""
         try:
             doc = json.loads(payload.decode("utf-8"))
             if type(doc["order"]) is not int:
@@ -98,13 +100,17 @@ class NgramModel(LanguageModel):
                     ctx = tuple(int(p) for p in ctx_str.split(",")) if ctx_str else ()
                     if len(ctx) != m:
                         raise ModelFormatError(f"context {ctx} in the length-{m} table")
-                    table[ctx] = {int(w): int(c) for w, c in successors}
-                # Flattening the contexts and the successor dicts yields every index.
-                indices = list(chain.from_iterable(chain(table, table.values())))
+                    table[ctx] = dict(successors)
+                # index, count, index, count, ... over every [index, count] pair
+                values = list(chain.from_iterable(chain.from_iterable(s for _, s in entries)))
+                if not set(map(type, values)) <= {int}:  # rejects floats, bools, strings
+                    raise ModelFormatError("ngram successor index or count is not an integer")
+                counts = values[1::2]
+                if counts and not 1 <= min(counts) <= max(counts) <= 2**53:
+                    raise ModelFormatError("ngram count outside [1, 2**53]")
+                indices = list(chain.from_iterable(table)) + values[0::2]
                 if indices and not 0 <= min(indices) <= max(indices) < len(vocab):
                     raise ModelFormatError(f"ngram token index outside [0, {len(vocab)})")
-                if min(chain.from_iterable(map(dict.values, table.values())), default=1) < 1:
-                    raise ModelFormatError("ngram count below 1")
                 tables.append(table)
         except (AttributeError, KeyError, ValueError, TypeError) as exc:
             raise ModelFormatError(f"bad ngram payload: {exc}") from None

@@ -152,6 +152,16 @@ def stego_perplexity(model: LanguageModel, key: StegoKey,
     return _score(model, ids, reserved, lambda probs: stego_distribution(probs, key))
 
 
+def _per_message(bits_per_word: float, mean_message_length: float | None) -> float | None:
+    """Bits per message of ``mean_message_length`` words, if a length is given."""
+    if mean_message_length is None:
+        return None
+    if not 0 <= mean_message_length < math.inf:  # refuses NaN too
+        raise ConfigError(f"mean message length must be finite and non-negative, "
+                          f"got {mean_message_length}")
+    return bits_per_word * mean_message_length
+
+
 def capacity(block_bits: int, common_fraction: float,
              mean_message_length: float | None = None) -> CapacityReport:
     """Exact arithmetic: (1 - common_fraction) * block_bits bits per word."""
@@ -160,10 +170,8 @@ def capacity(block_bits: int, common_fraction: float,
     if not 0 <= common_fraction < 1:
         raise ConfigError(f"common_fraction must lie in [0, 1), got {common_fraction}")
     bits_per_word = (1.0 - common_fraction) * block_bits
-    bits_per_message = (
-        bits_per_word * mean_message_length if mean_message_length is not None else None
-    )
-    return CapacityReport(block_bits, common_fraction, bits_per_word, bits_per_message)
+    return CapacityReport(block_bits, common_fraction, bits_per_word,
+                          _per_message(bits_per_word, mean_message_length))
 
 
 def capacity_empirical(tokens: Sequence[str], key: StegoKey,
@@ -176,10 +184,8 @@ def capacity_empirical(tokens: Sequence[str], key: StegoKey,
     total = len(tokens)
     fraction = common_count / total
     bits_per_word = key.block_bits * carrier_count / total
-    bits_per_message = (
-        bits_per_word * mean_message_length if mean_message_length is not None else None
-    )
     return CapacityReport(
-        key.block_bits, fraction, bits_per_word, bits_per_message,
+        key.block_bits, fraction, bits_per_word,
+        _per_message(bits_per_word, mean_message_length),
         token_count=total, carrier_count=carrier_count, common_count=common_count,
     )

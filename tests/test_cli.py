@@ -324,12 +324,29 @@ def lstm_file(workspace):
     (ENCODE, ("key", lambda data: data.replace(b"block_bits: 2", b"block_bits: 20000")),
      "KeyFormatError"),
     (TRAIN + " lstm --epochs 0", None, "ConfigError"),
+    (ENCODE + " --temp nan", None, "ConfigError"),
+    (TRAIN + " ngram --add-k nan", None, "ConfigError"),
+    (TRAIN + " ngram --add-k inf", None, "ConfigError"),
+    (TRAIN + " lstm --lr nan", None, "ConfigError"),
+    (TRAIN + " lstm --lr-decay nan", None, "ConfigError"),
+    (TRAIN + " lstm --clip-norm nan", None, "ConfigError"),
+    ("eval --capacity --block-bits 2 --mean-length nan", None, "ConfigError"),
+    ("eval --capacity --block-bits 2 --mean-length -1", None, "ConfigError"),
+    (ENCODE, ("model", ngram_doc(first_successor(1, 10**400))), "ModelFormatError"),
+    (ENCODE, ("model", ngram_doc(first_successor(0, 2.7))), "ModelFormatError"),
+    (ENCODE, ("model", ngram_doc(first_successor(0, True))), "ModelFormatError"),
+    (ENCODE, ("model", ngram_doc(first_successor(1, "3"))), "ModelFormatError"),
+    (ENCODE, ("model", ngram_doc(lambda doc: doc.update(add_k=float("nan")))),
+     "ModelFormatError"),
 ], ids=["temp-0", "max-common-run-0", "order-0", "units-0", "max-vocab-1", "block-bits-neg",
         "vocab-not-utf8", "key-not-utf8", "model-not-utf8", "encode-seed-neg", "train-seed-neg",
         "max-bytes-0", "trials-neg", "decode-tokens-not-utf8", "decode-text-not-utf8",
         "prep-in-not-utf8", "train-tokens-not-utf8", "eval-tokens-not-utf8",
         "ngram-index-high", "ngram-index-neg", "ngram-order-float", "ngram-count-0",
-        "lstm-nan", "key-block-bits-huge", "train-epochs-0"])
+        "lstm-nan", "key-block-bits-huge", "train-epochs-0",
+        "temp-nan", "add-k-nan", "add-k-inf", "lr-nan", "lr-decay-nan", "clip-norm-nan",
+        "mean-length-nan", "mean-length-neg", "ngram-count-huge", "ngram-index-float",
+        "ngram-index-bool", "ngram-count-str", "ngram-add-k-nan"])
 def test_bad_input_prints_one_error_line(workspace, lstm_file, tmp_path, capsys,
                                          argv, damage, error):
     files = {"vocab": "vocab.tsv", "key": "key.sk", "model": "model.slm",

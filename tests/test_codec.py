@@ -10,7 +10,6 @@ from stegolm.codec import (
     GenPolicy,
     Mode,
     Payload,
-    RenderOptions,
     bits_to_bytes,
     bytes_to_bits,
     constrained_select,
@@ -272,7 +271,7 @@ class TestDecode:
         out = encode(Payload(b"\xc3", Framing.LENGTH_PREFIXED), key, model,
                      GenPolicy(mode=Mode.SAMPLE, seed=12))
         assert EOS_TOKEN in out.tokens
-        assert EOS_TOKEN not in out.rendered
+        assert EOS_TOKEN not in render(out.tokens)
         assert decode_payload(out.tokens, key) == b"\xc3"
 
 
@@ -335,17 +334,12 @@ class TestRender:
     def test_punctuation_reattaches(self):
         assert render(["i", "am", "attaching", "an", "nda", "."]) == "i am attaching an nda."
 
-    def test_user_substitution(self):
-        out = render([USER_TOKEN, "hi"], RenderOptions(user_subs=("@user421",)))
-        assert out == "@user421 hi"
-
     def test_deterministic_mocks(self):
         out = render([USER_TOKEN, "and", USER_TOKEN, "met", "<url>"])
         assert out == "@user001 and @user002 met http://example.com/1"
 
     def test_capitalization(self):
-        out = render(["i", "am", "here", ".", "you", "too", "?"],
-                     RenderOptions(capitalize=True))
+        out = render(["i", "am", "here", ".", "you", "too", "?"], capitalize=True)
         assert out == "I am here. You too?"
 
     def test_eos_renders_as_nothing(self):
@@ -353,7 +347,7 @@ class TestRender:
 
     def test_rendered_string_attached_to_stegotext(self, steered_bigram, fixture_key):
         out = encode_bits("1000011011", fixture_key, steered_bigram, GREEDY)
-        assert out.rendered == "I am attaching an NDA"
+        assert render(out.tokens) == "I am attaching an NDA"
 
     def test_punctuation_safe_retokenization_roundtrip(self, mini_bigram, mini_vocab):
         # mini vocab has no <user>/<url> and lowercase tokens: the rendered
@@ -362,6 +356,6 @@ class TestRender:
 
         key = generate_key(mini_vocab, 2, 4, seed=6)
         out = encode(Payload(b"safe!"), key, mini_bigram, GenPolicy(mode=Mode.SAMPLE, seed=8))
-        again = tokenize(out.rendered, CorpusConfig(lowercase=False))
+        again = tokenize(render(out.tokens), CorpusConfig(lowercase=False))
         assert list(out.tokens) == again
         assert decode(again, key) == decode(out.tokens, key)

@@ -4,7 +4,8 @@ The property: whatever the bytes, a parser raises a ``StegolmError`` subclass
 or returns an object whose ``encode`` of a short payload succeeds or raises a
 ``StegolmError``. Inputs are arbitrary bytes, truncations and bit flips of
 valid files, plus structured n-gram payloads with indices and counts around
-the valid range. Vocabulary and models are tiny so the module stays fast.
+the valid range or of the wrong JSON type. Vocabulary and models are tiny so
+the module stays fast.
 """
 
 import json
@@ -104,8 +105,10 @@ def test_model_parser(data):
 def ngram_documents(draw):
     """An n-gram payload document and whether ``from_payload`` must accept it:
     valid tables with at most one defect, so indices span [-2, |V|+2] and
-    counts [-1, 5], a context may be one token off its table's order, and the
-    order may be written as a float."""
+    counts [-1, 5], a context may be one token off its table's order, the
+    order may be written as a float, a successor index or count may be a
+    float, bool, string or null, a count may exceed 2**53, and add_k may be
+    zero, NaN or infinite."""
     size = len(VOCAB)
     index, count = st.integers(0, size - 1), st.integers(1, 5)
     order = draw(st.integers(1, 3))
@@ -114,26 +117,34 @@ def ngram_documents(draw):
                                    min_size=1, max_size=3))
               for m in range(order)]
     defect = draw(st.sampled_from([None, "context index", "successor index", "count",
-                                   "context length", "float order"]))
-    table = tables[draw(st.integers(0, order - 1))]
-    ctx, successors = draw(st.sampled_from(sorted(table.items())))
+                                   "context length", "float order", "non-integer value",
+                                   "huge count", "add_k"]))
+    m = draw(st.integers(0, order - 1))
+    ctx, successors = draw(st.sampled_from(sorted(tables[m].items())))
     bad_index = draw(st.sampled_from([-2, -1, size, size + 1, size + 2]))
     if defect == "context index" and not ctx:
         defect = None  # the order-0 table's empty context has no index to damage
     if defect == "context index":
-        table[ctx[:-1] + (bad_index,)] = table.pop(ctx)
+        tables[m][ctx[:-1] + (bad_index,)] = tables[m].pop(ctx)
     elif defect == "successor index":
         successors[bad_index] = draw(count)
     elif defect == "count":
         successors[min(successors)] = draw(st.sampled_from([-1, 0]))
     elif defect == "context length":
-        table[ctx[:-1] if ctx else (0,)] = table.pop(ctx)
+        tables[m][ctx[:-1] if ctx else (0,)] = tables[m].pop(ctx)
     doc = {
         "order": float(order) if defect == "float order" else order,
-        "add_k": 0.1,
-        "tables": [[[",".join(map(str, c)), sorted(nxt.items())] for c, nxt in t.items()]
-                   for t in tables],
+        "add_k": draw(st.sampled_from([0.0, float("nan"), float("inf")]))
+        if defect == "add_k" else 0.1,
+        "tables": [[[",".join(map(str, c)), [list(p) for p in sorted(nxt.items())]]
+                    for c, nxt in t.items()] for t in tables],
     }
+    entries = doc["tables"][m]
+    pair = entries[draw(st.integers(0, len(entries) - 1))][1][0]  # [index, count]
+    if defect == "non-integer value":
+        pair[draw(st.integers(0, 1))] = draw(st.sampled_from([True, False, 1.0, 2.5, "1", None]))
+    elif defect == "huge count":
+        pair[1] = draw(st.sampled_from([2**53 + 1, 10**400]))
     return doc, defect is None
 
 

@@ -1,9 +1,9 @@
-"""Golden outputs: seeded encodes, their decoded bits, key bytes, model bytes
-and the desk-trigram stego perplexity.
+"""Golden outputs: seeded encodes, their decoded bits, key bytes, model bytes,
+the desk-trigram stego perplexity and the CLI's rendered stegotext.
 
 Any change to which token a seed selects, to the bits a token decodes to, to
-the key and model wire formats, to LSTM training or to the stego scoring
-fails here. The LSTM digests also depend on the platform's floating-point
+the key and model wire formats, to LSTM training, to the stego scoring or to
+rendering fails here. The LSTM digests also depend on the platform's floating-point
 summation order (BLAS, SIMD exp): they were recorded on x86-64 with numpy
 2.4.6 and its bundled OpenBLAS, and another platform may need them
 re-recorded from an unchanged commit.
@@ -14,10 +14,11 @@ import math
 
 import pytest
 
+from stegolm.cli import main
 from stegolm.codec import Framing, GenPolicy, Mode, Payload, decode, decode_payload, encode
-from stegolm.keying import generate_key, serialize_key
+from stegolm.keying import generate_key, save_key, serialize_key
 from stegolm.lm.lstm import LstmHyperparams, train_lstm
-from stegolm.lm.store import serialize_model
+from stegolm.lm.store import save_model, serialize_model
 from stegolm.metrics import stego_perplexity
 
 # (block_bits, common, mode, temperature, key_seed, policy_seed) -> the SHA-256
@@ -72,6 +73,16 @@ DESK_STEGO_NLL = {
 }
 
 
+# ``stegolm encode --capitalize --seed 39`` of b"render golden" on the desk
+# trigram under a seed-7 key (block_bits 2, common 10): the SHA-256 of stdout
+# and of the --emit-tokens file. The text holds <user> and <url> mocks and
+# punctuation, so any change to rendering or to the tokens fails here.
+CLI_RENDER_SHA = (
+    "5904e0030fb8a6c5d9f74d76fd94b676554d41371e2b24aeefb0bc738222caa1",
+    "27958b51747a1164bbc2b763063a88f517e8ba9b07f92ff86ada6dc1c4b07619",
+)
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -118,3 +129,18 @@ def test_desk_trigram_stego_nll_matches_golden(case, desk_trigram, desk_tokens, 
     held_out = desk_tokens[int(len(desk_tokens) * 0.9):]
     report = stego_perplexity(desk_trigram, key, held_out)
     assert math.isclose(report.mean_nll, DESK_STEGO_NLL[case], rel_tol=1e-12, abs_tol=0)
+
+
+def test_cli_capitalized_render_matches_golden(desk_trigram, desk_vocab, tmp_path,
+                                               capsysbinary):
+    desk_vocab.save(tmp_path / "vocab.tsv")
+    save_key(generate_key(desk_vocab, 2, 10, 7), tmp_path / "key.sk")
+    save_model(desk_trigram, tmp_path / "model.slm")
+    (tmp_path / "payload.bin").write_bytes(b"render golden")
+    capsysbinary.readouterr()
+    assert main(["encode", "--vocab", str(tmp_path / "vocab.tsv"),
+                 "--key", str(tmp_path / "key.sk"), "--model", str(tmp_path / "model.slm"),
+                 "--in", str(tmp_path / "payload.bin"), "--seed", "39", "--capitalize",
+                 "--emit-tokens", str(tmp_path / "steg.tok")]) == 0
+    text = capsysbinary.readouterr().out
+    assert (_sha(text), _sha((tmp_path / "steg.tok").read_bytes())) == CLI_RENDER_SHA

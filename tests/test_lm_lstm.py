@@ -7,13 +7,10 @@ from stegolm.corpus import build_vocab
 from stegolm.errors import ModelFormatError, TrainingError, VocabMismatchError
 from stegolm.lm.lstm import (
     EpochStats,
-    LstmContext,
     LstmHyperparams,
     LstmModel,
     PRESETS,
     _zero_states,
-    clip_gradients,
-    global_grad_norm,
     init_params,
     sgd_step,
     train_lstm,
@@ -44,9 +41,9 @@ class TestCell:
         model = LstmModel(vocab, hp, params)
         # all-zero weights: every gate sigmoid(0)=0.5, candidate tanh(0)=0,
         # so c' = 0.5*c and h' = 0.5*tanh(0.5*c)
-        start = LstmContext(((np.zeros(3), np.ones(3)),))
+        start = ((np.zeros(3), np.ones(3)),)
         ctx = model.advance(start, 0)
-        h, c = ctx.states[0]
+        h, c = ctx[0]
         np.testing.assert_allclose(c, np.full(3, 0.5), atol=1e-15)
         np.testing.assert_allclose(h, np.full(3, 0.5 * math.tanh(0.5)), atol=1e-15)
 
@@ -56,7 +53,7 @@ class TestCell:
         model = LstmModel(vocab, hp, init_params(len(vocab), hp, 1))
         a = model.advance(model.initial_context(), 2)
         b = model.advance(model.initial_context(), 2)
-        for (ha, ca), (hb, cb) in zip(a.states, b.states):
+        for (ha, ca), (hb, cb) in zip(a, b):
             assert np.array_equal(ha, hb) and np.array_equal(ca, cb)
 
     def test_advance_does_not_mutate_input(self):
@@ -64,9 +61,9 @@ class TestCell:
         vocab = tiny_vocab(6)
         model = LstmModel(vocab, hp, init_params(len(vocab), hp, 1))
         ctx = model.initial_context()
-        snapshot = [(h.copy(), c.copy()) for h, c in ctx.states]
+        snapshot = [(h.copy(), c.copy()) for h, c in ctx]
         model.advance(ctx, 1)
-        for (h, c), (hs, cs) in zip(ctx.states, snapshot):
+        for (h, c), (hs, cs) in zip(ctx, snapshot):
             assert np.array_equal(h, hs) and np.array_equal(c, cs)
 
     def test_out_of_range_token(self):
@@ -153,26 +150,27 @@ class TestOptimizer:
     def test_sgd_update_rule(self):
         params = {"w": np.array([1.0, -2.0]), "b": np.array([0.5])}
         grads = {"w": np.array([0.3, 0.4]), "b": np.array([0.0])}
-        sgd_step(params, grads, lr=2.0, clip_norm=None)
+        assert sgd_step(params, grads, lr=2.0, clip_norm=None) == pytest.approx(0.5)
         np.testing.assert_allclose(params["w"], [1.0 - 0.6, -2.0 - 0.8])
         np.testing.assert_allclose(params["b"], [0.5])
 
     def test_clipping_rescales_to_clip_norm(self):
+        params = {"w": np.zeros(2)}
         grads = {"w": np.array([3.0, 4.0])}
-        norm = clip_gradients(grads, 1.0)
-        assert norm == pytest.approx(5.0)
-        assert global_grad_norm(grads) == pytest.approx(1.0)
+        assert sgd_step(params, grads, lr=0.0, clip_norm=1.0) == pytest.approx(5.0)
         np.testing.assert_allclose(grads["w"], [0.6, 0.8])
+        assert np.linalg.norm(grads["w"]) == pytest.approx(1.0)
 
     def test_no_clip_below_threshold(self):
+        params = {"w": np.zeros(2)}
         grads = {"w": np.array([0.3, 0.4])}
-        clip_gradients(grads, 1.0)
+        assert sgd_step(params, grads, lr=0.0, clip_norm=1.0) == pytest.approx(0.5)
         np.testing.assert_allclose(grads["w"], [0.3, 0.4])
 
     def test_update_applies_clipped_gradient(self):
         params = {"w": np.array([0.0, 0.0])}
         grads = {"w": np.array([3.0, 4.0])}
-        sgd_step(params, grads, lr=1.0, clip_norm=1.0)
+        assert sgd_step(params, grads, lr=1.0, clip_norm=1.0) == pytest.approx(5.0)
         np.testing.assert_allclose(params["w"], [-0.6, -0.8])
 
 

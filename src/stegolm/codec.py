@@ -129,9 +129,15 @@ def _pick(probs: np.ndarray, allowed: np.ndarray, policy: GenPolicy,
         return int(allowed[int(np.argmax(mass))])
     if rng is None:
         rng = np.random.default_rng(policy.seed)
-    weights = (mass / top) ** (1.0 / policy.temperature)
+    weights = mass / top
+    if policy.temperature != 1.0:  # x ** 1.0 == x: skip the power at T = 1
+        weights **= 1.0 / policy.temperature
     weights /= weights.sum()
-    return int(allowed[rng.choice(len(allowed), p=weights)])
+    # Generator.choice(len(allowed), p=weights) without its argument checks:
+    # the same steps, so the same stream and the same index.
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    return int(allowed[cdf.searchsorted(rng.random(), side="right")])
 
 
 def constrained_select(
@@ -146,26 +152,27 @@ def constrained_select(
     banned: frozenset[int] | set[int] = frozenset(),
 ) -> int:
     """Pick the next token index from the block's bin (plus the common set,
-    less ``banned``), allowed tokens in index order. GREEDY takes the argmax
-    of the masked distribution, ties to the lowest token index; SAMPLE draws
-    from the masked distribution renormalized at ``policy.temperature``.
+    less the common tokens in ``banned``), allowed tokens in index order.
+    GREEDY takes the argmax of the masked distribution, ties to the lowest
+    token index; SAMPLE draws from the masked distribution renormalized at
+    ``policy.temperature``.
     """
     if block.width != key.block_bits:
         raise EncodeError(
             f"block width {block.width} does not match key block_bits {key.block_bits}"
         )
     slots = key.lookup_array()
-    mask = slots == block.value
-    if include_common:
-        common = slots == BIN_COMMON
-        common[list(banned)] = False
-        mask |= common
+    allowed = key.allowed(block.value, include_common)
+    if include_common and banned:
+        drop = np.fromiter(banned, dtype=np.int64, count=len(banned))
+        drop = drop[slots[drop] == BIN_COMMON]  # a banned bin token stays allowed
+        allowed = np.delete(allowed, allowed.searchsorted(drop))
     probs = model.next_distribution(ctx)
     if len(probs) != len(slots):
         raise VocabMismatchError(
             f"model emits {len(probs)} probabilities for |V|={len(slots)}"
         )
-    return _pick(probs, np.flatnonzero(mask), policy, rng)
+    return _pick(probs, allowed, policy, rng)
 
 
 def _start_context(model: LanguageModel):
@@ -274,10 +281,12 @@ def render(tokens, *, capitalize: bool = False) -> str:
     Punctuation in ``.,!?;:`` attaches to the previous word; ``<user>`` and
     ``<url>`` become numbered mocks (``@user001``, ``http://example.com/1``);
     ``<eos>`` is a boundary marker and renders as nothing. ``capitalize``
-    upper-cases the first letter of each sentence. Purely presentational:
-    decoding consumes the token sequence, not this string.
+    upper-cases the first letter of each sentence, mocks left as written.
+    Purely presentational: decoding consumes the token sequence, not this
+    string.
     """
     words: list[str] = []
+    mocks: set[int] = set()  # positions in ``words`` of the numbered mocks
     users = urls = 0
     attachable = False  # punctuation never glues onto a substituted mention/URL
     for surface in tokens:
@@ -287,9 +296,11 @@ def render(tokens, *, capitalize: bool = False) -> str:
             words[-1] += surface
         elif surface == USER_TOKEN:
             users += 1
+            mocks.add(len(words))
             words.append(f"@user{users:03d}")
         elif surface == URL_TOKEN:
             urls += 1
+            mocks.add(len(words))
             words.append(f"http://example.com/{urls}")
         else:
             words.append(surface)
@@ -297,7 +308,7 @@ def render(tokens, *, capitalize: bool = False) -> str:
     if capitalize:
         sentence_start = True
         for i, word in enumerate(words):
-            if sentence_start and word[0].isalpha():
+            if sentence_start and word[0].isalpha() and i not in mocks:
                 words[i] = word[0].upper() + word[1:]
                 sentence_start = False
             if word[-1] in ".!?":

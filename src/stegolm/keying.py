@@ -101,6 +101,7 @@ class StegoKey:
         slots = np.asarray(self._build_slots(), dtype=np.int64)
         slots.flags.writeable = False
         object.__setattr__(self, "_slots", slots)
+        object.__setattr__(self, "_allowed", {})
 
     def _build_slots(self) -> list[int]:
         vocab, size = self.vocab, len(self.vocab)
@@ -146,6 +147,19 @@ class StegoKey:
         """Read-only slot of every vocabulary index: its bin index for a carrier,
         ``BIN_COMMON`` or ``BIN_RESERVED``. The key's only record of assignment."""
         return self._slots
+
+    def allowed(self, bin_index: int, include_common: bool) -> np.ndarray:
+        """Read-only ascending indices of the bin's tokens, plus the common set
+        when ``include_common``; read off ``lookup_array`` once per pair."""
+        cached = self._allowed.get((bin_index, include_common))
+        if cached is None:
+            mask = self._slots == bin_index
+            if include_common:
+                mask |= self._slots == BIN_COMMON
+            cached = np.flatnonzero(mask)
+            cached.flags.writeable = False
+            self._allowed[bin_index, include_common] = cached
+        return cached
 
     def slots(self, tokens: Sequence[str]) -> np.ndarray:
         """Slot of every token of a stegotext: a bin index or ``BIN_COMMON``.

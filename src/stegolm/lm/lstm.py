@@ -24,7 +24,7 @@ import numpy as np
 
 from ..corpus import Vocabulary
 from ..errors import ConfigError, ModelFormatError, TrainingError
-from .base import LanguageModel, softmax
+from .base import LanguageModel
 
 #: Validation-loss slack below which an epoch counts as "did not improve".
 IMPROVE_TOLERANCE = 1e-4
@@ -269,11 +269,35 @@ def _mean_nll(params, hp, data: np.ndarray) -> float:
     return total / count
 
 
+def _train_epoch(params, hp, data: np.ndarray, drop_rng, lr: float) -> float:
+    """One SGD pass over a batchified stream; returns its mean training NLL."""
+    states = _zero_states(hp, hp.batch_size)
+    total, count = 0.0, 0
+    for inputs, targets in _windows(data, hp.unroll_steps):
+        steps = inputs.shape[1]
+        masks = _sample_drop_masks(hp, drop_rng, hp.batch_size, steps)
+        loss, grads, states = window_loss_and_grads(params, hp, inputs, targets, states, masks)
+        sgd_step(params, grads, lr, hp.clip_norm)
+        total += loss * hp.batch_size * steps
+        count += hp.batch_size * steps
+    return total / count
+
+
 class LstmModel(LanguageModel):
     backend = "lstm"
 
     def __init__(self, vocab: Vocabulary, hp: LstmHyperparams,
                  params: dict[str, np.ndarray], history: Sequence[EpochStats] = ()):
+        """``params`` must hold exactly the finite float64 arrays, by name and
+        shape, that ``param_shapes`` calls for; otherwise ``ConfigError``."""
+        expected = {n: ("float64", shape) for n, shape in param_shapes(len(vocab), hp).items()}
+        found = {n: (str(array.dtype), array.shape) for n, array in params.items()}
+        wrong = sorted(n for n in expected.keys() | found.keys() if found.get(n) != expected.get(n))
+        if wrong:
+            raise ConfigError(f"lstm arrays missing, extra or misshapen: {wrong}")
+        nonfinite = sorted(n for n, array in params.items() if not np.isfinite(array).all())
+        if nonfinite:
+            raise ConfigError(f"lstm arrays hold NaN or inf: {nonfinite}")
         super().__init__(vocab)
         self.hp = hp
         self.params = params
@@ -294,8 +318,12 @@ class LstmModel(LanguageModel):
         return tuple(states)
 
     def next_distribution(self, ctx: tuple) -> np.ndarray:
-        h_top = ctx[-1][0]
-        return softmax(h_top @ self.params["wo"] + self.params["bo"])
+        """Softmax of the output logits. The arrays were checked finite at
+        construction, so the only non-finite logits are overflows, and those
+        give NaN probabilities, which selection refuses."""
+        logits = ctx[-1][0] @ self.params["wo"] + self.params["bo"]
+        exp = np.exp(logits - logits.max())
+        return exp / exp.sum()
 
     def header_config(self) -> dict:
         """The ``config:`` header of a model file: hyperparameters and history."""
@@ -320,15 +348,10 @@ class LstmModel(LanguageModel):
                 params = {name: stash[name] for name in stash.files}
         except Exception as exc:
             raise ModelFormatError(f"bad lstm payload: {exc}") from None
-        expected = {n: ("float64", shape) for n, shape in param_shapes(len(vocab), hp).items()}
-        found = {n: (str(array.dtype), array.shape) for n, array in params.items()}
-        wrong = sorted(n for n in expected.keys() | found.keys() if found.get(n) != expected.get(n))
-        if wrong:
-            raise ModelFormatError(f"lstm payload arrays missing, extra or misshapen: {wrong}")
-        nonfinite = sorted(n for n, array in params.items() if not np.isfinite(array).all())
-        if nonfinite:
-            raise ModelFormatError(f"lstm payload arrays hold NaN or inf: {nonfinite}")
-        return cls(vocab, hp, params, history)
+        try:
+            return cls(vocab, hp, params, history)
+        except ConfigError as exc:
+            raise ModelFormatError(f"bad lstm payload: {exc}") from None
 
 
 def train_lstm(tokens: Sequence[str], vocab: Vocabulary, hp: LstmHyperparams,
@@ -355,25 +378,17 @@ def train_lstm(tokens: Sequence[str], vocab: Vocabulary, hp: LstmHyperparams,
     best_val = np.inf
     history: list[EpochStats] = []
     for epoch in range(epochs):
-        states = _zero_states(hp, hp.batch_size)
-        total, count = 0.0, 0
-        for inputs, targets in _windows(train_data, hp.unroll_steps):
-            steps = inputs.shape[1]
-            masks = _sample_drop_masks(hp, drop_rng, hp.batch_size, steps)
-            loss, grads, states = window_loss_and_grads(
-                params, hp, inputs, targets, states, masks)
-            if not np.isfinite(loss):
-                raise TrainingError(
-                    f"training diverged at epoch {epoch} (loss={loss}); "
-                    "lower lr_init or enable clip_norm"
-                )
-            sgd_step(params, grads, lr, hp.clip_norm)
-            total += loss * hp.batch_size * steps
-            count += hp.batch_size * steps
-        train_nll = total / count
-        val_nll = _mean_nll(params, hp, val_data)
-        if not np.isfinite(val_nll):
-            raise TrainingError(f"validation loss diverged at epoch {epoch}")
+        try:
+            # Parameters start finite, so an overflow or invalid operation is
+            # the only way to a non-finite loss: stop on the first one.
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                train_nll = _train_epoch(params, hp, train_data, drop_rng, lr)
+                val_nll = _mean_nll(params, hp, val_data)
+        except FloatingPointError as exc:
+            raise TrainingError(
+                f"training diverged at epoch {epoch} ({exc}); "
+                "lower lr_init or enable clip_norm"
+            ) from None
         decayed = val_nll >= best_val - IMPROVE_TOLERANCE
         if decayed:
             lr /= hp.lr_decay

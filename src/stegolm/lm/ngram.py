@@ -33,6 +33,10 @@ class NgramConfig:
             raise ConfigError("add_k must be positive and finite")
 
 
+#: The row of every context never seen in training: no successors, total 0.
+_UNSEEN = (0, np.zeros(0, np.int64), np.zeros(0, np.int64))
+
+
 class NgramModel(LanguageModel):
     backend = "ngram"
 
@@ -42,9 +46,9 @@ class NgramModel(LanguageModel):
         self.config = config
         # tables[m] maps a length-m context to {next_index: count}.
         self.tables = tables
-        self._totals = [
-            {ctx: sum(nxt.values()) for ctx, nxt in table.items()} for table in tables
-        ]
+        # _rows[m] caches a seen context's (total, successor indices, counts),
+        # filled the first time the context is asked for.
+        self._rows: list[dict[tuple[int, ...], tuple]] = [{} for _ in tables]
 
     def initial_context(self) -> tuple[int, ...]:
         return ()
@@ -60,13 +64,24 @@ class NgramModel(LanguageModel):
         m = len(ctx)
         if m >= self.config.order:
             raise ValueError(f"context longer than order-1: {m} >= {self.config.order}")
+        total, indices, counts = self._row(m, ctx)
         k = self.config.add_k
-        total = self._totals[m].get(ctx, 0)
         denom = total + k * size
-        dist = np.full(size, k / denom)
-        for token_index, count in self.tables[m].get(ctx, {}).items():
-            dist[token_index] += count / denom
+        dist = np.empty(size)
+        dist.fill(k / denom)
+        dist[indices] += counts / denom
         return dist
+
+    def _row(self, m: int, ctx: tuple[int, ...]) -> tuple:
+        row = self._rows[m].get(ctx)
+        if row is None:
+            successors = self.tables[m].get(ctx)
+            if successors is None:
+                return _UNSEEN
+            indices = np.fromiter(successors.keys(), np.int64, len(successors))
+            counts = np.fromiter(successors.values(), np.int64, len(successors))
+            row = self._rows[m][ctx] = (sum(successors.values()), indices, counts)
+        return row
 
     def header_config(self) -> dict:
         """The ``config:`` header of a model file; the payload holds everything."""

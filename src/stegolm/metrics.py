@@ -27,7 +27,7 @@ import numpy as np
 
 from .corpus import Vocabulary
 from .errors import ConfigError, CorpusError
-from .keying import BIN_COMMON, BIN_RESERVED, StegoKey
+from .keying import BIN_COMMON, BIN_RESERVED, MAX_BLOCK_BITS, StegoKey
 from .lm.base import LanguageModel
 
 
@@ -165,8 +165,8 @@ def _per_message(bits_per_word: float, mean_message_length: float | None) -> flo
 def capacity(block_bits: int, common_fraction: float,
              mean_message_length: float | None = None) -> CapacityReport:
     """Exact arithmetic: (1 - common_fraction) * block_bits bits per word."""
-    if block_bits < 0:
-        raise ConfigError("block_bits must be non-negative")
+    if not 0 <= block_bits <= MAX_BLOCK_BITS:
+        raise ConfigError(f"block_bits must be in [0, {MAX_BLOCK_BITS}], got {block_bits}")
     if not 0 <= common_fraction < 1:
         raise ConfigError(f"common_fraction must lie in [0, 1), got {common_fraction}")
     bits_per_word = (1.0 - common_fraction) * block_bits

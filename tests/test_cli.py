@@ -338,6 +338,8 @@ def lstm_file(workspace):
     (ENCODE, ("model", ngram_doc(first_successor(1, "3"))), "ModelFormatError"),
     (ENCODE, ("model", ngram_doc(lambda doc: doc.update(add_k=float("nan")))),
      "ModelFormatError"),
+    ("eval --capacity --block-bits 1" + "0" * 400, None, "ConfigError"),
+    (TRAIN + " lstm --units 4 --epochs 1 --lr=1e300", None, "TrainingError"),
 ], ids=["temp-0", "max-common-run-0", "order-0", "units-0", "max-vocab-1", "block-bits-neg",
         "vocab-not-utf8", "key-not-utf8", "model-not-utf8", "encode-seed-neg", "train-seed-neg",
         "max-bytes-0", "trials-neg", "decode-tokens-not-utf8", "decode-text-not-utf8",
@@ -346,7 +348,9 @@ def lstm_file(workspace):
         "lstm-nan", "key-block-bits-huge", "train-epochs-0",
         "temp-nan", "add-k-nan", "add-k-inf", "lr-nan", "lr-decay-nan", "clip-norm-nan",
         "mean-length-nan", "mean-length-neg", "ngram-count-huge", "ngram-index-float",
-        "ngram-index-bool", "ngram-count-str", "ngram-add-k-nan"])
+        "ngram-index-bool", "ngram-count-str", "ngram-add-k-nan", "capacity-block-bits-huge",
+        "lstm-lr-diverges"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_input_prints_one_error_line(workspace, lstm_file, tmp_path, capsys,
                                          argv, damage, error):
     files = {"vocab": "vocab.tsv", "key": "key.sk", "model": "model.slm",

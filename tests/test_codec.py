@@ -330,6 +330,35 @@ class TestLowTemperature:
         assert len(generate(desk_trigram, 25, policy)) == 25
 
 
+class TestDraw:
+    """SAMPLE draws by inverse CDF; it must give ``Generator.choice``'s index."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 600), zero_fraction=st.sampled_from([0.0, 0.5, 0.95, 1.0]),
+           temperature=st.one_of(st.just(1.0), st.floats(0.002, 5)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_same_index_as_generator_choice(self, n, zero_fraction, temperature, seed):
+        data = np.random.default_rng(seed)
+        probs = data.random(2 * n) * (data.random(2 * n) >= zero_fraction)
+        allowed = np.sort(data.choice(2 * n, size=n, replace=False))
+        if not probs[allowed].any():  # a single non-zero weight
+            probs[allowed[data.integers(n)]] = data.random() + 1e-300
+        policy = GenPolicy(mode=Mode.SAMPLE, temperature=temperature)
+        mass = probs[allowed]
+        weights = (mass / mass.max()) ** (1.0 / temperature)
+        weights /= weights.sum()
+        ours, theirs = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        for _ in range(25):
+            want = int(allowed[theirs.choice(n, p=weights)])
+            assert codec._pick(probs, allowed, policy, ours) == want
+
+    def test_nan_mass_is_an_encode_error(self, mini_vocab):
+        probs = np.full(len(mini_vocab), np.nan)
+        policy = GenPolicy(mode=Mode.SAMPLE)
+        with pytest.raises(EncodeError):
+            codec._pick(probs, np.arange(len(mini_vocab)), policy, np.random.default_rng(0))
+
+
 class TestRender:
     def test_punctuation_reattaches(self):
         assert render(["i", "am", "attaching", "an", "nda", "."]) == "i am attaching an nda."

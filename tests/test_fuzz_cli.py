@@ -28,6 +28,8 @@ CORPUS = (
 
 SPECIAL = st.sampled_from(["nan", "inf", "-inf", "0", "-0.0", "-1"])
 FUZZ = settings(max_examples=30, deadline=None)
+# A numpy RuntimeWarning is an extra stderr line outside the contract.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def floats(lo: float, hi: float):

@@ -78,7 +78,7 @@ DESK_STEGO_NLL = {
 # and of the --emit-tokens file. The text holds <user> and <url> mocks and
 # punctuation, so any change to rendering or to the tokens fails here.
 CLI_RENDER_SHA = (
-    "5904e0030fb8a6c5d9f74d76fd94b676554d41371e2b24aeefb0bc738222caa1",
+    "3251ed42e3e1a2ed63c8d171311bfb2013524a83149d36654dbf98eb33110f5f",
     "27958b51747a1164bbc2b763063a88f517e8ba9b07f92ff86ada6dc1c4b07619",
 )
 

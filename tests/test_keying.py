@@ -130,6 +130,23 @@ class TestSlots:
         with pytest.raises(ValueError):
             lookup[0] = 0
 
+    def test_allowed_sets_are_cached_read_only_and_per_key(self):
+        vocab = small_vocab(13)
+        key = generate_key(vocab, 2, 3, seed=8, include_eos_common=True)
+        twin = generate_key(vocab, 2, 3, seed=8, include_eos_common=True)
+        assert twin == key
+        for value, members in enumerate(key.bins):
+            for include_common in (False, True):
+                allowed = key.allowed(value, include_common)
+                want = set(members) | (set(key.common) if include_common else set())
+                assert allowed.tolist() == sorted(want)
+                assert key.allowed(value, include_common) is allowed
+                with pytest.raises(ValueError):
+                    allowed[0] = 0
+                other = twin.allowed(value, include_common)
+                assert not np.shares_memory(other, allowed)
+                assert np.array_equal(other, allowed) and not other.flags.writeable
+
     def test_classifies_stegotext_tokens(self, fixture_key):
         assert fixture_key.slots(["I", "am", "NDA", "was"]).tolist() == [2, 0, 3, 1]
         assert fixture_key.slots([]).tolist() == []

@@ -1,10 +1,19 @@
+import io
 import math
 
 import numpy as np
 import pytest
 
-from stegolm.corpus import build_vocab
-from stegolm.errors import ModelFormatError, TrainingError, VocabMismatchError
+from stegolm.codec import Payload, encode
+from stegolm.corpus import EOS_TOKEN, build_vocab
+from stegolm.errors import (
+    ConfigError,
+    EncodeError,
+    ModelFormatError,
+    TrainingError,
+    VocabMismatchError,
+)
+from stegolm.keying import generate_key
 from stegolm.lm.lstm import (
     EpochStats,
     LstmHyperparams,
@@ -81,6 +90,19 @@ class TestCell:
         dist = model.next_distribution(ctx)
         assert abs(dist.sum() - 1.0) < 1e-9
         assert np.all(dist > 0)
+
+    def test_overflowing_logits_are_an_encode_error(self, mini_vocab):
+        hp = LstmHyperparams(layers=1, units=4, embed_dim=3)
+        params = init_params(len(mini_vocab), hp, 1)
+        params["b0"][:] = 50.0  # saturated gates: every unit of h is tanh(1)
+        params["wo"][:, 1] = 1e308  # finite weights whose logit overflows
+        model = LstmModel(mini_vocab, hp, params)
+        ctx = model.advance(model.initial_context(), mini_vocab.index_of(EOS_TOKEN))
+        key = generate_key(mini_vocab, 1, 0, seed=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(model.next_distribution(ctx)).all()
+            with pytest.raises(EncodeError):
+                encode(Payload(b"x"), key, model)
 
 
 class TestGradients:
@@ -306,18 +328,26 @@ class TestPersistence:
         with pytest.raises(ModelFormatError):
             deserialize_model(data, mini_vocab)
 
-    @pytest.mark.parametrize("damage", ["missing wx0", "extra array", "wrong shape", "float32"])
+    @pytest.mark.parametrize("damage", ["missing wx0", "extra array", "wrong shape", "float32",
+                                        "nan", "inf"])
     def test_payload_must_match_hyperparams(self, trained, mini_vocab, damage):
-        params = dict(trained.params)
+        params = {name: array.copy() for name, array in trained.params.items()}
         if damage == "missing wx0":
             del params["wx0"]
         elif damage == "extra array":
             params["wx9"] = params["wx0"]
         elif damage == "wrong shape":
             params["wo"] = params["wo"].T.copy()
-        else:
+        elif damage == "float32":
             params["bo"] = params["bo"].astype(np.float32)
-        data = serialize_model(LstmModel(mini_vocab, trained.hp, params, trained.history))
+        else:
+            params["wh1"][2, 3] = float(damage)
+        with pytest.raises(ConfigError):  # the same check in memory
+            LstmModel(mini_vocab, trained.hp, params, trained.history)
+        buf = io.BytesIO()
+        np.savez(buf, **params)
+        head = serialize_model(trained).split(b"\n", 5)[:4]  # up to payload_bytes
+        data = b"\n".join(head + [b"payload_bytes: %d" % buf.tell(), buf.getvalue()])
         with pytest.raises(ModelFormatError):
             deserialize_model(data, mini_vocab)
 

@@ -10,6 +10,17 @@ from stegolm.lm.ngram import NgramConfig, NgramModel, train_ngram
 from stegolm.metrics import perplexity
 
 
+def reference_distribution(model: NgramModel, ctx: tuple[int, ...]) -> np.ndarray:
+    """Add-k distribution by a loop over the context's successors."""
+    size, k = len(model.vocab), model.config.add_k
+    successors = model.tables[len(ctx)].get(ctx, {})
+    denom = sum(successors.values()) + k * size
+    dist = np.full(size, k / denom)
+    for token_index, count in successors.items():
+        dist[token_index] += count / denom
+    return dist
+
+
 class TestSoftmax:
     def test_uniform_on_equal_scores(self):
         np.testing.assert_allclose(softmax(np.zeros(4)), np.full(4, 0.25))
@@ -99,6 +110,19 @@ class TestNgram:
     def test_empty_stream_rejected(self, mini_vocab):
         with pytest.raises(TrainingError):
             train_ngram([], mini_vocab, NgramConfig())
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_distribution_equals_dict_loop_reference(self, mini_tokens, mini_vocab, order):
+        model = train_ngram(mini_tokens, mini_vocab, NgramConfig(order=order, add_k=0.07))
+        rng = np.random.default_rng(order)
+        seen = [ctx for table in model.tables for ctx in list(table)[:40]]
+        unseen = [tuple(int(i) for i in rng.integers(len(mini_vocab), size=m))
+                  for m in range(order) for _ in range(20)]
+        unseen = [ctx for ctx in unseen if ctx not in model.tables[len(ctx)]]
+        assert unseen or order == 1
+        for ctx in seen + unseen + seen:  # the second pass reads the cached rows
+            assert np.array_equal(model.next_distribution(ctx),
+                                  reference_distribution(model, ctx)), ctx
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

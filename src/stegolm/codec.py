@@ -129,9 +129,7 @@ def _pick(probs: np.ndarray, allowed: np.ndarray, policy: GenPolicy,
         return int(allowed[int(np.argmax(mass))])
     if rng is None:
         rng = np.random.default_rng(policy.seed)
-    weights = mass / top
-    if policy.temperature != 1.0:  # x ** 1.0 == x: skip the power at T = 1
-        weights **= 1.0 / policy.temperature
+    weights = (mass / top) ** (1.0 / policy.temperature)
     weights /= weights.sum()
     # Generator.choice(len(allowed), p=weights) without its argument checks:
     # the same steps, so the same stream and the same index.

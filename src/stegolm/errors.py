@@ -42,6 +42,10 @@ class ModelFormatError(StegolmError):
     """Model file is malformed or carries an unknown backend tag."""
 
 
+class ModelOutputError(StegolmError, ValueError):
+    """A model's next-token scores are NaN or overflow; it has no distribution."""
+
+
 class TrainingError(StegolmError):
     """Training cannot proceed (corpus too small, divergence)."""
 

@@ -12,15 +12,22 @@ import abc
 import numpy as np
 
 from ..corpus import Vocabulary
+from ..errors import ModelOutputError
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
-    """Max-shifted softmax; entries positive and summing to 1."""
+    """Max-shifted softmax; entries non-negative and summing to 1.
+
+    NaN or +inf anywhere makes the maximum non-finite, so checking the
+    maximum is enough (``ModelOutputError``); a -inf score gets probability 0.
+    """
     scores = np.asarray(scores, dtype=np.float64)
-    if scores.size == 0 or not np.all(np.isfinite(scores)):
-        raise ValueError("softmax requires a non-empty finite score vector")
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
+    if scores.size == 0:
+        raise ModelOutputError("softmax of an empty score vector")
+    top = scores.max(axis=-1, keepdims=True)
+    if not np.isfinite(top).all():
+        raise ModelOutputError(f"scores are NaN or overflow (largest {top.max()})")
+    exp = np.exp(scores - top)
     return exp / exp.sum(axis=-1, keepdims=True)
 
 

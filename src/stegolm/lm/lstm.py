@@ -24,7 +24,7 @@ import numpy as np
 
 from ..corpus import Vocabulary
 from ..errors import ConfigError, ModelFormatError, TrainingError
-from .base import LanguageModel
+from .base import LanguageModel, softmax
 
 #: Validation-loss slack below which an epoch counts as "did not improve".
 IMPROVE_TOLERANCE = 1e-4
@@ -318,12 +318,8 @@ class LstmModel(LanguageModel):
         return tuple(states)
 
     def next_distribution(self, ctx: tuple) -> np.ndarray:
-        """Softmax of the output logits. The arrays were checked finite at
-        construction, so the only non-finite logits are overflows, and those
-        give NaN probabilities, which selection refuses."""
-        logits = ctx[-1][0] @ self.params["wo"] + self.params["bo"]
-        exp = np.exp(logits - logits.max())
-        return exp / exp.sum()
+        h_top = ctx[-1][0]
+        return softmax(h_top @ self.params["wo"] + self.params["bo"])
 
     def header_config(self) -> dict:
         """The ``config:`` header of a model file: hyperparameters and history."""

@@ -67,8 +67,7 @@ class NgramModel(LanguageModel):
         total, indices, counts = self._row(m, ctx)
         k = self.config.add_k
         denom = total + k * size
-        dist = np.empty(size)
-        dist.fill(k / denom)
+        dist = np.full(size, k / denom)
         dist[indices] += counts / denom
         return dist
 

@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from stegolm.cli import main
 from stegolm.codec import Payload, encode
-from stegolm.corpus import EOS_TOKEN, build_vocab
+from stegolm.corpus import EOS_TOKEN, build_vocab, write_token_file
 from stegolm.errors import (
     ConfigError,
-    EncodeError,
     ModelFormatError,
+    ModelOutputError,
     TrainingError,
     VocabMismatchError,
 )
@@ -26,7 +27,8 @@ from stegolm.lm.lstm import (
     window_forward,
     window_loss_and_grads,
 )
-from stegolm.lm.store import deserialize_model, serialize_model
+from stegolm.lm.store import deserialize_model, save_model, serialize_model
+from stegolm.metrics import perplexity
 
 
 def tiny_vocab(n=6):
@@ -91,7 +93,7 @@ class TestCell:
         assert abs(dist.sum() - 1.0) < 1e-9
         assert np.all(dist > 0)
 
-    def test_overflowing_logits_are_an_encode_error(self, mini_vocab):
+    def test_overflowing_logits_are_a_model_output_error(self, mini_vocab, tmp_path, capsys):
         hp = LstmHyperparams(layers=1, units=4, embed_dim=3)
         params = init_params(len(mini_vocab), hp, 1)
         params["b0"][:] = 50.0  # saturated gates: every unit of h is tanh(1)
@@ -99,10 +101,22 @@ class TestCell:
         model = LstmModel(mini_vocab, hp, params)
         ctx = model.advance(model.initial_context(), mini_vocab.index_of(EOS_TOKEN))
         key = generate_key(mini_vocab, 1, 0, seed=1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert np.isnan(model.next_distribution(ctx)).all()
-            with pytest.raises(EncodeError):
+        mini_vocab.save(tmp_path / "vocab.tsv")
+        save_model(model, tmp_path / "model.slm")
+        write_token_file(tmp_path / "tokens.txt", ["w01", "w02", "w03"])
+        argv = ["eval", "--ppl", "--vocab", str(tmp_path / "vocab.tsv"),
+                "--model", str(tmp_path / "model.slm"), "--tokens", str(tmp_path / "tokens.txt")]
+        with np.errstate(over="ignore"):
+            with pytest.raises(ModelOutputError):
+                model.next_distribution(ctx)
+            with pytest.raises(ModelOutputError):
                 encode(Payload(b"x"), key, model)
+            with pytest.raises(ModelOutputError):
+                perplexity(model, ["w01", "w02", "w03"])
+            assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ModelOutputError: ") and err.count("\n") == 1
 
 
 class TestGradients:

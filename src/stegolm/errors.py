@@ -31,7 +31,8 @@ class KeyFormatError(StegolmError):
 
 
 class KeyInvariantError(StegolmError):
-    """Key violates the partition invariants (overlap, gap, size skew)."""
+    """Key breaks the partition: slot array of the wrong length or slot range,
+    sentinel in a bin, unassigned carrier, empty or skewed bins, or a token listed twice."""
 
 
 class KeyGenError(StegolmError):

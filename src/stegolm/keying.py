@@ -19,6 +19,7 @@ unconstrained and the key carries no payload (``codec.encode`` rejects it).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -87,52 +88,47 @@ class _SplitMix64:
             items[i], items[j] = items[j], items[i]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StegoKey:
-    """Bit-block -> token-bin mapping shared by sender and receiver."""
+    """Bit-block -> token-bin mapping shared by sender and receiver. Its only
+    record of assignment is ``slot_array`` (kept as a read-only int64 copy):
+    the slot of every vocabulary index, see ``lookup_array``."""
 
     block_bits: int
-    bins: tuple[tuple[int, ...], ...]
-    common: tuple[int, ...]
+    slot_array: np.ndarray
     seed: int
     vocab: Vocabulary
 
     def __post_init__(self):
-        slots = np.asarray(self._build_slots(), dtype=np.int64)
+        if not 0 <= self.block_bits <= MAX_BLOCK_BITS:
+            raise KeyInvariantError(f"block_bits must be in [0, {MAX_BLOCK_BITS}]")
+        slots = np.array(self.slot_array, dtype=np.int64)
         slots.flags.writeable = False
-        object.__setattr__(self, "_slots", slots)
+        object.__setattr__(self, "slot_array", slots)
         object.__setattr__(self, "_allowed", {})
-
-    def _build_slots(self) -> list[int]:
-        vocab, size = self.vocab, len(self.vocab)
-        if len(self.bins) != 1 << self.block_bits:
-            raise KeyInvariantError(
-                f"expected {1 << self.block_bits} bins, found {len(self.bins)}"
-            )
-        slots = [BIN_RESERVED] * size
-        reserved = _reserved_indices(vocab)
+        vocab, num_bins = self.vocab, self.num_bins
+        if slots.shape != (len(vocab),):
+            raise KeyInvariantError(f"slot array of shape {slots.shape} for |V|={len(vocab)}")
+        if ((slots < BIN_COMMON) | (slots >= num_bins)).any():
+            raise KeyInvariantError(f"slot values must lie in [{BIN_COMMON}, {num_bins})")
+        eos, unk = vocab.indices((EOS_TOKEN, UNK_TOKEN))
         # <eos> may join the common set (lets generation end messages); <unk> never.
-        unk_index = vocab.index_of(UNK_TOKEN) if UNK_TOKEN in vocab else None
-        for slot, members in [(BIN_COMMON, self.common), *enumerate(self.bins)]:
-            for idx in members:
-                if not 0 <= idx < size:
-                    raise KeyInvariantError(f"token index out of range: {idx}")
-                if idx == unk_index or (idx in reserved and slot != BIN_COMMON):
-                    where = "the common set" if slot == BIN_COMMON else f"bin {slot}"
-                    raise KeyInvariantError(f"reserved sentinel in {where}: {vocab.token(idx)!r}")
-                if slots[idx] != BIN_RESERVED:
-                    raise KeyInvariantError(f"token assigned twice: {vocab.token(idx)!r}")
-                slots[idx] = slot
-        uncovered = [i for i, b in enumerate(slots) if b == BIN_RESERVED and i not in reserved]
+        if (unk >= 0 and slots[unk] != BIN_RESERVED) or (eos >= 0 and slots[eos] >= 0):
+            raise KeyInvariantError(f"{UNK_TOKEN} must be reserved, {EOS_TOKEN} in no bin")
+        uncovered = set(np.flatnonzero(slots == BIN_RESERVED).tolist()) - {eos, unk}
         if uncovered:
-            raise KeyInvariantError(
-                f"{len(uncovered)} carrier tokens missing from every bin, e.g. "
-                f"{vocab.token(uncovered[0])!r}"
-            )
-        sizes = [len(members) for members in self.bins]
-        if max(sizes) - min(sizes) > 1:
-            raise KeyInvariantError(f"bin sizes differ by more than one: {sizes}")
-        return slots
+            raise KeyInvariantError(f"{len(uncovered)} carrier tokens missing from every bin, "
+                                    f"e.g. {vocab.token(min(uncovered))!r}")
+        sizes = np.bincount(slots[slots >= 0], minlength=num_bins)
+        if sizes.min() < 1 or sizes.max() - sizes.min() > 1:
+            raise KeyInvariantError(f"bins empty or differing by more than one: {sizes.tolist()}")
+
+    def __eq__(self, other):
+        if not isinstance(other, StegoKey):
+            return NotImplemented
+        return ((self.block_bits, self.seed, self.vocab)
+                == (other.block_bits, other.seed, other.vocab)
+                and np.array_equal(self.slot_array, other.slot_array))
 
     @property
     def vocab_hash(self) -> str:
@@ -141,21 +137,34 @@ class StegoKey:
 
     @property
     def num_bins(self) -> int:
-        return len(self.bins)
+        return 1 << self.block_bits
+
+    @cached_property
+    def bins(self) -> tuple[tuple[int, ...], ...]:
+        """Ascending indices of every bin's tokens: one stable argsort of the
+        slot array orders them common, reserved, then bin 0, 1, ..."""
+        order = np.argsort(self.slot_array, kind="stable").tolist()
+        ends = np.cumsum(np.bincount(self.slot_array - BIN_COMMON,
+                                     minlength=self.num_bins + 2)).tolist()
+        return tuple(tuple(order[a:b]) for a, b in zip(ends[1:], ends[2:]))
+
+    @cached_property
+    def common(self) -> tuple[int, ...]:
+        """Ascending indices of the common tokens."""
+        return tuple(np.flatnonzero(self.slot_array == BIN_COMMON).tolist())
 
     def lookup_array(self) -> np.ndarray:
-        """Read-only slot of every vocabulary index: its bin index for a carrier,
-        ``BIN_COMMON`` or ``BIN_RESERVED``. The key's only record of assignment."""
-        return self._slots
+        """Read-only slot of every vocabulary index: the stored ``slot_array``."""
+        return self.slot_array
 
     def allowed(self, bin_index: int, include_common: bool) -> np.ndarray:
         """Read-only ascending indices of the bin's tokens, plus the common set
         when ``include_common``; read off ``lookup_array`` once per pair."""
         cached = self._allowed.get((bin_index, include_common))
         if cached is None:
-            mask = self._slots == bin_index
+            mask = self.slot_array == bin_index
             if include_common:
-                mask |= self._slots == BIN_COMMON
+                mask |= self.slot_array == BIN_COMMON
             cached = np.flatnonzero(mask)
             cached.flags.writeable = False
             self._allowed[bin_index, include_common] = cached
@@ -168,7 +177,7 @@ class StegoKey:
         position of the first token that is outside the vocabulary or reserved.
         """
         ids = np.asarray(self.vocab.indices(tokens), dtype=np.int64)
-        slots = np.where(ids >= 0, self._slots[ids], BIN_RESERVED)
+        slots = np.where(ids >= 0, self.slot_array[ids], BIN_RESERVED)
         bad = np.flatnonzero(slots == BIN_RESERVED)
         if bad.size:
             position = int(bad[0])
@@ -179,12 +188,7 @@ class StegoKey:
         return slots
 
     def carrier_count(self) -> int:
-        return sum(len(members) for members in self.bins)
-
-
-def _reserved_indices(vocab: Vocabulary) -> set[int]:
-    """Indices of the sentinels that never carry bits (``RESERVED_NONCARRIERS``)."""
-    return set(vocab.indices(RESERVED_NONCARRIERS)) - {-1}
+        return int(np.count_nonzero(self.slot_array >= 0))
 
 
 def generate_key(
@@ -205,34 +209,20 @@ def generate_key(
         raise KeyGenError(f"block_bits must be in [0, {MAX_BLOCK_BITS}], got {block_bits}")
     if common_count < 0:
         raise KeyGenError("common_count must be non-negative")
+    if not 0 <= seed < 1 << 64:
+        raise KeyGenError(f"seed must be in [0, 2**64), got {seed}")
     num_bins = 1 << block_bits
-    if common_count + num_bins > len(vocab):
-        raise KeyGenError(
-            f"common_count={common_count} plus {num_bins} bins exceeds |V|={len(vocab)}"
-        )
-    reserved = _reserved_indices(vocab)
-    eligible = [i for i in range(len(vocab)) if i not in reserved]
-    if common_count > len(eligible):
-        raise KeyGenError("not enough non-sentinel tokens for the requested common set")
-    common = list(eligible[:common_count])
+    eligible = [i for i, t in enumerate(vocab.tokens) if t not in RESERVED_NONCARRIERS]
+    common, carriers = eligible[:common_count], eligible[common_count:]
+    if len(carriers) < num_bins:
+        raise KeyGenError(f"only {len(carriers)} carrier tokens left for {num_bins} bins")
     if include_eos_common and EOS_TOKEN in vocab:
         common.append(vocab.index_of(EOS_TOKEN))
-    carriers = eligible[common_count:]
-    if len(carriers) < num_bins:
-        raise KeyGenError(
-            f"only {len(carriers)} carrier tokens left for {num_bins} bins"
-        )
     _SplitMix64(seed).shuffle(carriers)
-    bins: list[list[int]] = [[] for _ in range(num_bins)]
-    for position, idx in enumerate(carriers):
-        bins[position % num_bins].append(idx)
-    return StegoKey(
-        block_bits=block_bits,
-        bins=tuple(tuple(sorted(members)) for members in bins),
-        common=tuple(sorted(common)),
-        seed=seed,
-        vocab=vocab,
-    )
+    slots = np.full(len(vocab), BIN_RESERVED, dtype=np.int64)
+    slots[carriers] = np.arange(len(carriers)) % num_bins  # dealt round-robin
+    slots[common] = BIN_COMMON
+    return StegoKey(block_bits, slots, seed, vocab)
 
 
 def serialize_key(key: StegoKey) -> bytes:
@@ -241,18 +231,16 @@ def serialize_key(key: StegoKey) -> bytes:
         f"block_bits: {key.block_bits}",
         f"vocab_hash: {key.vocab_hash}",
         f"seed: {key.seed}",
-        "common:" + "".join(f"\t{key.vocab.token(i)}" for i in key.common),
+        *(prefix + "".join(f"\t{key.vocab.token(i)}" for i in members)
+          for prefix, members in zip(_line_prefixes(key.block_bits), [key.common, *key.bins])),
     ]
-    for bin_index, members in enumerate(key.bins):
-        lines.append(_bin_prefix(bin_index, key.block_bits)
-                     + "".join(f"\t{key.vocab.token(i)}" for i in members))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def _bin_prefix(bin_index: int, block_bits: int) -> str:
-    """``bin <label>:`` line prefix; the label is the block's bits ("0" for one bin)."""
-    label = format(bin_index, f"0{block_bits}b") if block_bits else "0"
-    return f"bin {label}:"
+def _line_prefixes(block_bits: int) -> list[str]:
+    """``common:``, then ``bin <label>:`` per bin; the label is the block's bits
+    ("0" for one bin)."""
+    return ["common:", *(f"bin {b:0{block_bits}b}:" for b in range(1 << block_bits))]
 
 
 def _parse_header_line(line: str, prefix: str) -> str:
@@ -281,33 +269,32 @@ def deserialize_key(data: bytes, vocab: Vocabulary) -> StegoKey:
         raise KeyFormatError(f"bad header field: {exc}") from None
     if vocab_hash != vocab.content_hash():
         raise VocabMismatchError("key was generated from a different vocabulary")
-
-    def surfaces_to_indices(line: str, prefix: str) -> tuple[int, ...]:
-        rest = _parse_header_line(line, prefix)
-        surfaces = rest.split("\t") if rest else []
-        indices = vocab.indices(surfaces)
-        if -1 in indices:
-            raise KeyFormatError(f"key token not in vocabulary: {surfaces[indices.index(-1)]!r}")
-        return tuple(indices)
-
-    common = surfaces_to_indices(lines[4], "common:")
     if not 0 <= block_bits <= MAX_BLOCK_BITS:
         raise KeyFormatError(f"block_bits must be in [0, {MAX_BLOCK_BITS}], got {block_bits}")
-    bin_lines = lines[5:]
-    if len(bin_lines) != 1 << block_bits:
-        raise KeyFormatError(
-            f"expected {1 << block_bits} bin lines for block_bits={block_bits}, "
-            f"found {len(bin_lines)}"
-        )
-    bins = [surfaces_to_indices(line, _bin_prefix(bin_index, block_bits))
-            for bin_index, line in enumerate(bin_lines)]
-    return StegoKey(
-        block_bits=block_bits,
-        bins=tuple(bins),
-        common=common,
-        seed=seed,
-        vocab=vocab,
-    )
+    if not 0 <= seed < 1 << 64:
+        raise KeyFormatError(f"seed must be in [0, 2**64), got {seed}")
+    num_bins = 1 << block_bits
+    if len(lines) - 5 != num_bins:
+        raise KeyFormatError(f"expected {num_bins} bin lines for block_bits={block_bits}, "
+                             f"found {len(lines) - 5}")
+    # One pass over the common line and the bin lines, in slot order.
+    rests = map(_parse_header_line, lines[4:], _line_prefixes(block_bits))
+    members = [rest.split("\t") if rest else [] for rest in rests]
+    surfaces = [surface for line in members for surface in line]
+    ids = np.array(vocab.indices(surfaces), dtype=np.int64)
+    if ids.size and ids.min() < 0:
+        raise KeyFormatError(f"key token not in vocabulary: {surfaces[int(np.argmin(ids))]!r}")
+    repeated = np.flatnonzero(np.bincount(ids, minlength=len(vocab)) > 1)
+    if repeated.size:
+        raise KeyInvariantError(f"token assigned twice: {vocab.token(int(repeated[0]))!r}")
+    # Lines come in ascending slot order, so (slot, index) ascends through the
+    # file exactly when every line lists its tokens in ascending index order.
+    line_slots = np.repeat([BIN_COMMON, *range(num_bins)], [len(line) for line in members])
+    if (np.diff(line_slots * len(vocab) + ids) < 0).any():
+        raise KeyFormatError("key line tokens are not in ascending vocabulary order")
+    slots = np.full(len(vocab), BIN_RESERVED, dtype=np.int64)
+    slots[ids] = line_slots
+    return StegoKey(block_bits, slots, seed, vocab)
 
 
 def save_key(key: StegoKey, path: str | Path) -> None:

@@ -289,15 +289,26 @@ class LstmModel(LanguageModel):
     def __init__(self, vocab: Vocabulary, hp: LstmHyperparams,
                  params: dict[str, np.ndarray], history: Sequence[EpochStats] = ()):
         """``params`` must hold exactly the finite float64 arrays, by name and
-        shape, that ``param_shapes`` calls for; otherwise ``ConfigError``."""
+        shape, that ``param_shapes`` calls for, and no gate pre-activation or
+        logit they can produce may overflow; otherwise ``ConfigError``."""
         expected = {n: ("float64", shape) for n, shape in param_shapes(len(vocab), hp).items()}
         found = {n: (str(array.dtype), array.shape) for n, array in params.items()}
         wrong = sorted(n for n in expected.keys() | found.keys() if found.get(n) != expected.get(n))
         if wrong:
             raise ConfigError(f"lstm arrays missing, extra or misshapen: {wrong}")
-        nonfinite = sorted(n for n, array in params.items() if not np.isfinite(array).all())
-        if nonfinite:
-            raise ConfigError(f"lstm arrays hold NaN or inf: {nonfinite}")
+        # Worst case of every gate pre-activation and logit: input bound @ |w| plus
+        # |wh| column sums (|h| <= 1) and |b|; a NaN or inf in any array shows here too.
+        with np.errstate(over="ignore", invalid="ignore"):
+            # Layer 0 reads an embedding row; later layers and the logits read h.
+            x_bound, worst = np.abs(params["embed"]).max(axis=0, initial=0.0), {}
+            for layer in range(hp.layers):
+                wx, wh, b = (np.abs(params[f"{name}{layer}"]) for name in ("wx", "wh", "b"))
+                worst[f"layer {layer} gates"] = x_bound @ wx + wh.sum(axis=0) + b
+                x_bound = np.ones(hp.units)
+            worst["logits"] = x_bound @ np.abs(params["wo"]) + np.abs(params["bo"])
+        overflowing = [part for part, bound in worst.items() if not np.isfinite(bound).all()]
+        if overflowing:
+            raise ConfigError(f"lstm arrays hold NaN or inf or can overflow: {overflowing}")
         super().__init__(vocab)
         self.hp = hp
         self.params = params

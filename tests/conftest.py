@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stegolm.corpus import CorpusConfig, Vocabulary, build_vocab, tokenize
-from stegolm.keying import StegoKey
+from stegolm.keying import BIN_RESERVED, StegoKey
 from stegolm.lm.base import LanguageModel
 from stegolm.lm.ngram import NgramConfig, train_ngram
 
@@ -56,17 +56,10 @@ def fixture_vocab() -> Vocabulary:
 
 @pytest.fixture(scope="session")
 def fixture_key(fixture_vocab) -> StegoKey:
-    bins = tuple(
-        tuple(sorted(fixture_vocab.index_of(t) for t in FIXTURE_BINS[value]))
-        for value in range(4)
-    )
-    return StegoKey(
-        block_bits=2,
-        bins=bins,
-        common=(),
-        seed=0,
-        vocab=fixture_vocab,
-    )
+    slots = np.full(len(fixture_vocab), BIN_RESERVED)
+    for value, surfaces in FIXTURE_BINS.items():
+        slots[fixture_vocab.indices(surfaces)] = value
+    return StegoKey(block_bits=2, slot_array=slots, seed=0, vocab=fixture_vocab)
 
 
 @pytest.fixture(scope="session")

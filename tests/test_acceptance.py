@@ -145,7 +145,7 @@ def test_05_stego_word_prob_oracles():
     # hand-computed four-word case
     vocab4 = Vocabulary(("t1", "t2", "t3", "t4"), (4, 3, 2, 1))
     model4 = FixedModel(vocab4, [0.4, 0.3, 0.2, 0.1])
-    key4 = StegoKey(1, ((0, 1), (2, 3)), (), 0, vocab4)
+    key4 = StegoKey(1, [0, 0, 1, 1], 0, vocab4)
     hand = [0.2857142857142857, 0.21428571428571427,
             0.3333333333333333, 0.16666666666666666]
     hand_ok = all(

@@ -277,13 +277,37 @@ def first_successor(field: int, value):
     return change
 
 
-def nan_in_lstm_output(payload: bytes) -> bytes:
-    with np.load(io.BytesIO(payload)) as stash:
-        params = dict(stash)
+def lstm_arrays(change):
+    """Damage for an LSTM model: ``change`` edits its parameter arrays in place."""
+    def edit(payload: bytes) -> bytes:
+        with np.load(io.BytesIO(payload)) as stash:
+            params = dict(stash)
+        change(params)
+        buf = io.BytesIO()
+        np.savez(buf, **params)
+        return buf.getvalue()
+    return model_payload(edit)
+
+
+def nan_output(params):
     params["wo"][0, 0] = np.nan
-    buf = io.BytesIO()
-    np.savez(buf, **params)
-    return buf.getvalue()
+
+
+def overflowing_logit(params):
+    params["wo"][:, 1] = 1e308
+
+
+def overflowing_gates(params):
+    params["embed"][:] = 1e10
+    params["wx0"][:] = 1e308
+
+
+def swapped_bin_tokens(data: bytes) -> bytes:
+    """A key file whose first bin line is out of ascending vocabulary order."""
+    lines = data.split(b"\n")
+    prefix, first, second, *rest = lines[5].split(b"\t")
+    lines[5] = b"\t".join([prefix, second, first, *rest])
+    return b"\n".join(lines)
 
 
 @pytest.fixture(scope="module")
@@ -319,7 +343,7 @@ def lstm_file(workspace):
     (ENCODE, ("model", ngram_doc(first_successor(0, -1))), "ModelFormatError"),
     (ENCODE, ("model", ngram_doc(lambda doc: doc.update(order=2.0))), "ModelFormatError"),
     (ENCODE, ("model", ngram_doc(first_successor(1, 0))), "ModelFormatError"),
-    (ENCODE.replace("{model}", "{lstm}"), ("lstm", model_payload(nan_in_lstm_output)),
+    (ENCODE.replace("{model}", "{lstm}"), ("lstm", lstm_arrays(nan_output)),
      "ModelFormatError"),
     (ENCODE, ("key", lambda data: data.replace(b"block_bits: 2", b"block_bits: 20000")),
      "KeyFormatError"),
@@ -340,6 +364,12 @@ def lstm_file(workspace):
      "ModelFormatError"),
     ("eval --capacity --block-bits 1" + "0" * 400, None, "ConfigError"),
     (TRAIN + " lstm --units 4 --epochs 1 --lr=1e300", None, "TrainingError"),
+    (ENCODE.replace("{model}", "{lstm}"), ("lstm", lstm_arrays(overflowing_logit)),
+     "ModelFormatError"),
+    ("eval --vocab {vocab} --model {lstm} --tokens {tokens} --ppl",
+     ("lstm", lstm_arrays(overflowing_gates)), "ModelFormatError"),
+    ("keygen --vocab {vocab} --block-bits 2 --seed -1 --out {out}", None, "KeyGenError"),
+    (ENCODE, ("key", swapped_bin_tokens), "KeyFormatError"),
 ], ids=["temp-0", "max-common-run-0", "order-0", "units-0", "max-vocab-1", "block-bits-neg",
         "vocab-not-utf8", "key-not-utf8", "model-not-utf8", "encode-seed-neg", "train-seed-neg",
         "max-bytes-0", "trials-neg", "decode-tokens-not-utf8", "decode-text-not-utf8",
@@ -349,7 +379,8 @@ def lstm_file(workspace):
         "temp-nan", "add-k-nan", "add-k-inf", "lr-nan", "lr-decay-nan", "clip-norm-nan",
         "mean-length-nan", "mean-length-neg", "ngram-count-huge", "ngram-index-float",
         "ngram-index-bool", "ngram-count-str", "ngram-add-k-nan", "capacity-block-bits-huge",
-        "lstm-lr-diverges"])
+        "lstm-lr-diverges", "lstm-logit-overflow", "lstm-gate-overflow", "keygen-seed-neg",
+        "key-bin-unsorted"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_input_prints_one_error_line(workspace, lstm_file, tmp_path, capsys,
                                          argv, damage, error):

@@ -90,6 +90,7 @@ def test_vocabulary_parser(data):
 def test_key_parser(data):
     key = parse_or_refuse(lambda d: deserialize_key(d, VOCAB), data)
     if key is not None:
+        assert deserialize_key(serialize_key(key), VOCAB) == key
         encode_or_refuse(NGRAM, key)
 
 

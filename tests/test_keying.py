@@ -91,6 +91,10 @@ class TestGenerateKey:
             generate_key(vocab, 3, 0, seed=0)  # 8 bins > 6 carriers
         with pytest.raises(KeyGenError):
             generate_key(vocab, 1, 99, seed=0)
+        for seed in (-1, 2**64):
+            with pytest.raises(KeyGenError):
+                generate_key(vocab, 1, 0, seed=seed)
+        assert generate_key(vocab, 1, 0, seed=2**64 - 1).seed == 2**64 - 1
 
 
 class TestBinOfToken:
@@ -181,29 +185,71 @@ class TestKeyInvariants:
         assert max(sizes) - min(sizes) <= 1
 
     def test_overlapping_bins_rejected(self, fixture_vocab, fixture_key):
-        bins = list(fixture_key.bins)
-        bins[0] = bins[0] + (bins[1][0],)
-        with pytest.raises(KeyInvariantError):
-            StegoKey(2, tuple(bins), (), 0, fixture_vocab)
+        # A slot array gives every token one slot, so an overlap can only be
+        # written in a key file: a token in two bins, twice in one bin, or in
+        # a bin and the common set.
+        lines = serialize_key(fixture_key).decode().splitlines()
+        token = fixture_vocab.token(fixture_key.bins[1][0])
+        for row in (5, 6, 4):
+            damaged = list(lines)
+            damaged[row] += f"\t{token}"
+            with pytest.raises(KeyInvariantError, match="assigned twice"):
+                deserialize_key(("\n".join(damaged) + "\n").encode(), fixture_vocab)
 
     def test_missing_carrier_rejected(self, fixture_vocab, fixture_key):
-        bins = list(fixture_key.bins)
-        bins[3] = bins[3][:-1]
-        with pytest.raises(KeyInvariantError):
-            StegoKey(2, tuple(bins), (), 0, fixture_vocab)
+        slots = fixture_key.lookup_array().copy()
+        slots[fixture_key.bins[3][-1]] = BIN_RESERVED
+        with pytest.raises(KeyInvariantError, match="missing"):
+            StegoKey(2, slots, 0, fixture_vocab)
 
     def test_lopsided_bins_rejected(self):
         vocab = small_vocab(8)
-        key = generate_key(vocab, 1, 0, seed=0)
-        all_in_one = (key.bins[0] + key.bins[1], ())
-        with pytest.raises(KeyInvariantError):
-            StegoKey(1, all_in_one, (), 0, vocab)
+        slots = generate_key(vocab, 1, 0, seed=0).lookup_array().copy()
+        slots[slots == 1] = 0
+        with pytest.raises(KeyInvariantError, match="differ"):
+            StegoKey(1, slots, 0, vocab)
+        # Sizes within one of each other, but a block whose bin is empty
+        # could never be encoded (generate_key refuses fewer carriers than bins).
+        carriers = np.flatnonzero(slots >= 0)
+        slots[carriers] = np.arange(carriers.size) % 16
+        with pytest.raises(KeyInvariantError, match="empty"):
+            StegoKey(4, slots, 0, vocab)
 
     def test_index_outside_vocabulary_rejected(self, fixture_vocab, fixture_key):
-        bins = list(fixture_key.bins)
-        bins[0] = bins[0] + (len(fixture_vocab),)
-        with pytest.raises(KeyInvariantError, match="out of range"):
-            StegoKey(2, tuple(bins), (), 0, fixture_vocab)
+        # A slot for index |V| means an array one entry too long.
+        slots = np.append(fixture_key.lookup_array(), 0)
+        with pytest.raises(KeyInvariantError, match="shape"):
+            StegoKey(2, slots, 0, fixture_vocab)
+        with pytest.raises(KeyInvariantError, match="shape"):
+            StegoKey(2, slots[:-2], 0, fixture_vocab)
+
+    def test_slot_value_out_of_range_rejected(self, fixture_vocab, fixture_key):
+        for value in (BIN_COMMON - 1, 4):
+            slots = fixture_key.lookup_array().copy()
+            slots[fixture_key.bins[0][0]] = value
+            with pytest.raises(KeyInvariantError, match="slot values"):
+                StegoKey(2, slots, 0, fixture_vocab)
+        with pytest.raises(KeyInvariantError, match="block_bits"):
+            StegoKey(17, fixture_key.lookup_array(), 0, fixture_vocab)
+
+    def test_sentinels_stay_reserved(self, fixture_vocab, fixture_key):
+        eos, unk = fixture_vocab.indices([EOS_TOKEN, UNK_TOKEN])
+        for idx, slot in ((unk, BIN_COMMON), (unk, 0), (eos, 0)):
+            slots = fixture_key.lookup_array().copy()
+            slots[idx] = slot
+            with pytest.raises(KeyInvariantError, match="reserved"):
+                StegoKey(2, slots, 0, fixture_vocab)
+        slots = fixture_key.lookup_array().copy()
+        slots[eos] = BIN_COMMON
+        assert StegoKey(2, slots, 0, fixture_vocab).common == (eos,)
+
+    def test_slot_array_is_a_read_only_copy(self, fixture_vocab, fixture_key):
+        slots = fixture_key.lookup_array().copy()
+        key = StegoKey(2, slots, 0, fixture_vocab)
+        slots[:] = BIN_RESERVED
+        assert key == fixture_key and key.lookup_array() is key.slot_array
+        assert not key.slot_array.flags.writeable
+        assert key != StegoKey(2, key.slot_array, 1, fixture_vocab)
 
 
 class TestSerialization:
@@ -251,6 +297,14 @@ class TestSerialization:
         with pytest.raises(KeyInvariantError):
             deserialize_key(("\n".join(lines) + "\n").encode(), vocab)
 
+    def test_unsorted_line_rejected_on_load(self):
+        vocab = small_vocab(6)
+        lines = serialize_key(generate_key(vocab, 1, 0, seed=4)).decode().splitlines()
+        prefix, first, second, *rest = lines[5].split("\t")
+        lines[5] = "\t".join([prefix, second, first, *rest])
+        with pytest.raises(KeyFormatError, match="ascending"):
+            deserialize_key(("\n".join(lines) + "\n").encode(), vocab)
+
     def test_wrong_vocab_rejected(self):
         vocab = small_vocab(6)
         other = small_vocab(7)
@@ -268,3 +322,9 @@ class TestSerialization:
             deserialize_key(b"STEGOKEY v2\n", mini_vocab)
         with pytest.raises(KeyFormatError):
             deserialize_key(b"STEGOKEY v1\nblock_bits: x\n\n\n\n\n", mini_vocab)
+        data = serialize_key(generate_key(mini_vocab, 1, 0, seed=4))
+        top = deserialize_key(data.replace(b"seed: 4", b"seed: %d" % (2**64 - 1)), mini_vocab)
+        assert top.seed == 2**64 - 1
+        for seed in (-1, 2**64):
+            with pytest.raises(KeyFormatError, match="seed"):
+                deserialize_key(data.replace(b"seed: 4", b"seed: %d" % seed), mini_vocab)

@@ -4,17 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from stegolm.cli import main
-from stegolm.codec import Payload, encode
-from stegolm.corpus import EOS_TOKEN, build_vocab, write_token_file
+from stegolm.corpus import build_vocab
 from stegolm.errors import (
     ConfigError,
     ModelFormatError,
-    ModelOutputError,
     TrainingError,
     VocabMismatchError,
 )
-from stegolm.keying import generate_key
 from stegolm.lm.lstm import (
     EpochStats,
     LstmHyperparams,
@@ -27,8 +23,7 @@ from stegolm.lm.lstm import (
     window_forward,
     window_loss_and_grads,
 )
-from stegolm.lm.store import deserialize_model, save_model, serialize_model
-from stegolm.metrics import perplexity
+from stegolm.lm.store import deserialize_model, serialize_model
 
 
 def tiny_vocab(n=6):
@@ -93,30 +88,19 @@ class TestCell:
         assert abs(dist.sum() - 1.0) < 1e-9
         assert np.all(dist > 0)
 
-    def test_overflowing_logits_are_a_model_output_error(self, mini_vocab, tmp_path, capsys):
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_model_is_refused_at_construction(self, mini_vocab):
         hp = LstmHyperparams(layers=1, units=4, embed_dim=3)
-        params = init_params(len(mini_vocab), hp, 1)
-        params["b0"][:] = 50.0  # saturated gates: every unit of h is tanh(1)
-        params["wo"][:, 1] = 1e308  # finite weights whose logit overflows
-        model = LstmModel(mini_vocab, hp, params)
-        ctx = model.advance(model.initial_context(), mini_vocab.index_of(EOS_TOKEN))
-        key = generate_key(mini_vocab, 1, 0, seed=1)
-        mini_vocab.save(tmp_path / "vocab.tsv")
-        save_model(model, tmp_path / "model.slm")
-        write_token_file(tmp_path / "tokens.txt", ["w01", "w02", "w03"])
-        argv = ["eval", "--ppl", "--vocab", str(tmp_path / "vocab.tsv"),
-                "--model", str(tmp_path / "model.slm"), "--tokens", str(tmp_path / "tokens.txt")]
-        with np.errstate(over="ignore"):
-            with pytest.raises(ModelOutputError):
-                model.next_distribution(ctx)
-            with pytest.raises(ModelOutputError):
-                encode(Payload(b"x"), key, model)
-            with pytest.raises(ModelOutputError):
-                perplexity(model, ["w01", "w02", "w03"])
-            assert main(argv) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.startswith("error: ModelOutputError: ") and err.count("\n") == 1
+        logits = init_params(len(mini_vocab), hp, 1)
+        logits["wo"][:, 1] = 1e308  # finite weights whose logit can overflow
+        gates = init_params(len(mini_vocab), hp, 1)
+        gates["embed"][:] = 1e10
+        gates["wx0"][:] = 1e308  # finite, but the gates' pre-activations overflow
+        for params, part in ((logits, "logits"), (gates, "layer 0 gates")):
+            with pytest.raises(ConfigError, match=part):
+                LstmModel(mini_vocab, hp, params)
+        logits["wo"][:, 1] = 1e300  # large, but the bound stays finite
+        LstmModel(mini_vocab, hp, logits)
 
 
 class TestGradients:

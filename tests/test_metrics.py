@@ -7,7 +7,7 @@ from conftest import FixedModel
 from stegolm.codec import GenPolicy, Mode, constrained_select
 from stegolm.corpus import EOS_TOKEN, UNK_TOKEN, Vocabulary, build_vocab
 from stegolm.errors import CorpusError, DecodeError
-from stegolm.keying import BitBlock, StegoKey, generate_key
+from stegolm.keying import BIN_COMMON, BitBlock, StegoKey, generate_key
 from stegolm.lm.ngram import NgramConfig, train_ngram
 from stegolm.metrics import (
     capacity,
@@ -24,7 +24,7 @@ def four_word_setup():
     {t1,t2} / {t3,t4}."""
     vocab = Vocabulary(("t1", "t2", "t3", "t4"), (4, 3, 2, 1))
     model = FixedModel(vocab, [0.4, 0.3, 0.2, 0.1])
-    key = StegoKey(1, ((0, 1), (2, 3)), (), 0, vocab)
+    key = StegoKey(1, [0, 0, 1, 1], 0, vocab)
     return vocab, model, key
 
 
@@ -76,7 +76,7 @@ class TestStegoWordProb:
     def test_uniform_four_carriers_one_bit(self):
         vocab = Vocabulary(("a", "b", "c", "d"), (4, 3, 2, 1))
         model = FixedModel(vocab, np.full(4, 0.25))
-        key = StegoKey(1, ((0, 1), (2, 3)), (), 0, vocab)
+        key = StegoKey(1, [0, 0, 1, 1], 0, vocab)
         for idx in range(4):
             assert stego_word_prob(model, (), key, idx) == pytest.approx(0.25, abs=1e-12)
 
@@ -89,7 +89,7 @@ class TestStegoWordProb:
     def test_common_token_present_in_every_mask(self):
         vocab = Vocabulary(("c0", "t1", "t2", "t3", "t4"), (9, 4, 3, 2, 1))
         model = FixedModel(vocab, [0.2, 0.3, 0.2, 0.2, 0.1])
-        key = StegoKey(1, ((1, 2), (3, 4)), (0,), 0, vocab)
+        key = StegoKey(1, [BIN_COMMON, 0, 0, 1, 1], 0, vocab)
         # common token: averaged over both masks
         want_common = 0.2 * (1 / 0.7 + 1 / 0.5) / 2
         assert stego_word_prob(model, (), key, 0) == pytest.approx(want_common, abs=1e-12)
@@ -195,7 +195,7 @@ class TestStegoPerplexity:
     def test_uniform_model_balanced_key_equals_plain(self):
         vocab = Vocabulary(("a", "b", "c", "d"), (4, 3, 2, 1))
         model = FixedModel(vocab, np.full(4, 0.25))
-        key = StegoKey(1, ((0, 1), (2, 3)), (), 0, vocab)
+        key = StegoKey(1, [0, 0, 1, 1], 0, vocab)
         stream = ["a", "d", "b", "c"]
         assert stego_perplexity(model, key, stream).perplexity == pytest.approx(
             perplexity(model, stream).perplexity, rel=1e-12)
@@ -222,7 +222,7 @@ class TestStegoPerplexity:
     def test_zero_probability_carrier_reported_infinite(self):
         vocab = Vocabulary(("a", "b", "c", "d"), (4, 3, 2, 1))
         model = FixedModel(vocab, [1.0, 0.0, 0.0, 0.0])
-        key = StegoKey(1, ((0, 1), (2, 3)), (), 0, vocab)
+        key = StegoKey(1, [0, 0, 1, 1], 0, vocab)
         report = stego_perplexity(model, key, ["a", "b"])
         assert report.perplexity == math.inf
         assert report.infinite_positions == (1,)

@@ -45,8 +45,9 @@ class LstmHyperparams:
 
     def __post_init__(self):
         for name in ("layers", "units", "embed_dim", "unroll_steps", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be a positive integer")
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:  # refuses floats and bools too
+                raise ConfigError(f"{name} must be a positive integer, not {value!r}")
         # Chained comparisons with math.inf refuse NaN and infinity too.
         if not 0 < self.lr_init < math.inf:
             raise ConfigError("lr_init must be positive and finite")

@@ -7,7 +7,7 @@ Layout (UTF-8 header lines, then a raw binary payload):
     vocab_hash: <hex sha256 of the vocabulary file>
     config: <one-line JSON: hyperparameters, plus training history for lstm>
     payload_bytes: <N>
-    <N raw payload bytes>
+    <N raw payload bytes, the end of the file>
 
 Config and payload are backend-defined: the class that ``BACKENDS`` names for
 the tag writes them (``header_config``, ``to_payload``) and reads them back
@@ -73,9 +73,9 @@ def deserialize_model(data: bytes, vocab: Vocabulary) -> LanguageModel:
         raise ModelFormatError(f"bad model header: {exc}") from None
     if vocab_hash != vocab.content_hash():
         raise VocabMismatchError("model was trained against a different vocabulary")
-    payload = data[offset:offset + payload_bytes]
+    payload = data[offset:]
     if len(payload) != payload_bytes:
-        raise ModelFormatError("model payload shorter than declared")
+        raise ModelFormatError(f"model payload is {len(payload)} bytes, declared {payload_bytes}")
     if backend not in BACKENDS:
         raise ModelFormatError(f"unknown backend tag: {backend!r}")
     return BACKENDS[backend].from_payload(vocab, config, payload)

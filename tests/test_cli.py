@@ -277,6 +277,23 @@ def first_successor(field: int, value):
     return change
 
 
+def repeated_successor(doc):
+    """Lists the first bigram context's first successor a second time."""
+    successors = doc["tables"][1][0][1]
+    successors.append([successors[0][0], 1])
+
+
+def repeated_context(doc):
+    """Lists the first bigram context a second time, with another successor."""
+    context, successors = doc["tables"][1][0]
+    doc["tables"][1].append([context, [[successors[0][0] + 1, 1]]])
+
+
+def lstm_header(old: bytes, new: bytes):
+    """Damage for an LSTM model: one edit to its ``config:`` header line."""
+    return lambda data: data.replace(old, new, 1)
+
+
 def lstm_arrays(change):
     """Damage for an LSTM model: ``change`` edits its parameter arrays in place."""
     def edit(payload: bytes) -> bytes:
@@ -370,6 +387,13 @@ def lstm_file(workspace):
      ("lstm", lstm_arrays(overflowing_gates)), "ModelFormatError"),
     ("keygen --vocab {vocab} --block-bits 2 --seed -1 --out {out}", None, "KeyGenError"),
     (ENCODE, ("key", swapped_bin_tokens), "KeyFormatError"),
+    (ENCODE, ("model", ngram_doc(repeated_successor)), "ModelFormatError"),
+    (ENCODE, ("model", ngram_doc(repeated_context)), "ModelFormatError"),
+    (ENCODE.replace("{model}", "{lstm}"),
+     ("lstm", lstm_header(b'"units": 4,', b'"units": 4.0,')), "ModelFormatError"),
+    (ENCODE.replace("{model}", "{lstm}"),
+     ("lstm", lstm_header(b'"layers": 1,', b'"layers": true,')), "ModelFormatError"),
+    (ENCODE, ("model", lambda data: data + b"GARBAGE"), "ModelFormatError"),
 ], ids=["temp-0", "max-common-run-0", "order-0", "units-0", "max-vocab-1", "block-bits-neg",
         "vocab-not-utf8", "key-not-utf8", "model-not-utf8", "encode-seed-neg", "train-seed-neg",
         "max-bytes-0", "trials-neg", "decode-tokens-not-utf8", "decode-text-not-utf8",
@@ -380,7 +404,8 @@ def lstm_file(workspace):
         "mean-length-nan", "mean-length-neg", "ngram-count-huge", "ngram-index-float",
         "ngram-index-bool", "ngram-count-str", "ngram-add-k-nan", "capacity-block-bits-huge",
         "lstm-lr-diverges", "lstm-logit-overflow", "lstm-gate-overflow", "keygen-seed-neg",
-        "key-bin-unsorted"])
+        "key-bin-unsorted", "ngram-successor-repeated", "ngram-context-repeated",
+        "lstm-units-float", "lstm-layers-bool", "model-trailing-bytes"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_input_prints_one_error_line(workspace, lstm_file, tmp_path, capsys,
                                          argv, damage, error):

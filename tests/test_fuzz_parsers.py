@@ -108,8 +108,9 @@ def ngram_documents(draw):
     valid tables with at most one defect, so indices span [-2, |V|+2] and
     counts [-1, 5], a context may be one token off its table's order, the
     order may be written as a float, a successor index or count may be a
-    float, bool, string or null, a count may exceed 2**53, and add_k may be
-    zero, NaN or infinite."""
+    float, bool, string or null, a count may exceed 2**53, add_k may be
+    zero, NaN or infinite, and a successor or a whole context may be listed
+    twice."""
     size = len(VOCAB)
     index, count = st.integers(0, size - 1), st.integers(1, 5)
     order = draw(st.integers(1, 3))
@@ -119,7 +120,8 @@ def ngram_documents(draw):
               for m in range(order)]
     defect = draw(st.sampled_from([None, "context index", "successor index", "count",
                                    "context length", "float order", "non-integer value",
-                                   "huge count", "add_k"]))
+                                   "huge count", "add_k", "repeated successor",
+                                   "repeated context"]))
     m = draw(st.integers(0, order - 1))
     ctx, successors = draw(st.sampled_from(sorted(tables[m].items())))
     bad_index = draw(st.sampled_from([-2, -1, size, size + 1, size + 2]))
@@ -141,11 +143,16 @@ def ngram_documents(draw):
                     for c, nxt in t.items()] for t in tables],
     }
     entries = doc["tables"][m]
-    pair = entries[draw(st.integers(0, len(entries) - 1))][1][0]  # [index, count]
+    entry = entries[draw(st.integers(0, len(entries) - 1))]  # [context, successors]
+    pair = entry[1][0]  # [index, count]
     if defect == "non-integer value":
         pair[draw(st.integers(0, 1))] = draw(st.sampled_from([True, False, 1.0, 2.5, "1", None]))
     elif defect == "huge count":
         pair[1] = draw(st.sampled_from([2**53 + 1, 10**400]))
+    elif defect == "repeated successor":
+        entry[1].append([pair[0], draw(count)])
+    elif defect == "repeated context":
+        entries.append([entry[0], [[draw(index), draw(count)]]])
     return doc, defect is None
 
 

@@ -1,5 +1,7 @@
 import io
+import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -268,6 +270,10 @@ class TestTraining:
             LstmHyperparams(dropout=1.0)
         with pytest.raises(ValueError):
             LstmHyperparams(clip_norm=0.0)
+        for name in ("layers", "units", "embed_dim", "unroll_steps", "batch_size"):
+            for value in (1.5, 4.0, True, "2"):  # a model header may hold any of these
+                with pytest.raises(ConfigError):
+                    LstmHyperparams(**{name: value})
 
 
 @pytest.fixture(scope="module")
@@ -352,5 +358,13 @@ class TestPersistence:
     def test_ngram_roundtrip_preserves_counts(self, mini_tokens, mini_vocab, mini_bigram):
         data = serialize_model(mini_bigram)
         again = deserialize_model(data, mini_vocab)
-        assert again.tables == mini_bigram.tables
+        ids = [mini_vocab.index_or_unk(t) for t in mini_tokens]
+        stream = [Counter(tuple(ids[i - m:i + 1]) for i in range(m, len(ids))) for m in range(2)]
+        for model in (mini_bigram, again):
+            tables = json.loads(model.to_payload())["tables"]
+            counts = [Counter({(*(int(p) for p in ctx.split(",") if p), index): count
+                               for ctx, successors in table for index, count in successors})
+                      for table in tables]
+            assert counts == stream
+        assert serialize_model(again) == data
         assert again.config == mini_bigram.config

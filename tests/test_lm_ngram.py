@@ -1,24 +1,44 @@
+import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from stegolm.corpus import Vocabulary, build_vocab
-from stegolm.errors import TrainingError
+from stegolm.errors import ConfigError, ModelFormatError, TrainingError
 from stegolm.lm.base import softmax
 from stegolm.lm.ngram import NgramConfig, NgramModel, train_ngram
+from stegolm.lm.store import deserialize_model
 from stegolm.metrics import perplexity
 
 
-def reference_distribution(model: NgramModel, ctx: tuple[int, ...]) -> np.ndarray:
+def count_ngrams(ids: list[int], order: int) -> list[Counter]:
+    """``counts[m][(*context, successor)]``: every length-``m + 1`` n-gram of the stream."""
+    return [Counter(tuple(ids[i - m:i + 1]) for i in range(m, len(ids))) for m in range(order)]
+
+
+def reference_distribution(counts: list[Counter], size: int, k: float,
+                           ctx: tuple[int, ...]) -> np.ndarray:
     """Add-k distribution by a loop over the context's successors."""
-    size, k = len(model.vocab), model.config.add_k
-    successors = model.tables[len(ctx)].get(ctx, {})
+    successors = {g[-1]: c for g, c in counts[len(ctx)].items() if g[:-1] == ctx}
     denom = sum(successors.values()) + k * size
     dist = np.full(size, k / denom)
     for token_index, count in successors.items():
         dist[token_index] += count / denom
     return dist
+
+
+def untrained(vocab, config: NgramConfig) -> NgramModel:
+    return NgramModel(vocab, config, [([], [])] * config.order)
+
+
+def load_ngram(vocab, doc: dict) -> NgramModel:
+    """An n-gram model file holding the payload ``doc``, loaded."""
+    payload = json.dumps(doc).encode()
+    return deserialize_model(
+        (f"STEGOLM v1\nbackend: ngram\nvocab_hash: {vocab.content_hash()}\n"
+         f"config: {{}}\npayload_bytes: {len(payload)}\n").encode() + payload, vocab)
 
 
 class TestSoftmax:
@@ -50,7 +70,7 @@ class TestSoftmax:
 class TestNgram:
     def test_untrained_is_uniform(self):
         vocab = build_vocab(["a", "b"])
-        model = NgramModel(vocab, NgramConfig(order=2, add_k=1.0), [{}, {}])
+        model = untrained(vocab, NgramConfig(order=2, add_k=1.0))
         dist = model.next_distribution(model.initial_context())
         np.testing.assert_allclose(dist, np.full(len(vocab), 1 / len(vocab)))
 
@@ -70,13 +90,11 @@ class TestNgram:
         dist = model.next_distribution(())
         assert dist[vocab.index_of("a")] == pytest.approx(0.6)
 
-    def test_empty_context_backoff_is_unigram(self, mini_bigram):
+    def test_empty_context_backoff_is_unigram(self, mini_bigram, mini_tokens):
         trigram_like = mini_bigram
         uni = trigram_like.next_distribution(())
-        counts = np.zeros(len(trigram_like.vocab))
-        for ctx, successors in trigram_like.tables[0].items():
-            for w, c in successors.items():
-                counts[w] += c
+        ids = [trigram_like.vocab.index_or_unk(t) for t in mini_tokens]
+        counts = np.bincount(ids, minlength=len(trigram_like.vocab)).astype(float)
         k = trigram_like.config.add_k
         expected = (counts + k) / (counts.sum() + k * len(counts))
         np.testing.assert_allclose(uni, expected, atol=1e-12)
@@ -102,8 +120,7 @@ class TestNgram:
             mini_bigram.advance(mini_bigram.initial_context(), len(mini_bigram.vocab))
 
     def test_untrained_perplexity_equals_vocab_size(self, mini_vocab, mini_tokens):
-        model = NgramModel(mini_vocab, NgramConfig(order=2, add_k=0.5),
-                           [{}, {}])
+        model = untrained(mini_vocab, NgramConfig(order=2, add_k=0.5))
         report = perplexity(model, mini_tokens[:500])
         assert report.perplexity == pytest.approx(len(mini_vocab), rel=1e-6)
 
@@ -114,18 +131,64 @@ class TestNgram:
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_distribution_equals_dict_loop_reference(self, mini_tokens, mini_vocab, order):
         model = train_ngram(mini_tokens, mini_vocab, NgramConfig(order=order, add_k=0.07))
+        counts = count_ngrams([mini_vocab.index_or_unk(t) for t in mini_tokens], order)
+        contexts = [dict.fromkeys(g[:-1] for g in table) for table in counts]  # as first seen
         rng = np.random.default_rng(order)
-        seen = [ctx for table in model.tables for ctx in list(table)[:40]]
+        seen = [ctx for table in contexts for ctx in list(table)[:40]]
         unseen = [tuple(int(i) for i in rng.integers(len(mini_vocab), size=m))
                   for m in range(order) for _ in range(20)]
-        unseen = [ctx for ctx in unseen if ctx not in model.tables[len(ctx)]]
+        unseen = [ctx for ctx in unseen if ctx not in contexts[len(ctx)]]
         assert unseen or order == 1
-        for ctx in seen + unseen + seen:  # the second pass reads the cached rows
+        for ctx in seen + unseen + seen:  # a second read gives the same distribution
             assert np.array_equal(model.next_distribution(ctx),
-                                  reference_distribution(model, ctx)), ctx
+                                  reference_distribution(counts, len(mini_vocab), 0.07, ctx)), ctx
+
+    def test_payload_in_any_order_loads_and_saves_sorted(self, mini_vocab):
+        doc = {"order": 2, "add_k": 0.5, "tables": [
+            [["", [[7, 2], [3, 1]]]],
+            [["9", [[4, 1]]], ["2", [[8, 3], [1, 1], [5, 2]]]]]}
+        model = load_ngram(mini_vocab, doc)
+        assert json.loads(model.to_payload())["tables"] == [
+            [["", [[3, 1], [7, 2]]]],
+            [["2", [[1, 1], [5, 2], [8, 3]]], ["9", [[4, 1]]]]]
+        dist = model.next_distribution((2,))
+        assert dist[5] == pytest.approx((2 + 0.5) / (6 + 0.5 * len(mini_vocab)), abs=1e-15)
+
+    def test_repeated_ngram_refused_at_load(self, mini_vocab):
+        for table in ([["", [[3, 1], [3, 5]]]],  # a successor twice in one context
+                      [["", [[3, 1]]], ["", [[4, 5]]]],  # a context twice in one table
+                      [["", [[3, 1]]], ["", [[3, 1]]]]):
+            with pytest.raises(ModelFormatError):
+                load_ngram(mini_vocab, {"order": 1, "add_k": 0.5, "tables": [table]})
+
+    def test_equal_rows_add_up_in_memory(self, mini_vocab):
+        config = NgramConfig(order=2, add_k=0.5)
+        split = NgramModel(mini_vocab, config, [([[3], [7], [3]], [1, 2, 5]),
+                                                ([[4, 3], [2, 9], [4, 3]], [1, 1, 1])])
+        summed = NgramModel(mini_vocab, config, [([[3], [7]], [6, 2]), ([[2, 9], [4, 3]], [1, 2])])
+        assert split.to_payload() == summed.to_payload()
+        for ctx in [(), (4,), (2,), (5,)]:
+            assert np.array_equal(split.next_distribution(ctx), summed.next_distribution(ctx))
+
+    def test_context_total_above_int64_is_exact(self):
+        # 1100 counts of 2**53 sum past 2**63: the total must not wrap around
+        vocab = build_vocab([f"w{i}" for i in range(1100)])
+        assert len(vocab) == 1102
+        k, big = 0.25, 2**53
+        model = load_ngram(vocab, {"order": 1, "add_k": k,
+                                   "tables": [[["", [[i, big] for i in range(1100)]]]]})
+        denom = 1100 * big + k * len(vocab)
+        expected = np.full(len(vocab), k / denom)
+        expected[:1100] += big / denom
+        dist = model.next_distribution(())
+        assert np.array_equal(dist, expected)
+        assert np.all(np.isfinite(dist)) and dist.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             NgramConfig(order=0)
+        for order in (2.0, True, "2"):
+            with pytest.raises(ConfigError):
+                NgramConfig(order=order)
         with pytest.raises(ValueError):
             NgramConfig(add_k=0.0)

@@ -49,7 +49,7 @@ def _read_bytes(path: str | None) -> bytes:
     return Path(path).read_bytes()
 
 
-def _write_bytes(path: str | None, data: bytes) -> None:
+def _write(path: str | None, data: bytes) -> None:
     if path is None or path == "-":
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
@@ -57,12 +57,25 @@ def _write_bytes(path: str | None, data: bytes) -> None:
         Path(path).write_bytes(data)
 
 
-def _write_text(path: str | None, text: str) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-        sys.stdout.flush()
-    else:
-        Path(path).write_text(text, encoding="utf-8")
+#: Input flag -> its reader, given the path and the loader (for the vocabulary).
+_READERS = {
+    "vocab": lambda path, inputs: Vocabulary.load(path),
+    "key": lambda path, inputs: keying.load_key(path, inputs("vocab")),
+    "model": lambda path, inputs: load_model(path, inputs("vocab")),
+    "tokens": lambda path, inputs: corpus.read_token_file(path),
+}
+
+
+def _inputs(args):
+    """Loader for the files named by ``--vocab``, ``--key``, ``--model`` and
+    ``--tokens``: ``inputs("key")`` reads each file at most once per process."""
+    @functools.cache
+    def inputs(flag: str):
+        path = getattr(args, flag, None)
+        if not path:
+            raise ConfigError(f"this command needs --{flag}")
+        return _READERS[flag](path, inputs)
+    return inputs
 
 
 def cmd_prep(args) -> int:
@@ -79,19 +92,16 @@ def cmd_prep(args) -> int:
 
 
 def cmd_train(args) -> int:
-    vocab = Vocabulary.load(args.vocab)
-    tokens = corpus.read_token_file(args.tokens)
+    inputs = _inputs(args)
+    vocab, tokens = inputs("vocab"), inputs("tokens")
     if args.backend == "ngram":
         model = train_ngram(tokens, vocab, NgramConfig(order=args.order, add_k=args.add_k))
     else:
-        overrides = {
-            "layers": args.layers, "units": args.units, "embed_dim": args.embed_dim,
-            "unroll_steps": args.unroll, "batch_size": args.batch_size,
-            "lr_init": args.lr, "lr_decay": args.lr_decay, "dropout": args.dropout,
-        }
-        overrides = {k: v for k, v in overrides.items() if v is not None}
-        if args.clip_norm is not None:
-            overrides["clip_norm"] = None if args.clip_norm <= 0 else args.clip_norm
+        # every LstmHyperparams field is the dest of one flag; unset flags keep the preset
+        overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(LstmHyperparams)
+                     if getattr(args, f.name) is not None}
+        if overrides.get("clip_norm", 1) <= 0:  # 0 disables clipping; NaN reaches ConfigError
+            overrides["clip_norm"] = None
         hp = dataclasses.replace(PRESETS[args.preset], **overrides)
         model = train_lstm(tokens, vocab, hp, epochs=args.epochs, seed=args.seed)
         for st in model.history:
@@ -121,9 +131,8 @@ def cmd_keygen(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    vocab = Vocabulary.load(args.vocab)
-    key = keying.load_key(args.key, vocab)
-    model = load_model(args.model, vocab)
+    inputs = _inputs(args)
+    key, model = inputs("key"), inputs("model")
     payload = Payload(_read_bytes(args.infile), Framing(args.framing))
     policy = GenPolicy(
         mode=Mode(args.mode), temperature=args.temp, seed=args.seed,
@@ -132,7 +141,8 @@ def cmd_encode(args) -> int:
     stegotext = codec.encode(payload, key, model, policy)
     if args.emit_tokens:
         corpus.write_token_file(args.emit_tokens, stegotext.tokens)
-    _write_text(args.out, codec.render(stegotext.tokens, capitalize=args.capitalize) + "\n")
+    text = codec.render(stegotext.tokens, capitalize=args.capitalize) + "\n"
+    _write(args.out, text.encode("utf-8"))
     print(
         f"tokens: {len(stegotext.tokens)} carriers: {stegotext.carrier_count}",
         file=sys.stderr,
@@ -141,10 +151,10 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    vocab = Vocabulary.load(args.vocab)
-    key = keying.load_key(args.key, vocab)
+    inputs = _inputs(args)
+    key = inputs("key")
     if args.tokens:
-        tokens = corpus.read_token_file(args.tokens)
+        tokens = inputs("tokens")
     else:
         # Best-effort path: re-tokenize rendered text. Reliable only for
         # punctuation-safe output; the token sidecar is the canonical input.
@@ -156,60 +166,36 @@ def cmd_decode(args) -> int:
         ]
     framing = Framing(args.framing)
     if framing is Framing.LENGTH_PREFIXED:
-        _write_bytes(args.out, codec.decode_payload(tokens, key))
+        _write(args.out, codec.decode_payload(tokens, key))
     else:
-        bits = codec.decode(tokens, key, framing)
-        _write_text(args.out, bits + "\n")
+        _write(args.out, (codec.decode(tokens, key, framing) + "\n").encode("ascii"))
     return 0
 
 
 def cmd_eval(args) -> int:
-    @functools.cache
-    def vocab() -> Vocabulary:
-        if not args.vocab:
-            raise StegolmError("this evaluation needs --vocab")
-        return Vocabulary.load(args.vocab)
-
-    sections: dict[str, dict] = {}
-    out_lines: list[str] = []
-    if args.ppl or args.stego_ppl:
-        if not args.model or not args.tokens:
-            raise StegolmError("--ppl/--stego-ppl require --model and --tokens")
-        model = load_model(args.model, vocab())
-        tokens = corpus.read_token_file(args.tokens)
+    inputs = _inputs(args)
+    reports = {}
     if args.ppl:
-        report = metrics.perplexity(model, tokens)
-        out_lines += ["[perplexity]", report.to_text()]
-        sections["perplexity"] = dataclasses.asdict(report)
+        reports["perplexity"] = metrics.perplexity(inputs("model"), inputs("tokens"))
     if args.stego_ppl:
-        if not args.key:
-            raise StegolmError("--stego-ppl requires --key")
-        key = keying.load_key(args.key, vocab())
-        report = metrics.stego_perplexity(model, key, tokens)
-        out_lines += ["[stego_perplexity]", report.to_text()]
-        sections["stego_perplexity"] = dataclasses.asdict(report)
+        reports["stego_perplexity"] = metrics.stego_perplexity(
+            inputs("model"), inputs("key"), inputs("tokens"))
     if args.capacity:
         if args.block_bits is None:
-            raise StegolmError("--capacity requires --block-bits")
-        report = metrics.capacity(args.block_bits, args.common_fraction,
-                                  args.mean_length)
-        out_lines += ["[capacity]", report.to_text()]
-        sections["capacity"] = dataclasses.asdict(report)
+            raise ConfigError("--capacity requires --block-bits")
+        reports["capacity"] = metrics.capacity(args.block_bits, args.common_fraction,
+                                               args.mean_length)
     if args.capacity_empirical:
-        if not args.key or not args.tokens:
-            raise StegolmError("--capacity-empirical requires --key and --tokens")
-        key = keying.load_key(args.key, vocab())
-        tokens = corpus.read_token_file(args.tokens)
-        report = metrics.capacity_empirical(tokens, key, args.mean_length)
-        out_lines += ["[capacity_empirical]", report.to_text()]
-        sections["capacity_empirical"] = dataclasses.asdict(report)
-    if not sections:
-        raise StegolmError(
+        reports["capacity_empirical"] = metrics.capacity_empirical(
+            inputs("tokens"), inputs("key"), args.mean_length)
+    if not reports:
+        raise ConfigError(
             "nothing to evaluate: pass --ppl, --stego-ppl, --capacity "
             "or --capacity-empirical"
         )
-    print("\n".join(out_lines))
+    print("\n".join(f"[{name}]\n{report.to_text()}" for name, report in reports.items()))
     if args.json:
+        sections = {name: dataclasses.asdict(report) for name, report in reports.items()}
         Path(args.json).write_text(json.dumps(sections, sort_keys=True, indent=2),
                                    encoding="utf-8")
     return 0
@@ -287,9 +273,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layers", type=int)
     p.add_argument("--units", type=int)
     p.add_argument("--embed-dim", type=int)
-    p.add_argument("--unroll", type=int)
+    p.add_argument("--unroll", dest="unroll_steps", metavar="UNROLL", type=int)
     p.add_argument("--batch-size", type=int)
-    p.add_argument("--lr", type=float)
+    p.add_argument("--lr", dest="lr_init", metavar="LR", type=float)
     p.add_argument("--lr-decay", type=float)
     p.add_argument("--clip-norm", type=float, help="0 disables clipping")
     p.add_argument("--dropout", type=float)
@@ -366,10 +352,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except StegolmError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (StegolmError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -70,6 +70,15 @@ def check_token(surface: str) -> str:
     return surface
 
 
+def parse_int(text: str) -> int:
+    """The integer ``text`` spells as ``str`` writes it (no sign, space or leading
+    zero); ``ValueError`` for any other spelling, so each file has one spelling."""
+    value = int(text)
+    if str(value) != text:
+        raise ValueError(f"{text!r} is not spelt as {str(value)!r}")
+    return value
+
+
 def _tokenize_chunk(chunk: str, config: CorpusConfig) -> list[str]:
     if config.replace_users_urls:
         if _URL_RE.match(chunk):
@@ -198,20 +207,20 @@ class Vocabulary:
             lines = data.decode("utf-8").split("\n")
         except UnicodeDecodeError as exc:
             raise VocabFormatError(f"vocabulary file is not UTF-8: {exc}") from None
-        if not lines or lines[0] != VOCAB_HEADER:
+        if lines[0] != VOCAB_HEADER:
             raise VocabFormatError(f"missing {VOCAB_HEADER!r} header")
+        if lines[-1]:
+            raise VocabFormatError("vocabulary file does not end in a newline")
         tokens: list[str] = []
         counts: list[int] = []
-        for lineno, line in enumerate(lines[1:], start=2):
-            if not line:
-                continue
+        for lineno, line in enumerate(lines[1:-1], start=2):  # a blank line is refused
             parts = line.split("\t")
             if len(parts) != 2:
                 raise VocabFormatError(f"line {lineno}: expected 'token<TAB>count'")
             try:
-                count = int(parts[1])
+                count = parse_int(parts[1])
             except ValueError:
-                raise VocabFormatError(f"line {lineno}: count is not an integer") from None
+                raise VocabFormatError(f"line {lineno}: count is not a plain integer") from None
             tokens.append(parts[0])
             counts.append(count)
         return cls(tuple(tokens), tuple(counts))

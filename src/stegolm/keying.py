@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import EOS_TOKEN, RESERVED_NONCARRIERS, UNK_TOKEN, Vocabulary
+from .corpus import EOS_TOKEN, RESERVED_NONCARRIERS, UNK_TOKEN, Vocabulary, parse_int
 from .errors import DecodeError, KeyFormatError, KeyGenError, KeyInvariantError, VocabMismatchError
 
 KEY_HEADER = "STEGOKEY v1"
@@ -243,28 +243,30 @@ def _line_prefixes(block_bits: int) -> list[str]:
     return ["common:", *(f"bin {b:0{block_bits}b}:" for b in range(1 << block_bits))]
 
 
-def _parse_header_line(line: str, prefix: str) -> str:
+def _field(line: str, prefix: str) -> str:
+    """What follows ``prefix`` on ``line``, exactly as written."""
     if not line.startswith(prefix):
         raise KeyFormatError(f"expected {prefix!r} line, found {line!r}")
-    return line[len(prefix):].strip()
+    return line[len(prefix):]
 
 
 def deserialize_key(data: bytes, vocab: Vocabulary) -> StegoKey:
-    """Parse and validate a key file against the vocabulary it was built from."""
+    """Parse and validate a key file against the vocabulary it was built from;
+    only the bytes ``serialize_key`` writes for the key load."""
     try:
         lines = data.decode("utf-8").split("\n")
     except UnicodeDecodeError as exc:
         raise KeyFormatError(f"key file is not UTF-8: {exc}") from None
-    if lines and lines[-1] == "":
-        lines.pop()
+    if lines.pop():
+        raise KeyFormatError("key file does not end in a newline")
     if len(lines) < 6:
         raise KeyFormatError("key file too short")
     if lines[0] != KEY_HEADER:
         raise KeyFormatError(f"missing {KEY_HEADER!r} header")
     try:
-        block_bits = int(_parse_header_line(lines[1], "block_bits:"))
-        vocab_hash = _parse_header_line(lines[2], "vocab_hash:")
-        seed = int(_parse_header_line(lines[3], "seed:"))
+        block_bits = parse_int(_field(lines[1], "block_bits: "))
+        vocab_hash = _field(lines[2], "vocab_hash: ")
+        seed = parse_int(_field(lines[3], "seed: "))
     except ValueError as exc:
         raise KeyFormatError(f"bad header field: {exc}") from None
     if vocab_hash != vocab.content_hash():
@@ -278,8 +280,8 @@ def deserialize_key(data: bytes, vocab: Vocabulary) -> StegoKey:
         raise KeyFormatError(f"expected {num_bins} bin lines for block_bits={block_bits}, "
                              f"found {len(lines) - 5}")
     # One pass over the common line and the bin lines, in slot order.
-    rests = map(_parse_header_line, lines[4:], _line_prefixes(block_bits))
-    members = [rest.split("\t") if rest else [] for rest in rests]
+    members = [[] if line == prefix else _field(line, prefix + "\t").split("\t")
+               for line, prefix in zip(lines[4:], _line_prefixes(block_bits))]
     surfaces = [surface for line in members for surface in line]
     ids = np.array(vocab.indices(surfaces), dtype=np.int64)
     if ids.size and ids.min() < 0:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
@@ -98,7 +99,8 @@ class NgramModel(LanguageModel):
     @classmethod
     def from_payload(cls, vocab: Vocabulary, header: dict, payload: bytes) -> "NgramModel":
         """Inverse of ``to_payload``, contexts in any order: table ``m`` holds
-        length-``m`` contexts, each listed once with each successor once, every
+        length-``m`` contexts, each a string spelt as ``to_payload`` spells it and
+        listed once, with at least one successor and each successor once, every
         index lies in ``[0, |V|)``, every successor index and count is a JSON
         integer and every count lies in ``[1, 2**53]`` (so float64 holds it exactly)."""
         try:
@@ -118,9 +120,15 @@ class NgramModel(LanguageModel):
 
 def _read_table(m: int, entries: list, size: int) -> tuple[np.ndarray, list[int]]:
     """Table ``m`` of an n-gram payload as ``(grams, counts)``, checked as in ``from_payload``."""
-    contexts = [tuple(map(int, c.split(","))) if c else () for c, _ in entries]
-    if set(map(len, contexts)) - {m} or len(set(contexts)) < len(contexts):
-        raise ModelFormatError(f"a context repeats or is not of length {m}")
+    spelt = [c for c, _ in entries]  # as to_payload spells them: m plain indices, comma-separated
+    fullmatch = re.compile(",".join(["(?:0|[1-9][0-9]*)"] * m)).fullmatch
+    if (not set(map(type, spelt)) <= {str} or not all(map(fullmatch, spelt))
+            or len(set(spelt)) < len(spelt)):
+        raise ModelFormatError(f"a context repeats or is not {m} indices spelt as in to_payload")
+    if not all(s for _, s in entries):
+        raise ModelFormatError("a context has no successors")
+    # m indices per context, read in one pass (none when m = 0 or the table is empty)
+    flat = list(map(int, filter(None, ",".join(spelt).split(","))))
     pairs = list(chain.from_iterable(s for _, s in entries))
     values = list(chain.from_iterable(pairs))  # index, count, index, count, ...
     if set(map(len, pairs)) - {2} or not set(map(type, values)) <= {int}:  # no bools
@@ -128,10 +136,10 @@ def _read_table(m: int, entries: list, size: int) -> tuple[np.ndarray, list[int]
     counts = values[1::2]  # checked before any int64 conversion
     if counts and not 1 <= min(counts) <= max(counts) <= 2**53:
         raise ModelFormatError("ngram count outside [1, 2**53]")
-    indices = list(chain.from_iterable(contexts)) + values[0::2]
+    indices = flat + values[0::2]
     if indices and not 0 <= min(indices) <= max(indices) < size:
         raise ModelFormatError(f"ngram token index outside [0, {size})")
-    grams = np.repeat(np.array(contexts, np.int64).reshape(len(contexts), m),
+    grams = np.repeat(np.array(flat, np.int64).reshape(len(spelt), m),
                       [len(s) for _, s in entries], axis=0)
     return np.column_stack([grams, values[0::2]]), counts
 

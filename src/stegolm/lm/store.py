@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from ..corpus import Vocabulary
+from ..corpus import Vocabulary, parse_int
 from ..errors import ModelFormatError, VocabMismatchError
 from .base import LanguageModel
 from .lstm import LstmModel
@@ -47,33 +47,24 @@ def serialize_model(model: LanguageModel) -> bytes:
 
 
 def deserialize_model(data: bytes, vocab: Vocabulary) -> LanguageModel:
-    fields: dict[str, str] = {}
-    offset = 0
-    for lineno in range(5):
-        end = data.find(b"\n", offset)
-        if end < 0:
-            raise ModelFormatError("truncated model header")
-        line = data[offset:end]
-        offset = end + 1
-        if lineno == 0:
-            if line != MODEL_HEADER:
-                raise ModelFormatError(f"missing {MODEL_HEADER.decode()!r} header")
-            continue
-        try:
-            key, _, value = line.decode("utf-8").partition(": ")
-        except UnicodeDecodeError:
-            raise ModelFormatError(f"model header line {lineno + 1} is not UTF-8") from None
-        fields[key] = value
+    head = data.split(b"\n", 5)  # five header lines, then the payload
+    if head[0] != MODEL_HEADER:
+        raise ModelFormatError(f"missing {MODEL_HEADER.decode()!r} header")
+    if len(head) < 6:
+        raise ModelFormatError("truncated model header")
     try:
-        payload_bytes = int(fields["payload_bytes"])
+        fields = dict(line.decode("utf-8").partition(": ")[::2] for line in head[1:5])
+        payload_bytes = parse_int(fields["payload_bytes"])
         backend = fields["backend"]
         vocab_hash = fields["vocab_hash"]
         config = json.loads(fields["config"])
+    except UnicodeDecodeError:
+        raise ModelFormatError("model header is not UTF-8") from None
     except (KeyError, ValueError) as exc:
         raise ModelFormatError(f"bad model header: {exc}") from None
     if vocab_hash != vocab.content_hash():
         raise VocabMismatchError("model was trained against a different vocabulary")
-    payload = data[offset:]
+    payload = head[5]
     if len(payload) != payload_bytes:
         raise ModelFormatError(f"model payload is {len(payload)} bytes, declared {payload_bytes}")
     if backend not in BACKENDS:

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import io
 import json
 import os
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 import stegolm
-from stegolm.cli import main
+from stegolm.cli import build_parser, main
 from stegolm.corpus import Vocabulary
 from stegolm.lm import LstmHyperparams, LstmModel, save_model
 from stegolm.lm.lstm import init_params
@@ -242,6 +244,39 @@ def test_stdin_stdout_piping(workspace, tmp_path):
     assert decode.stdout == b"piped-bytes"
 
 
+def test_stdout_gets_the_out_file_bytes_under_an_ascii_locale(tmp_path):
+    files = {name: str(tmp_path / name) for name in ("corpus", "tokens", "vocab", "model",
+                                                     "key", "payload", "out")}
+    Path(files["corpus"]).write_text("le café est bon .\nun café noir .\n" * 40,
+                                     encoding="utf-8")
+    Path(files["payload"]).write_bytes(b"hi")
+    encode = "encode --vocab {vocab} --key {key} --model {model} --in {payload}"
+    for argv in ("prep --in {corpus} --out-tokens {tokens} --out-vocab {vocab}",
+                 "train --backend ngram --order 2 --tokens {tokens} --vocab {vocab} --out {model}",
+                 "keygen --vocab {vocab} --block-bits 1 --seed 1 --out {key}",
+                 encode + " --out {out}"):
+        assert main(argv.format(**files).split()) == 0
+    child = subprocess.run(
+        [sys.executable, "-m", "stegolm.cli", *encode.format(**files).split()],
+        capture_output=True, env={**CHILD_ENV, "PYTHONIOENCODING": "ascii"},
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == Path(files["out"]).read_bytes()
+    assert "café".encode() in child.stdout
+
+
+def test_every_lstm_hyperparameter_is_the_dest_of_one_train_flag():
+    # cmd_train reads its overrides by field name, so a field with no flag,
+    # or a flag with another dest, would be ignored without a word
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    dests = [action.dest for action in sub.choices["train"]._actions]
+    names = [field.name for field in dataclasses.fields(LstmHyperparams)]
+    assert {name: dests.count(name) for name in names} == dict.fromkeys(names, 1)
+    args = build_parser().parse_args(
+        "train --backend lstm --tokens t --vocab v --out o --unroll 5 --lr 3".split())
+    assert (args.unroll_steps, args.lr_init) == (5, 3.0)
+
+
 ENCODE = "encode --vocab {vocab} --key {key} --model {model} --in {corpus} --out {out}"
 TRAIN = "train --tokens {tokens} --vocab {vocab} --out {out} --backend"
 DECODE = "decode --vocab {vocab} --key {key}"
@@ -287,6 +322,16 @@ def repeated_context(doc):
     """Lists the first bigram context a second time, with another successor."""
     context, successors = doc["tables"][1][0]
     doc["tables"][1].append([context, [[successors[0][0] + 1, 1]]])
+
+
+def respelt_context(doc):
+    """Writes the first bigram context with a plus sign: it still parses as an int."""
+    doc["tables"][1][0][0] = "+" + doc["tables"][1][0][0]
+
+
+def emptied_context(doc):
+    """Leaves the first bigram context with no successors."""
+    doc["tables"][1][0][1] = []
 
 
 def lstm_header(old: bytes, new: bytes):
@@ -394,6 +439,20 @@ def lstm_file(workspace):
     (ENCODE.replace("{model}", "{lstm}"),
      ("lstm", lstm_header(b'"layers": 1,', b'"layers": true,')), "ModelFormatError"),
     (ENCODE, ("model", lambda data: data + b"GARBAGE"), "ModelFormatError"),
+    ("eval --vocab {vocab} --tokens {tokens} --ppl", None, "ConfigError"),
+    ("eval --vocab {vocab} --model {model} --tokens {tokens} --stego-ppl", None, "ConfigError"),
+    ("eval --vocab {vocab} --key {key} --capacity-empirical", None, "ConfigError"),
+    ("eval --capacity", None, "ConfigError"),
+    ("eval", None, "ConfigError"),
+    (ENCODE, ("model", ngram_doc(respelt_context)), "ModelFormatError"),
+    (ENCODE, ("model", ngram_doc(emptied_context)), "ModelFormatError"),
+    (ENCODE, ("key", lambda data: data.replace(b"block_bits: 2", b"block_bits: +2")),
+     "KeyFormatError"),
+    (ENCODE, ("key", lambda data: data.replace(b"seed: 7", b"seed: 0007")), "KeyFormatError"),
+    (ENCODE, ("model", lambda data: data.replace(b"payload_bytes: ", b"payload_bytes: +")),
+     "ModelFormatError"),
+    (ENCODE, ("vocab", lambda data: data.replace(b"\n", b"\n\n", 1)), "VocabFormatError"),
+    (ENCODE, ("vocab", lambda data: data.replace(b"\t", b"\t+", 1)), "VocabFormatError"),
 ], ids=["temp-0", "max-common-run-0", "order-0", "units-0", "max-vocab-1", "block-bits-neg",
         "vocab-not-utf8", "key-not-utf8", "model-not-utf8", "encode-seed-neg", "train-seed-neg",
         "max-bytes-0", "trials-neg", "decode-tokens-not-utf8", "decode-text-not-utf8",
@@ -405,7 +464,11 @@ def lstm_file(workspace):
         "ngram-index-bool", "ngram-count-str", "ngram-add-k-nan", "capacity-block-bits-huge",
         "lstm-lr-diverges", "lstm-logit-overflow", "lstm-gate-overflow", "keygen-seed-neg",
         "key-bin-unsorted", "ngram-successor-repeated", "ngram-context-repeated",
-        "lstm-units-float", "lstm-layers-bool", "model-trailing-bytes"])
+        "lstm-units-float", "lstm-layers-bool", "model-trailing-bytes", "eval-ppl-no-model",
+        "eval-stego-ppl-no-key", "eval-capacity-empirical-no-tokens",
+        "eval-capacity-no-block-bits", "eval-nothing", "ngram-context-spelling",
+        "ngram-successors-empty", "key-block-bits-plus", "key-seed-zeros",
+        "model-payload-bytes-plus", "vocab-blank-line", "vocab-count-plus"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_input_prints_one_error_line(workspace, lstm_file, tmp_path, capsys,
                                          argv, damage, error):

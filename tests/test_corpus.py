@@ -134,6 +134,15 @@ class TestVocabulary:
         with pytest.raises(VocabFormatError):
             Vocabulary.deserialize(b"STEGOVOCAB v1\na\t2\n\xff\t1\n")
 
+    def test_only_the_canonical_spelling_loads(self, mini_vocab):
+        # a second spelling of a vocabulary would share its content_hash
+        data = mini_vocab.serialize()
+        for bad in (data[:-1], data + b"\n", data.replace(b"\n", b"\n\n", 1),
+                    data.replace(b"\t", b"\t+", 1), data.replace(b"\t", b"\t0", 1),
+                    data.replace(b"\t", b"\t ", 1)):
+            with pytest.raises(VocabFormatError):
+                Vocabulary.deserialize(bad)
+
     def test_misordered_file_rejected(self):
         data = b"STEGOVOCAB v1\nb\t1\na\t1\n"
         with pytest.raises(VocabFormatError):

@@ -2,10 +2,12 @@
 
 The property: whatever the bytes, a parser raises a ``StegolmError`` subclass
 or returns an object whose ``encode`` of a short payload succeeds or raises a
-``StegolmError``. Inputs are arbitrary bytes, truncations and bit flips of
-valid files, plus structured n-gram payloads with indices and counts around
-the valid range or of the wrong JSON type. Vocabulary and models are tiny so
-the module stays fast.
+``StegolmError``. Vocabulary and key files are one to one: whatever loads
+saves to the same bytes. So does an n-gram payload written with
+``json.dumps(..., sort_keys=True)``, once its contexts are sorted. Inputs are
+arbitrary bytes, truncations and bit flips of valid files, plus structured
+n-gram payloads with indices and counts around the valid range or of the
+wrong JSON type. Vocabulary and models are tiny so the module stays fast.
 """
 
 import json
@@ -77,6 +79,7 @@ def encode_or_refuse(model, key):
 def test_vocabulary_parser(data):
     vocab = parse_or_refuse(Vocabulary.deserialize, data)
     if vocab is not None:
+        assert vocab.serialize() == data
         try:
             key = generate_key(vocab, 1, 0, seed=0)
             model = train_ngram(list(vocab.tokens), vocab, NgramConfig(order=1))
@@ -90,7 +93,7 @@ def test_vocabulary_parser(data):
 def test_key_parser(data):
     key = parse_or_refuse(lambda d: deserialize_key(d, VOCAB), data)
     if key is not None:
-        assert deserialize_key(serialize_key(key), VOCAB) == key
+        assert serialize_key(key) == data
         encode_or_refuse(NGRAM, key)
 
 
@@ -109,8 +112,10 @@ def ngram_documents(draw):
     counts [-1, 5], a context may be one token off its table's order, the
     order may be written as a float, a successor index or count may be a
     float, bool, string or null, a count may exceed 2**53, add_k may be
-    zero, NaN or infinite, and a successor or a whole context may be listed
-    twice."""
+    zero, NaN or infinite, a successor or a whole context may be listed
+    twice, a context may be spelt otherwise than ``to_payload`` spells it
+    (sign, space, leading zero, non-ASCII digits, not a string) and a context
+    may have no successors."""
     size = len(VOCAB)
     index, count = st.integers(0, size - 1), st.integers(1, 5)
     order = draw(st.integers(1, 3))
@@ -121,7 +126,8 @@ def ngram_documents(draw):
     defect = draw(st.sampled_from([None, "context index", "successor index", "count",
                                    "context length", "float order", "non-integer value",
                                    "huge count", "add_k", "repeated successor",
-                                   "repeated context"]))
+                                   "repeated context", "context spelling",
+                                   "empty successors"]))
     m = draw(st.integers(0, order - 1))
     ctx, successors = draw(st.sampled_from(sorted(tables[m].items())))
     bad_index = draw(st.sampled_from([-2, -1, size, size + 1, size + 2]))
@@ -153,17 +159,37 @@ def ngram_documents(draw):
         entry[1].append([pair[0], draw(count)])
     elif defect == "repeated context":
         entries.append([entry[0], [[draw(index), draw(count)]]])
+    elif defect == "context spelling":
+        spelt = entry[0]
+        entry[0] = draw(st.sampled_from(
+            [None, 0, [], " ", "0"] if not spelt else
+            ["+" + spelt, "0" + spelt, " " + spelt, spelt + " ", spelt + ",",
+             spelt.translate(FULLWIDTH_DIGITS), spelt.split(",")]))
+    elif defect == "empty successors":
+        entry[1].clear()
     return doc, defect is None
+
+
+FULLWIDTH_DIGITS = str.maketrans("0123456789", "０１２３４５６７８９")  # int() reads these too
+
+
+def context_order(entry) -> tuple[int, ...]:
+    return tuple(map(int, entry[0].split(","))) if entry[0] else ()
+
+
+def model_file(doc) -> bytes:
+    payload = json.dumps(doc, sort_keys=True).encode()
+    return (f"STEGOLM v1\nbackend: ngram\nvocab_hash: {VOCAB.content_hash()}\n"
+            f"config: {{}}\npayload_bytes: {len(payload)}\n").encode() + payload
 
 
 @FUZZ
 @given(ngram_documents())
 def test_ngram_payload_checks(document):
     doc, valid = document
-    payload = json.dumps(doc, sort_keys=True).encode()
-    data = (f"STEGOLM v1\nbackend: ngram\nvocab_hash: {VOCAB.content_hash()}\n"
-            f"config: {{}}\npayload_bytes: {len(payload)}\n").encode() + payload
-    model = parse_or_refuse(lambda d: deserialize_model(d, VOCAB), data)
+    model = parse_or_refuse(lambda d: deserialize_model(d, VOCAB), model_file(doc))
     assert (model is not None) == valid
-    if model is not None:
+    if model is not None:  # saved with its contexts in ascending order
+        tables = [sorted(table, key=context_order) for table in doc["tables"]]
+        assert serialize_model(model) == model_file({**doc, "tables": tables})
         assert decode_payload(encode(PAYLOAD, KEY, model, POLICY).tokens, KEY) == PAYLOAD.data

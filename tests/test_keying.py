@@ -317,6 +317,19 @@ class TestSerialization:
         with pytest.raises(KeyFormatError):
             deserialize_key(serialize_key(key) + b"\xff\xfe", mini_vocab)
 
+    def test_only_the_canonical_spelling_loads(self, mini_vocab):
+        data = serialize_key(generate_key(mini_vocab, 1, 0, seed=4))
+        for old, new in [(b"block_bits: 1", b"block_bits: +1"),
+                         (b"block_bits: 1", b"block_bits: 01"),
+                         (b"block_bits: 1", b"block_bits:  1"), (b"seed: 4", b"seed: 0004"),
+                         (b"seed: 4", b"seed: 4 "), (b"common:", b"common:\t"),
+                         (b"bin 0:\t", b"bin 0: \t"), (b"bin 0:\t", b"bin 0:\t\t")]:
+            assert old in data
+            with pytest.raises(KeyFormatError):
+                deserialize_key(data.replace(old, new), mini_vocab)
+        with pytest.raises(KeyFormatError, match="newline"):
+            deserialize_key(data[:-1], mini_vocab)
+
     def test_malformed_header_rejected(self, mini_vocab):
         with pytest.raises(KeyFormatError):
             deserialize_key(b"STEGOKEY v2\n", mini_vocab)

@@ -9,7 +9,7 @@ from stegolm.corpus import Vocabulary, build_vocab
 from stegolm.errors import ConfigError, ModelFormatError, TrainingError
 from stegolm.lm.base import softmax
 from stegolm.lm.ngram import NgramConfig, NgramModel, train_ngram
-from stegolm.lm.store import deserialize_model
+from stegolm.lm.store import deserialize_model, serialize_model
 from stegolm.metrics import perplexity
 
 
@@ -160,6 +160,24 @@ class TestNgram:
                       [["", [[3, 1]]], ["", [[3, 1]]]]):
             with pytest.raises(ModelFormatError):
                 load_ngram(mini_vocab, {"order": 1, "add_k": 0.5, "tables": [table]})
+
+    def test_context_spelling_and_empty_successors_refused_at_load(self, mini_vocab):
+        # saving any of these would write other bytes than were read
+        unigram = [["", [[3, 1]]]]
+        for tables in ([unigram, [[" +1", [[4, 1]]]]], [unigram, [["01", [[4, 1]]]]],
+                       [[[None, [[3, 1]]]], [["1", [[4, 1]]]]],
+                       [[[0, [[3, 1]]]], [["1", [[4, 1]]]]],
+                       [unigram, [["1", [[4, 1]]], ["2", []]]]):
+            with pytest.raises(ModelFormatError):
+                load_ngram(mini_vocab, {"order": 2, "add_k": 0.5, "tables": tables})
+
+    def test_empty_tables_roundtrip(self):
+        # one token leaves the order-2 and order-3 tables without a context
+        vocab = build_vocab(["a"])
+        model = train_ngram(["a"], vocab, NgramConfig(order=3))
+        assert json.loads(model.to_payload())["tables"][1:] == [[], []]
+        assert serialize_model(deserialize_model(serialize_model(model), vocab)) == \
+            serialize_model(model)
 
     def test_equal_rows_add_up_in_memory(self, mini_vocab):
         config = NgramConfig(order=2, add_k=0.5)

@@ -51,8 +51,13 @@ def _read_bytes(path: str | None) -> bytes:
 
 def _write(path: str | None, data: bytes) -> None:
     if path is None or path == "-":
-        sys.stdout.buffer.write(data)
-        sys.stdout.buffer.flush()
+        out = getattr(sys.stdout, "buffer", None)
+        if out is None:  # a text stream such as io.StringIO (contextlib.redirect_stdout)
+            sys.stdout.write(data.decode("utf-8", "surrogateescape"))
+            sys.stdout.flush()
+        else:
+            out.write(data)
+            out.flush()
     else:
         Path(path).write_bytes(data)
 

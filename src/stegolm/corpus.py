@@ -142,8 +142,11 @@ class Vocabulary:
             raise VocabFormatError("tokens and counts differ in length")
         if len(set(self.tokens)) != len(self.tokens):
             raise VocabFormatError("duplicate token in vocabulary")
-        for surface in self.tokens:
-            check_token(surface)
+        try:
+            for surface in self.tokens:
+                check_token(surface)
+        except CorpusError as exc:
+            raise VocabFormatError(str(exc)) from None
         if any(c < 0 for c in self.counts):
             raise VocabFormatError("negative count in vocabulary")
         ordered = sorted(zip(self.tokens, self.counts), key=_vocab_sort_key)

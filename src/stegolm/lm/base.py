@@ -3,6 +3,8 @@
 A model owns a Vocabulary and answers two questions: given an opaque context,
 what is the next-token distribution, and what is the context after consuming
 one more token. Contexts are immutable values; ``advance`` returns a new one.
+``next_distributions`` answers the first question for every position of a
+known token stream at once, as teacher-forced scoring needs.
 """
 
 from __future__ import annotations
@@ -16,13 +18,13 @@ from ..errors import ModelOutputError
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
-    """Max-shifted softmax; entries non-negative and summing to 1.
+    """Max-shifted softmax along the last axis; entries non-negative and summing to 1.
 
     NaN or +inf anywhere makes the maximum non-finite, so checking the
     maximum is enough (``ModelOutputError``); a -inf score gets probability 0.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    if scores.size == 0:
+    if scores.shape[-1] == 0:
         raise ModelOutputError("softmax of an empty score vector")
     top = scores.max(axis=-1, keepdims=True)
     if not np.isfinite(top).all():
@@ -61,3 +63,13 @@ class LanguageModel(abc.ABC):
     @abc.abstractmethod
     def next_distribution(self, ctx) -> np.ndarray:
         """Probability vector over the vocabulary; sums to 1, no negatives."""
+
+    def next_distributions(self, ctx, ids) -> tuple[np.ndarray, object]:
+        """``(probs, ctx_after)``: row ``t`` of ``probs`` is ``next_distribution``
+        of ``ctx`` after it consumes ``ids[:t]``; ``ctx_after`` has consumed all
+        of ``ids``. Backends override this loop with one model call per block."""
+        probs = np.empty((len(ids), len(self.vocab)))
+        for t, token_index in enumerate(ids):
+            probs[t] = self.next_distribution(ctx)
+            ctx = self.advance(ctx, token_index)
+        return probs, ctx

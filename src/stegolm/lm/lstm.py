@@ -120,8 +120,13 @@ def _zero_states(hp: LstmHyperparams, *batch: int) -> tuple:
 
 
 def _cell_forward(params, hp, layer, x, h_prev, c_prev):
-    units = hp.units
     z = x @ params[f"wx{layer}"] + h_prev @ params[f"wh{layer}"] + params[f"b{layer}"]
+    return _cell_gates(hp, z, c_prev)
+
+
+def _cell_gates(hp, z, c_prev):
+    """The cell's new (hidden, cell) and gates from its pre-activations ``z``."""
+    units = hp.units
     sig = _sigmoid(z)  # the i, f and o gates; the g quarter is unused
     gi, gf, go = sig[..., :units], sig[..., units:2 * units], sig[..., 3 * units:]
     gg = np.tanh(z[..., 2 * units:3 * units])
@@ -332,6 +337,24 @@ class LstmModel(LanguageModel):
     def next_distribution(self, ctx: tuple) -> np.ndarray:
         h_top = ctx[-1][0]
         return softmax(h_top @ self.params["wo"] + self.params["bo"])
+
+    def next_distributions(self, ctx: tuple, ids) -> tuple[np.ndarray, tuple]:
+        """The recurrence token by token, with layer 0's input product taken for
+        the whole block at once, then one output-layer product and one row-wise
+        softmax. Rows may differ from ``next_distribution`` in the last bits."""
+        params, hp = self.params, self.hp
+        x0 = params["embed"][list(map(self.check_index, ids))] @ params["wx0"] + params["b0"]
+        tops = np.empty((len(ids), hp.units))
+        for t, x in enumerate(x0):
+            tops[t] = ctx[-1][0]
+            (h, c), *upper = ctx
+            h, c, _ = _cell_gates(hp, x + h @ params["wh0"], c)
+            states = [(h, c)]
+            for layer, (h_prev, c_prev) in enumerate(upper, 1):
+                h, c, _ = _cell_forward(params, hp, layer, h, h_prev, c_prev)
+                states.append((h, c))
+            ctx = tuple(states)
+        return softmax(tops @ params["wo"] + params["bo"]), ctx
 
     def header_config(self) -> dict:
         """The ``config:`` header of a model file: hyperparameters and history."""

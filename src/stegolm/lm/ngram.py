@@ -84,6 +84,29 @@ class NgramModel(LanguageModel):
         dist[successors[a:b]] += counts[a:b] / denom
         return dist
 
+    def next_distributions(self, ctx: tuple[int, ...], ids) -> tuple[np.ndarray, tuple]:
+        """The rows ``next_distribution`` builds, with the same operations, for all
+        full-length contexts of the block at once; a shorter context (only at the
+        start of a stream) is built alone."""
+        k, size, keep = self.config.add_k, len(self.vocab), self.config.order - 1
+        seq = [*ctx, *map(self.check_index, ids)]
+        contexts = [tuple(seq[max(0, t - keep):t]) for t in range(len(ctx), len(seq))]
+        runs, successors, counts = self._tables[keep]
+        a, b, total = np.array([runs.get(c, (0, 0, 0)) for c in contexts],
+                               np.float64).reshape(-1, 3).T
+        denom = total + k * size
+        probs = np.repeat((k / denom)[:, None], size, axis=1)
+        # one flat gather of every row's successors[a:b] and counts[a:b]
+        lengths = (b - a).astype(np.int64)
+        rows = np.repeat(np.arange(len(contexts)), lengths)
+        first = np.cumsum(lengths) - lengths  # where each row's entries start in the gather
+        flat = np.arange(len(rows)) + np.repeat(a.astype(np.int64) - first, lengths)
+        probs[rows, successors[flat]] += counts[flat] / denom[rows]
+        for t, c in enumerate(contexts[:keep]):
+            if len(c) < keep:
+                probs[t] = self.next_distribution(c)
+        return probs, tuple(seq[max(0, len(seq) - keep):])
+
     def header_config(self) -> dict:
         """The ``config:`` header of a model file; the payload holds everything."""
         return {}
@@ -98,11 +121,14 @@ class NgramModel(LanguageModel):
 
     @classmethod
     def from_payload(cls, vocab: Vocabulary, header: dict, payload: bytes) -> "NgramModel":
-        """Inverse of ``to_payload``, contexts in any order: table ``m`` holds
-        length-``m`` contexts, each a string spelt as ``to_payload`` spells it and
-        listed once, with at least one successor and each successor once, every
-        index lies in ``[0, |V|)``, every successor index and count is a JSON
-        integer and every count lies in ``[1, 2**53]`` (so float64 holds it exactly)."""
+        """Inverse of ``header_config``/``to_payload``, contexts in any order: the
+        config is ``{}``, table ``m`` holds length-``m`` contexts, each a string
+        spelt as ``to_payload`` spells it and listed once, with at least one
+        successor and each successor once, every index lies in ``[0, |V|)``,
+        every successor index and count is a JSON integer and every count lies
+        in ``[1, 2**53]`` (so float64 holds it exactly)."""
+        if header != {}:
+            raise ModelFormatError("an ngram model's config line must be {}")
         try:
             doc = json.loads(payload.decode("utf-8"))
             config = NgramConfig(order=doc["order"], add_k=doc["add_k"])

@@ -28,6 +28,9 @@ from .ngram import NgramModel
 
 MODEL_HEADER = b"STEGOLM v1"
 
+#: The header lines after ``MODEL_HEADER``, in the order ``serialize_model`` writes them.
+HEADER_FIELDS = ("backend", "vocab_hash", "config", "payload_bytes")
+
 #: Backend tag of the model file -> the class that writes and reads it.
 BACKENDS = {cls.backend: cls for cls in (NgramModel, LstmModel)}
 
@@ -37,31 +40,34 @@ def serialize_model(model: LanguageModel) -> bytes:
         raise ModelFormatError(f"unknown model type: {type(model).__name__}")
     config = model.header_config()
     payload = model.to_payload()
-    header = (
-        f"backend: {model.backend}\n"
-        f"vocab_hash: {model.vocab_hash}\n"
-        f"config: {json.dumps(config, sort_keys=True)}\n"
-        f"payload_bytes: {len(payload)}\n"
-    ).encode("utf-8")
-    return MODEL_HEADER + b"\n" + header + payload
+    values = (model.backend, model.vocab_hash, json.dumps(config, sort_keys=True), len(payload))
+    header = "".join(f"{name}: {value}\n" for name, value in zip(HEADER_FIELDS, values))
+    return MODEL_HEADER + b"\n" + header.encode("utf-8") + payload
 
 
 def deserialize_model(data: bytes, vocab: Vocabulary) -> LanguageModel:
+    """Inverse of ``serialize_model``: the header lines must come in the order it
+    writes them, and the config line must be the JSON it writes."""
     head = data.split(b"\n", 5)  # five header lines, then the payload
     if head[0] != MODEL_HEADER:
         raise ModelFormatError(f"missing {MODEL_HEADER.decode()!r} header")
     if len(head) < 6:
         raise ModelFormatError("truncated model header")
     try:
-        fields = dict(line.decode("utf-8").partition(": ")[::2] for line in head[1:5])
-        payload_bytes = parse_int(fields["payload_bytes"])
-        backend = fields["backend"]
-        vocab_hash = fields["vocab_hash"]
-        config = json.loads(fields["config"])
+        lines = [line.decode("utf-8") for line in head[1:5]]
     except UnicodeDecodeError:
         raise ModelFormatError("model header is not UTF-8") from None
-    except (KeyError, ValueError) as exc:
+    fields = [line.partition(": ") for line in lines]
+    if [field[:2] for field in fields] != [(name, ": ") for name in HEADER_FIELDS]:
+        raise ModelFormatError(f"model header lines must be {', '.join(HEADER_FIELDS)}, in order")
+    backend, vocab_hash, config_line, payload_line = (value for _, _, value in fields)
+    try:
+        payload_bytes = parse_int(payload_line)
+        config = json.loads(config_line)
+    except ValueError as exc:
         raise ModelFormatError(f"bad model header: {exc}") from None
+    if json.dumps(config, sort_keys=True) != config_line:
+        raise ModelFormatError("model config line is not spelt as serialize_model writes it")
     if vocab_hash != vocab.content_hash():
         raise VocabMismatchError("model was trained against a different vocabulary")
     payload = head[5]

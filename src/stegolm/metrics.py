@@ -7,7 +7,9 @@ masks and renormalizes the distribution, and the word's masked probabilities
 are averaged over the ``2**block_bits`` equally likely blocks. Bins, common
 set and the reserved sentinels (in no bin and not common) are read off the
 key's slot array (``StegoKey.lookup_array``); sentinels are skipped and
-counted instead of contributing ``-inf``.
+counted instead of contributing ``-inf``. Scoring takes the stream in blocks of
+``BLOCK`` positions, one ``next_distributions`` and one ``stego_distribution``
+call per block.
 
 A single-bin key with no common tokens constrains nothing, so its stego
 perplexity is by definition the plain perplexity (the masks are vacuous).
@@ -86,21 +88,31 @@ def _stream_ids(vocab: Vocabulary, tokens: Sequence[str]) -> list[int]:
     return [vocab.index_or_unk(t) for t in tokens]
 
 
+#: Positions ``_score`` takes from one ``next_distributions`` call: a block
+#: shares one output-layer product or n-gram gather and one stego mask.
+BLOCK = 128
+
+
 def _score(model: LanguageModel, ids: list[int], skip: np.ndarray,
            word_probs) -> PerplexityReport:
-    """exp of the mean -ln ``word_probs(distribution)[idx]`` over the stream;
-    positions where ``skip`` is set advance the context unscored."""
+    """exp of the mean -ln ``word_probs(distributions)[t, ids[t]]`` over the
+    stream, taken in blocks of ``BLOCK`` positions; positions where ``skip`` is
+    set advance the context unscored."""
     ctx = model.initial_context()
     total = 0.0
     infinite: list[int] = []
-    for position, idx in enumerate(ids):
-        if not skip[position]:
-            prob = word_probs(model.next_distribution(ctx))[idx]
+    unscored = skip.tolist()
+    for start in range(0, len(ids), BLOCK):
+        block = ids[start:start + BLOCK]
+        probs, ctx = model.next_distributions(ctx, block)
+        picked = word_probs(probs)[np.arange(len(block)), block].tolist()
+        for position, prob in enumerate(picked, start):
+            if unscored[position]:
+                continue
             if prob > 0:
                 total += -math.log(prob)
             else:
                 infinite.append(position)
-        ctx = model.advance(ctx, idx)
     skipped = int(skip.sum())
     scored = len(ids) - skipped
     if scored == 0:
@@ -123,18 +135,27 @@ def is_vacuous(key: StegoKey) -> bool:
 
 
 def stego_distribution(probs: np.ndarray, key: StegoKey) -> np.ndarray:
-    """Block-averaged probabilities: mean over bins of the masked, renormalized
-    distribution. Reserved sentinels get 0; a vacuous key returns ``probs``.
-    A carrier is scaled by its bin's inverse mask mass, a common token by the
-    sum of them all, each over ``num_bins``."""
+    """Block-averaged probabilities of each distribution along the last axis of
+    ``probs``: mean over bins of the masked, renormalized distribution. Reserved
+    sentinels get 0; a vacuous key returns ``probs``. A carrier is scaled by its
+    bin's inverse mask mass, a common token by the sum of them all, each over
+    ``num_bins``."""
+    probs = np.asarray(probs, dtype=np.float64)
     if is_vacuous(key):
-        return np.array(probs, dtype=np.float64, copy=True)
+        return probs.copy()
     rows = key.lookup_array() - BIN_COMMON  # common -> 0, reserved -> 1, bin b -> b + 2
-    masses = np.bincount(rows, weights=probs, minlength=key.num_bins + 2)
-    mask_mass = masses[2:] + masses[0]
+    width = key.num_bins + 2
+    lead = probs.shape[:-1]
+    # One bincount for every distribution: distribution r's slots are offset by
+    # r * width, and each slot adds its entries in vocabulary order.
+    offsets = np.arange(math.prod(lead))[:, None] * width
+    masses = np.bincount((offsets + rows).ravel(), weights=probs.ravel(),
+                         minlength=offsets.size * width).reshape(*lead, width)
+    mask_mass = masses[..., 2:] + masses[..., :1]
     inv = np.divide(1.0, mask_mass, out=np.zeros_like(mask_mass), where=mask_mass > 0)
-    factor = np.concatenate(([inv.sum(), 0.0], inv)) / key.num_bins
-    return probs * factor[rows]
+    factor = np.concatenate((inv.sum(axis=-1, keepdims=True), np.zeros((*lead, 1)), inv),
+                            axis=-1) / key.num_bins
+    return probs * factor[..., rows]
 
 
 def stego_word_prob(model: LanguageModel, ctx, key: StegoKey, word_index: int) -> float:

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import dataclasses
 import io
 import json
@@ -265,6 +266,22 @@ def test_stdout_gets_the_out_file_bytes_under_an_ascii_locale(tmp_path):
     assert "café".encode() in child.stdout
 
 
+def test_text_only_stdout_gets_the_text(workspace, tmp_path):
+    # in-process callers may swap sys.stdout for a text stream that has no .buffer
+    (tmp_path / "p.bin").write_bytes(b"in-process bytes")
+    vocab_key = ["--vocab", str(workspace / "vocab.tsv"), "--key", str(workspace / "key.sk")]
+    encode = ["encode", *vocab_key, "--model", str(workspace / "model.slm"),
+              "--in", str(tmp_path / "p.bin"), "--seed", "4"]
+    assert main([*encode, "--out", str(tmp_path / "s.txt"),
+                 "--emit-tokens", str(tmp_path / "s.tok")]) == 0
+    for argv, want in ((encode, (tmp_path / "s.txt").read_text(encoding="utf-8")),
+                       (["decode", *vocab_key, "--tokens", str(tmp_path / "s.tok")],
+                        "in-process bytes")):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(argv) == 0
+        assert out.getvalue() == want
+
+
 def test_every_lstm_hyperparameter_is_the_dest_of_one_train_flag():
     # cmd_train reads its overrides by field name, so a field with no flag,
     # or a flag with another dest, would be ignored without a word
@@ -332,6 +349,13 @@ def respelt_context(doc):
 def emptied_context(doc):
     """Leaves the first bigram context with no successors."""
     doc["tables"][1][0][1] = []
+
+
+def swapped_header_lines(data: bytes) -> bytes:
+    """A model file with its ``backend:`` and ``vocab_hash:`` lines swapped."""
+    head = data.split(b"\n", 5)
+    head[1], head[2] = head[2], head[1]
+    return b"\n".join(head)
 
 
 def lstm_header(old: bytes, new: bytes):
@@ -453,6 +477,10 @@ def lstm_file(workspace):
      "ModelFormatError"),
     (ENCODE, ("vocab", lambda data: data.replace(b"\n", b"\n\n", 1)), "VocabFormatError"),
     (ENCODE, ("vocab", lambda data: data.replace(b"\t", b"\t+", 1)), "VocabFormatError"),
+    (ENCODE, ("vocab", lambda data: data.replace(b"\t", b" b\t", 1)), "VocabFormatError"),
+    (ENCODE, ("model", swapped_header_lines), "ModelFormatError"),
+    (ENCODE, ("model", lambda data: data.replace(b"config: {}", b'config: {"x": 1}', 1)),
+     "ModelFormatError"),
 ], ids=["temp-0", "max-common-run-0", "order-0", "units-0", "max-vocab-1", "block-bits-neg",
         "vocab-not-utf8", "key-not-utf8", "model-not-utf8", "encode-seed-neg", "train-seed-neg",
         "max-bytes-0", "trials-neg", "decode-tokens-not-utf8", "decode-text-not-utf8",
@@ -468,7 +496,8 @@ def lstm_file(workspace):
         "eval-stego-ppl-no-key", "eval-capacity-empirical-no-tokens",
         "eval-capacity-no-block-bits", "eval-nothing", "ngram-context-spelling",
         "ngram-successors-empty", "key-block-bits-plus", "key-seed-zeros",
-        "model-payload-bytes-plus", "vocab-blank-line", "vocab-count-plus"])
+        "model-payload-bytes-plus", "vocab-blank-line", "vocab-count-plus",
+        "vocab-token-space", "model-header-swapped", "ngram-config-extra"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_input_prints_one_error_line(workspace, lstm_file, tmp_path, capsys,
                                          argv, damage, error):

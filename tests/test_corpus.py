@@ -148,6 +148,11 @@ class TestVocabulary:
         with pytest.raises(VocabFormatError):
             Vocabulary.deserialize(data)
 
+    def test_token_with_whitespace_rejected(self):
+        for data in (b"STEGOVOCAB v1\na b\t1\n", b"STEGOVOCAB v1\na\x0bb\t1\n"):
+            with pytest.raises(VocabFormatError, match="whitespace"):
+                Vocabulary.deserialize(data)
+
     def test_duplicate_token_rejected(self):
         with pytest.raises(VocabFormatError):
             Vocabulary(("a", "a"), (1, 1))

@@ -327,6 +327,21 @@ class TestPersistence:
         with pytest.raises(ModelFormatError):
             deserialize_model(data, mini_vocab)
 
+    def test_only_the_written_header_loads(self, trained, mini_vocab, mini_bigram):
+        # a second spelling of a model file would load as the same model
+        lstm, ngram = serialize_model(trained), serialize_model(mini_bigram)
+        head = lstm.split(b"\n", 5)
+        for bad in (b"\n".join([head[0], head[2], head[1], *head[3:]]),
+                    b"\n".join([*head[:3], head[4], head[3], head[5]]),
+                    lstm.replace(b'"units": ', b'"units":', 1),
+                    lstm.replace(b"config: ", b"config:  ", 1),
+                    lstm.replace(b"backend: ", b"backend:", 1),
+                    ngram.replace(b"config: {}", b"config: { }", 1),
+                    ngram.replace(b"config: {}", b'config: {"x": 1}', 1),
+                    ngram.replace(b"config: {}", b"config: []", 1)):
+            with pytest.raises(ModelFormatError):
+                deserialize_model(bad, mini_vocab)
+
     def test_non_utf8_header_rejected(self, mini_vocab, mini_bigram):
         data = serialize_model(mini_bigram).replace(b"backend: ngram", b"backend: \xffngram", 1)
         with pytest.raises(ModelFormatError):

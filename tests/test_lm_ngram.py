@@ -201,6 +201,8 @@ class TestNgram:
         dist = model.next_distribution(())
         assert np.array_equal(dist, expected)
         assert np.all(np.isfinite(dist)) and dist.sum() == pytest.approx(1.0, abs=1e-12)
+        rows, _ = model.next_distributions((), [0, 5])  # the block path, too
+        assert np.array_equal(rows, [expected, expected])
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -7,11 +7,15 @@ from conftest import FixedModel
 from stegolm.codec import GenPolicy, Mode, constrained_select
 from stegolm.corpus import EOS_TOKEN, UNK_TOKEN, Vocabulary, build_vocab
 from stegolm.errors import CorpusError, DecodeError
-from stegolm.keying import BIN_COMMON, BitBlock, StegoKey, generate_key
+from stegolm.keying import BIN_COMMON, BIN_RESERVED, BitBlock, StegoKey, generate_key
+from stegolm.lm.base import LanguageModel
+from stegolm.lm.lstm import LstmHyperparams, LstmModel, init_params
 from stegolm.lm.ngram import NgramConfig, train_ngram
 from stegolm.metrics import (
+    BLOCK,
     capacity,
     capacity_empirical,
+    is_vacuous,
     perplexity,
     stego_distribution,
     stego_perplexity,
@@ -182,6 +186,20 @@ class TestStegoDistributionReference:
         self.check(probs, key)
 
 
+class TestStegoDistributionShapes:
+    @pytest.mark.parametrize("block_bits, common", [(0, 0), (0, 3), (1, 0), (2, 3), (4, 0)])
+    def test_any_leading_shape_equals_row_by_row(self, mini_vocab, block_bits, common):
+        key = generate_key(mini_vocab, block_bits, common, seed=2)
+        probs = np.random.default_rng(block_bits).dirichlet(np.ones(len(mini_vocab)), (3, 5))
+        probs[1, 2, list(key.bins[0]) + list(key.common)] = 0.0  # one row's bin 0 has no mass
+        probs[1, 2] /= probs[1, 2].sum()
+        got = stego_distribution(probs, key)
+        want = np.array([[stego_distribution(p, key) for p in row] for row in probs])
+        assert got.shape == probs.shape and np.array_equal(got, want)
+        np.testing.assert_allclose(got[1, 2], reference_stego_distribution(probs[1, 2], key),
+                                   rtol=0, atol=1e-12)
+
+
 class TestStegoPerplexity:
     def test_single_bin_no_common_equals_plain(self, mini_bigram, mini_vocab, mini_tokens):
         key = generate_key(mini_vocab, 0, 0, seed=1)
@@ -226,6 +244,130 @@ class TestStegoPerplexity:
         report = stego_perplexity(model, key, ["a", "b"])
         assert report.perplexity == math.inf
         assert report.infinite_positions == (1,)
+
+
+def per_token_report(model, tokens, key=None):
+    """(mean NLL, scored, skipped, zero-probability positions) of the loop that
+    scores one position at a time: ``next_distribution`` and, under ``key``,
+    ``stego_word_prob``, skipping reserved sentinels unless the key is vacuous."""
+    ctx, total, scored, skipped, infinite = model.initial_context(), 0.0, 0, 0, []
+    for position, idx in enumerate(map(model.vocab.index_or_unk, tokens)):
+        if key is not None and not is_vacuous(key) and key.lookup_array()[idx] == BIN_RESERVED:
+            skipped += 1
+        else:
+            prob = (model.next_distribution(ctx)[idx] if key is None
+                    else stego_word_prob(model, ctx, key, idx))
+            scored += 1
+            if prob > 0:
+                total -= math.log(prob)
+            else:
+                infinite.append(position)
+        ctx = model.advance(ctx, idx)
+    return (math.inf if infinite else total / scored), scored, skipped, tuple(infinite)
+
+
+def check_block_scoring(model, tokens, keys=()):
+    """Plain and stego perplexity, scored in blocks, agree with ``per_token_report``."""
+    for key in (None, *keys):
+        report = perplexity(model, tokens) if key is None else stego_perplexity(model, key, tokens)
+        mean, scored, skipped, infinite = per_token_report(model, tokens, key)
+        assert report.mean_nll == pytest.approx(mean, rel=1e-12)
+        assert (report.token_count, report.skipped_sentinels) == (scored, skipped)
+        assert report.infinite_positions == infinite
+
+
+def check_rows(model, ctx, ids, exact):
+    """Row t of ``next_distributions`` is ``next_distribution`` after ``ids[:t]``."""
+    probs, after = model.next_distributions(ctx, ids)
+    want, want_after = LanguageModel.next_distributions(model, ctx, ids)
+    if exact:
+        assert np.array_equal(probs, want) and after == want_after
+    else:
+        np.testing.assert_allclose(probs, want, rtol=1e-12, atol=0)
+        for (h, c), (want_h, want_c) in zip(after, want_after):
+            np.testing.assert_allclose(np.r_[h, c], np.r_[want_h, want_c], rtol=1e-12, atol=1e-15)
+    return probs
+
+
+#: (block_bits, common) of the keys every model is scored under; (0, 0) is vacuous.
+KEY_SHAPES = [(0, 0), (1, 0), (2, 10), (3, 0), (4, 10)]
+
+
+class TestBlockScoring:
+    """Scoring takes ``BLOCK`` positions per model call; it must agree with
+    scoring one position at a time."""
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_desk_ngram(self, order, desk_tokens, desk_vocab):
+        split = int(len(desk_tokens) * 0.9)
+        model = train_ngram(desk_tokens[:split], desk_vocab, NgramConfig(order, 0.05))
+        held = desk_tokens[split:split + BLOCK + 1]
+        # shuffled, the held-out tokens make contexts the training stream never held;
+        # so does <unk>, which it never holds at all
+        shuffled = [str(t) for t in np.random.default_rng(order).permutation(held)]
+        for position in (10, 100, BLOCK):
+            shuffled[position] = UNK_TOKEN
+        ids = desk_vocab.indices(shuffled)
+        # from the start of the stream (short contexts) and from a full-length context
+        for ctx in ((), tuple(ids[:order - 1])):
+            probs = check_rows(model, ctx, ids, exact=True)
+        if order > 1:  # an unseen context gives the uniform distribution
+            assert (probs == probs[:, :1]).all(axis=1).any()
+        keys = [generate_key(desk_vocab, b, c, 7) for b, c in KEY_SHAPES]
+        for tokens in (held, shuffled):
+            check_block_scoring(model, tokens, keys)
+
+    @pytest.mark.parametrize("length", [BLOCK - 1, BLOCK, BLOCK + 1])
+    def test_stream_lengths_around_one_block(self, length, desk_trigram, desk_tokens, desk_vocab):
+        held = desk_tokens[int(len(desk_tokens) * 0.9):][:length]
+        check_block_scoring(desk_trigram, held,
+                            [generate_key(desk_vocab, b, c, 8) for b, c in KEY_SHAPES])
+
+    @pytest.mark.parametrize("length", [BLOCK - 1, BLOCK, BLOCK + 1])
+    def test_two_layer_lstm(self, length, desk_tokens, desk_vocab):
+        hp = LstmHyperparams(layers=2, units=16, embed_dim=8)
+        params = {name: 10 * array for name, array in init_params(len(desk_vocab), hp, 3).items()}
+        model = LstmModel(desk_vocab, hp, params)  # larger weights than training starts from
+        tokens = desk_tokens[:length]
+        check_rows(model, model.initial_context(), desk_vocab.indices(tokens), exact=False)
+        check_block_scoring(model, tokens,
+                            [generate_key(desk_vocab, b, c, 9) for b, c in KEY_SHAPES])
+
+    @pytest.mark.parametrize("length", [BLOCK - 1, BLOCK, BLOCK + 1])
+    def test_fixed_model_through_the_base_loop(self, length, mini_vocab, mini_tokens):
+        assert FixedModel.next_distributions is LanguageModel.next_distributions
+        probs = np.random.default_rng(5).dirichlet(np.ones(len(mini_vocab)))
+        check_block_scoring(FixedModel(mini_vocab, probs), mini_tokens[:length],
+                            [generate_key(mini_vocab, b, c % 7, 4) for b, c in KEY_SHAPES])
+
+    def test_empty_block(self, desk_trigram, desk_vocab):
+        hp = LstmHyperparams(units=4, embed_dim=4)
+        models = (desk_trigram, LstmModel(desk_vocab, hp, init_params(len(desk_vocab), hp, 1)),
+                  FixedModel(desk_vocab, np.full(len(desk_vocab), 1 / len(desk_vocab))))
+        for model in models:
+            ctx = model.advance(model.initial_context(), 3)
+            probs, after = model.next_distributions(ctx, [])
+            assert probs.shape == (0, len(desk_vocab))
+            assert after is ctx or after == ctx
+
+    def test_sentinels_skipped_at_block_edges(self, desk_trigram, desk_tokens, desk_vocab):
+        tokens = list(desk_tokens[-2 * BLOCK - 1:])
+        for position in (0, BLOCK - 1, BLOCK, 2 * BLOCK - 1, 2 * BLOCK):
+            tokens[position] = (EOS_TOKEN, UNK_TOKEN)[position % 2]
+        key = generate_key(desk_vocab, 2, 0, 3)
+        check_block_scoring(desk_trigram, tokens, [key, generate_key(desk_vocab, 0, 0, 3)])
+        assert stego_perplexity(desk_trigram, key, tokens).skipped_sentinels >= 5
+
+    def test_zero_probability_in_second_block_at_its_stream_position(self):
+        vocab = Vocabulary(("a", "b", "c", "d"), (4, 3, 2, 1))
+        model = FixedModel(vocab, [0.5, 0.5, 0.0, 0.0])
+        key = StegoKey(1, [0, 0, 1, 1], 0, vocab)
+        tokens = ["a", "b"] * BLOCK
+        tokens[BLOCK + 3] = "c"
+        for report in (perplexity(model, tokens), stego_perplexity(model, key, tokens)):
+            assert report.infinite_positions == (BLOCK + 3,)
+            assert report.perplexity == math.inf
+        check_block_scoring(model, tokens, [key])
 
 
 class TestCapacity:

@@ -122,18 +122,19 @@ def _pick(probs: np.ndarray, allowed: np.ndarray, policy: GenPolicy,
     Tempering divides by the largest probability first, so the weights keep a 1
     and cannot all underflow to zero at low temperatures."""
     mass = probs[allowed]
-    top = mass.max(initial=0.0)
+    top = np.maximum.reduce(mass, initial=0.0)
     if not top > 0:
         raise EncodeError("no probability mass on the allowed tokens")
     if policy.mode is Mode.GREEDY:
         return int(allowed[int(np.argmax(mass))])
     if rng is None:
         rng = np.random.default_rng(policy.seed)
-    weights = (mass / top) ** (1.0 / policy.temperature)
-    weights /= weights.sum()
-    # Generator.choice(len(allowed), p=weights) without its argument checks:
+    mass /= top  # a gather, so a new array: tempered and normalised in place
+    mass **= 1.0 / policy.temperature
+    mass /= np.add.reduce(mass)
+    # Generator.choice(len(allowed), p=mass) without its argument checks:
     # the same steps, so the same stream and the same index.
-    cdf = weights.cumsum()
+    cdf = np.add.accumulate(mass, out=mass)
     cdf /= cdf[-1]
     return int(allowed[cdf.searchsorted(rng.random(), side="right")])
 
@@ -164,7 +165,9 @@ def constrained_select(
     if include_common and banned:
         drop = np.fromiter(banned, dtype=np.int64, count=len(banned))
         drop = drop[slots[drop] == BIN_COMMON]  # a banned bin token stays allowed
-        allowed = np.delete(allowed, allowed.searchsorted(drop))
+        keep = np.ones(len(allowed), dtype=bool)
+        keep[allowed.searchsorted(drop)] = False
+        allowed = allowed[keep]
     probs = model.next_distribution(ctx)
     if len(probs) != len(slots):
         raise VocabMismatchError(

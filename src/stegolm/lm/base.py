@@ -26,11 +26,13 @@ def softmax(scores: np.ndarray) -> np.ndarray:
     scores = np.asarray(scores, dtype=np.float64)
     if scores.shape[-1] == 0:
         raise ModelOutputError("softmax of an empty score vector")
-    top = scores.max(axis=-1, keepdims=True)
-    if not np.isfinite(top).all():
+    top = np.maximum.reduce(scores, axis=-1, keepdims=True)
+    if not np.logical_and.reduce(np.isfinite(top), axis=None):
         raise ModelOutputError(f"scores are NaN or overflow (largest {top.max()})")
-    exp = np.exp(scores - top)
-    return exp / exp.sum(axis=-1, keepdims=True)
+    exp = np.subtract(scores, top)
+    np.exp(exp, out=exp)
+    exp /= np.add.reduce(exp, axis=-1, keepdims=True)
+    return exp
 
 
 class LanguageModel(abc.ABC):

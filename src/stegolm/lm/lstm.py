@@ -6,7 +6,7 @@ parallel streams, plain SGD, global gradient-norm clipping, and dropout on
 the non-recurrent connections only (embedding output and every layer output,
 training time only). The learning rate is divided by ``lr_decay`` after any
 epoch whose validation loss fails to improve on the best seen so far by more
-than 1e-4 nats.
+than 1e-4 nats. Training, encoding and scoring share one cell function.
 
 All state is float64 and every source of randomness is derived from the
 training seed, so a (seed, corpus, hyperparams) triple reproduces the exact
@@ -85,11 +85,6 @@ class EpochStats:
     decayed: bool
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    ex = np.exp(-np.abs(x))  # never overflows
-    return np.where(x >= 0, 1.0, ex) / (1.0 + ex)
-
-
 def param_shapes(vocab_size: int, hp: LstmHyperparams) -> dict[str, tuple[int, ...]]:
     """Name and shape of every parameter array, in initialisation order."""
     shapes = {"embed": (vocab_size, hp.embed_dim)}
@@ -119,19 +114,31 @@ def _zero_states(hp: LstmHyperparams, *batch: int) -> tuple:
                  for _ in range(hp.layers))
 
 
-def _cell_forward(params, hp, layer, x, h_prev, c_prev):
-    z = x @ params[f"wx{layer}"] + h_prev @ params[f"wh{layer}"] + params[f"b{layer}"]
-    return _cell_gates(hp, z, c_prev)
+def _layer_weights(params, layers: int) -> tuple:
+    """Each layer's ``(wx, wh, b)``, read once from ``params``."""
+    return tuple(tuple(params[f"{name}{layer}"] for name in ("wx", "wh", "b"))
+                 for layer in range(layers))
 
 
-def _cell_gates(hp, z, c_prev):
-    """The cell's new (hidden, cell) and gates from its pre-activations ``z``."""
-    units = hp.units
-    sig = _sigmoid(z)  # the i, f and o gates; the g quarter is unused
-    gi, gf, go = sig[..., :units], sig[..., units:2 * units], sig[..., 3 * units:]
+def _cell(xw, h_prev, c_prev, wh, b, units: int):
+    """One LSTM step from the input product ``xw = x @ wx``: pre-activations
+    ``z = (xw + h_prev @ wh) + b``, sigmoid gates ``exp(min(z, 0)) / (1 + exp(-|z|))``
+    (no exponent is positive, so nothing overflows). Returns the new (hidden,
+    cell) and the gates (i, f, g, o); the arguments are only read."""
+    z = h_prev @ wh
+    np.add(xw, z, out=z)
+    z += b
     gg = np.tanh(z[..., 2 * units:3 * units])
-    c = gf * c_prev + gi * gg
-    h = go * np.tanh(c)
+    sig = np.minimum(z, 0.0)  # the i, f and o gates; its g quarter is unused
+    np.exp(sig, out=sig)
+    np.exp(np.negative(np.abs(z, out=z), out=z), out=z)  # exp(-|z|)
+    z += 1.0
+    sig /= z
+    gi, gf, go = sig[..., :units], sig[..., units:2 * units], sig[..., 3 * units:]
+    c = gf * c_prev
+    c += np.multiply(gi, gg, out=z[..., :units])
+    h = np.tanh(c)
+    h *= go
     return h, c, (gi, gf, gg, go)
 
 
@@ -147,14 +154,13 @@ def window_forward(params, hp, inputs, targets, states, drop_masks=None):
     xin = params["embed"][inputs]  # (B, T, E)
     if drop_masks is not None:
         xin = xin * drop_masks[0]
-    caches = []
-    new_states = []
-    for layer in range(hp.layers):
+    caches, new_states = [], []
+    for layer, (wx, wh, b) in enumerate(_layer_weights(params, hp.layers)):
         h_prev, c_prev = states[layer]
         hs = np.empty((batch, steps, hp.units))
         layer_cache = []
         for t in range(steps):
-            h, c, gates = _cell_forward(params, hp, layer, xin[:, t], h_prev, c_prev)
+            h, c, gates = _cell(xin[:, t] @ wx, h_prev, c_prev, wh, b, hp.units)
             layer_cache.append((xin[:, t], h_prev, c_prev, c, gates))
             h_prev, c_prev = h, c
             hs[:, t] = h
@@ -175,11 +181,8 @@ def _sample_drop_masks(hp, rng, batch, steps):
     if hp.dropout == 0.0:
         return None
     keep = 1.0 - hp.dropout
-    masks = []
-    for layer in range(hp.layers + 1):
-        dim = hp.embed_dim if layer == 0 else hp.units
-        masks.append((rng.random((batch, steps, dim)) < keep) / keep)
-    return masks
+    dims = [hp.embed_dim] + [hp.units] * hp.layers
+    return [(rng.random((batch, steps, dim)) < keep) / keep for dim in dims]
 
 
 def window_loss_and_grads(params, hp, inputs, targets, states, drop_masks=None):
@@ -200,8 +203,7 @@ def window_loss_and_grads(params, hp, inputs, targets, states, drop_masks=None):
     for layer in reversed(range(hp.layers)):
         if drop_masks is not None:
             d_out = d_out * drop_masks[layer + 1]
-        dh_next = np.zeros((batch, hp.units))
-        dc_next = np.zeros((batch, hp.units))
+        dh_next, dc_next = np.zeros((2, batch, hp.units))
         in_dim = hp.embed_dim if layer == 0 else hp.units
         d_in = np.empty((batch, steps, in_dim))
         wh_t = params[f"wh{layer}"].T
@@ -290,6 +292,9 @@ def _train_epoch(params, hp, data: np.ndarray, drop_rng, lr: float) -> float:
 
 
 class LstmModel(LanguageModel):
+    """``params`` must not change once the model is built: the overflow bound is
+    checked then, and ``advance`` memoises each index's ``embed[i] @ wx0`` row."""
+
     backend = "lstm"
 
     def __init__(self, vocab: Vocabulary, hp: LstmHyperparams,
@@ -319,42 +324,37 @@ class LstmModel(LanguageModel):
         self.hp = hp
         self.params = params
         self.history = list(history)
+        self._weights = _layer_weights(params, hp.layers)
+        self._rows: dict[int, np.ndarray] = {}  # index -> embed[index] @ wx0, as 1-D products
 
     def initial_context(self) -> tuple:
         """Per-layer (hidden, cell) vectors; treated as an immutable value."""
         return _zero_states(self.hp)
 
     def advance(self, ctx: tuple, token_index: int) -> tuple:
-        self.check_index(token_index)
-        x = self.params["embed"][token_index]
+        xw = self._rows.get(token_index)
+        if xw is None:
+            self.check_index(token_index)
+            xw = self._rows[token_index] = self.params["embed"][token_index] @ self._weights[0][0]
         states = []
-        for layer, (h_prev, c_prev) in enumerate(ctx):
-            h, c, _ = _cell_forward(self.params, self.hp, layer, x, h_prev, c_prev)
-            states.append((h, c))
-            x = h
+        for (wx, wh, b), (h, c) in zip(self._weights, ctx):
+            if states:  # the layer below's new hidden state is this layer's input
+                xw = states[-1][0] @ wx
+            states.append(_cell(xw, h, c, wh, b, self.hp.units)[:2])
         return tuple(states)
 
     def next_distribution(self, ctx: tuple) -> np.ndarray:
-        h_top = ctx[-1][0]
-        return softmax(h_top @ self.params["wo"] + self.params["bo"])
+        return softmax(ctx[-1][0] @ self.params["wo"] + self.params["bo"])
 
     def next_distributions(self, ctx: tuple, ids) -> tuple[np.ndarray, tuple]:
-        """The recurrence token by token, with layer 0's input product taken for
-        the whole block at once, then one output-layer product and one row-wise
-        softmax. Rows may differ from ``next_distribution`` in the last bits."""
-        params, hp = self.params, self.hp
-        x0 = params["embed"][list(map(self.check_index, ids))] @ params["wx0"] + params["b0"]
-        tops = np.empty((len(ids), hp.units))
-        for t, x in enumerate(x0):
+        """The recurrence through ``advance``, then one output-layer product and
+        one row-wise softmax. Rows may differ from ``next_distribution`` in the
+        last bits; ``ctx_after`` is the ``advance`` chain's, bit for bit."""
+        tops = np.empty((len(ids), self.hp.units))
+        for t, token_index in enumerate(ids):
             tops[t] = ctx[-1][0]
-            (h, c), *upper = ctx
-            h, c, _ = _cell_gates(hp, x + h @ params["wh0"], c)
-            states = [(h, c)]
-            for layer, (h_prev, c_prev) in enumerate(upper, 1):
-                h, c, _ = _cell_forward(params, hp, layer, h, h_prev, c_prev)
-                states.append((h, c))
-            ctx = tuple(states)
-        return softmax(tops @ params["wo"] + params["bo"]), ctx
+            ctx = self.advance(ctx, token_index)
+        return softmax(tops @ self.params["wo"] + self.params["bo"]), ctx
 
     def header_config(self) -> dict:
         """The ``config:`` header of a model file: hyperparameters and history."""

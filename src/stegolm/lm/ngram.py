@@ -140,7 +140,7 @@ class NgramModel(LanguageModel):
             if [len(t[1]) for t in model._tables] != [len(g) for g, _ in tables]:
                 raise ModelFormatError("a successor is listed twice in one context")
             return model
-        except (AttributeError, KeyError, ValueError, TypeError) as exc:
+        except (AttributeError, KeyError, RecursionError, TypeError, ValueError) as exc:
             raise ModelFormatError(f"bad ngram payload: {exc}") from None
 
 

@@ -64,7 +64,7 @@ def deserialize_model(data: bytes, vocab: Vocabulary) -> LanguageModel:
     try:
         payload_bytes = parse_int(payload_line)
         config = json.loads(config_line)
-    except ValueError as exc:
+    except (RecursionError, ValueError) as exc:  # RecursionError: JSON nested too deeply
         raise ModelFormatError(f"bad model header: {exc}") from None
     if json.dumps(config, sort_keys=True) != config_line:
         raise ModelFormatError("model config line is not spelt as serialize_model writes it")

@@ -351,6 +351,10 @@ def emptied_context(doc):
     doc["tables"][1][0][1] = []
 
 
+#: A JSON value nested more deeply than Python's recursion limit lets json.loads read.
+NESTED = b"[" * 100_000 + b"]" * 100_000
+
+
 def swapped_header_lines(data: bytes) -> bytes:
     """A model file with its ``backend:`` and ``vocab_hash:`` lines swapped."""
     head = data.split(b"\n", 5)
@@ -481,6 +485,9 @@ def lstm_file(workspace):
     (ENCODE, ("model", swapped_header_lines), "ModelFormatError"),
     (ENCODE, ("model", lambda data: data.replace(b"config: {}", b'config: {"x": 1}', 1)),
      "ModelFormatError"),
+    (ENCODE, ("model", lambda data: data.replace(b"config: {}", b"config: " + NESTED, 1)),
+     "ModelFormatError"),
+    (ENCODE, ("model", model_payload(lambda payload: NESTED)), "ModelFormatError"),
 ], ids=["temp-0", "max-common-run-0", "order-0", "units-0", "max-vocab-1", "block-bits-neg",
         "vocab-not-utf8", "key-not-utf8", "model-not-utf8", "encode-seed-neg", "train-seed-neg",
         "max-bytes-0", "trials-neg", "decode-tokens-not-utf8", "decode-text-not-utf8",
@@ -497,7 +504,8 @@ def lstm_file(workspace):
         "eval-capacity-no-block-bits", "eval-nothing", "ngram-context-spelling",
         "ngram-successors-empty", "key-block-bits-plus", "key-seed-zeros",
         "model-payload-bytes-plus", "vocab-blank-line", "vocab-count-plus",
-        "vocab-token-space", "model-header-swapped", "ngram-config-extra"])
+        "vocab-token-space", "model-header-swapped", "ngram-config-extra",
+        "model-config-nested", "ngram-payload-nested"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_input_prints_one_error_line(workspace, lstm_file, tmp_path, capsys,
                                          argv, damage, error):

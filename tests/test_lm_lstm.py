@@ -20,6 +20,7 @@ from stegolm.lm.lstm import (
     PRESETS,
     _zero_states,
     init_params,
+    param_shapes,
     sgd_step,
     train_lstm,
     window_forward,
@@ -38,6 +39,19 @@ def tiny_vocab(n=6):
 def toy_stream(vocab, length, seed=0):
     rng = np.random.default_rng(seed)
     return [vocab.token(int(rng.integers(len(vocab)))) for _ in range(length)]
+
+
+def direct_step(params, hp, ctx, index):
+    """One LSTM step written out: ``(x @ wx + h @ wh) + b`` through the gates."""
+    x, states = params["embed"][index], []
+    for layer, (h, c) in enumerate(ctx):
+        z = (x @ params[f"wx{layer}"] + h @ params[f"wh{layer}"]) + params[f"b{layer}"]
+        e = np.exp(-np.abs(z))
+        gi, gf, _, go = np.split(np.where(z >= 0, 1.0, e) / (1.0 + e), 4)
+        c = gf * c + gi * np.tanh(z[2 * hp.units:3 * hp.units])
+        x = go * np.tanh(c)
+        states.append((x, c))
+    return tuple(states)
 
 
 class TestCell:
@@ -73,6 +87,30 @@ class TestCell:
         model.advance(ctx, 1)
         for (h, c), (hs, cs) in zip(ctx, snapshot):
             assert np.array_equal(h, hs) and np.array_equal(c, cs)
+
+    def test_returned_contexts_are_never_changed_later(self):
+        hp = LstmHyperparams(layers=2, units=16, embed_dim=8)
+        vocab = tiny_vocab(30)
+        rng = np.random.default_rng(4)  # large weights and nonzero biases
+        params = {name: rng.uniform(-0.5, 0.5, size=shape)
+                  for name, shape in param_shapes(len(vocab), hp).items()}
+        model = LstmModel(vocab, hp, params)
+        first = model.advance(model.initial_context(), 2)
+        _, after = model.next_distributions(first, [2, 4, 2])
+        kept = [(ctx, np.array(ctx)) for ctx in (first, after)]
+        later = model.advance(first, 2)
+        model.next_distribution(later)
+        model.next_distributions(model.advance(later, 4), [1, 2, 3])
+        for ctx, copy in kept:
+            assert np.array_equal(np.array(ctx), copy)
+        # each index's input row is computed on its first advance and memoised for
+        # the second; both equal the step written out
+        ctx = first
+        for index in rng.integers(len(vocab), size=40):
+            fresh, memoised = model.advance(ctx, index), model.advance(ctx, index)
+            assert np.array_equal(np.array(fresh), np.array(memoised))
+            assert np.array_equal(np.array(fresh), np.array(direct_step(params, hp, ctx, index)))
+            ctx = fresh
 
     def test_out_of_range_token(self):
         hp = LstmHyperparams(layers=1, units=4, embed_dim=3)

@@ -15,7 +15,6 @@ from .codec import (
     decode_payload,
     encode,
     encode_bits,
-    generate,
     render,
 )
 from .corpus import (

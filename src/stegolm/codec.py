@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import EOS_TOKEN, RESERVED_NONCARRIERS, URL_TOKEN, USER_TOKEN
+from .corpus import EOS_TOKEN, URL_TOKEN, USER_TOKEN
 from .errors import ConfigError, DecodeError, EncodeError, VocabMismatchError
 from .keying import BIN_COMMON, BitBlock, StegoKey
 from .lm.base import LanguageModel
@@ -226,24 +226,6 @@ def encode(
 ) -> Stegotext:
     """Embed a byte payload under the payload's framing rule."""
     return encode_bits(payload_to_bits(payload, key.block_bits), key, model, policy)
-
-
-def generate(
-    model: LanguageModel,
-    n_tokens: int,
-    policy: GenPolicy = GenPolicy(),
-) -> list[str]:
-    """Unconstrained generation (no key, no payload); sentinels are excluded."""
-    vocab = model.vocab
-    allowed = np.flatnonzero([t not in RESERVED_NONCARRIERS for t in vocab.tokens])
-    rng = np.random.default_rng(policy.seed)
-    ctx = _start_context(model)
-    out: list[str] = []
-    for _ in range(n_tokens):
-        idx = _pick(model.next_distribution(ctx), allowed, policy, rng)
-        ctx = model.advance(ctx, idx)
-        out.append(vocab.token(idx))
-    return out
 
 
 def decode(tokens, key: StegoKey, framing: Framing = Framing.RAW) -> str:

@@ -361,8 +361,10 @@ class LstmModel(LanguageModel):
         return {"hyperparams": asdict(self.hp), "history": [asdict(s) for s in self.history]}
 
     def to_payload(self) -> bytes:
+        """An uncompressed npz archive of C-order arrays in ``param_shapes`` order."""
         buf = io.BytesIO()
-        np.savez(buf, **self.params)
+        names = param_shapes(len(self.vocab), self.hp)
+        np.savez(buf, **{name: np.ascontiguousarray(self.params[name]) for name in names})
         return buf.getvalue()
 
     @classmethod
@@ -371,7 +373,7 @@ class LstmModel(LanguageModel):
         exactly the finite float64 arrays the hyperparameters call for."""
         try:
             hp = LstmHyperparams(**header["hyperparams"])
-            history = [EpochStats(**s) for s in header.get("history", [])]
+            history = [EpochStats(**s) for s in header["history"]]
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ModelFormatError(f"bad lstm config: {exc}") from None
         try:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
@@ -31,8 +30,8 @@ class NgramConfig:
     def __post_init__(self):
         if type(self.order) is not int or self.order < 1:  # refuses floats and bools too
             raise ConfigError(f"order must be an integer >= 1, not {self.order!r}")
-        if not 0 < self.add_k < math.inf:  # refuses NaN too
-            raise ConfigError("add_k must be positive and finite")
+        if not isinstance(self.add_k, float) or not 0 < self.add_k < math.inf:  # refuses NaN too
+            raise ConfigError(f"add_k must be a positive finite float, not {self.add_k!r}")
 
 
 def _run_starts(rows: np.ndarray) -> np.ndarray:
@@ -112,23 +111,27 @@ class NgramModel(LanguageModel):
         return {}
 
     def to_payload(self) -> bytes:
+        """``json.dumps(doc, sort_keys=True)`` of ``{"add_k", "order", "tables"}``,
+        written directly: table ``m`` lists ``[context, [[successor, count], ...]]``,
+        each context ``m`` indices joined by commas, contexts and successors in
+        ascending order."""
         tables = []
         for runs, successors, counts in self._tables:  # runs holds its contexts in sorted order
-            pairs = list(zip(successors.tolist(), counts.astype(np.int64).tolist()))
-            tables.append([[",".join(map(str, c)), pairs[a:b]] for c, (a, b, _) in runs.items()])
-        doc = {"order": self.config.order, "add_k": self.config.add_k, "tables": tables}
-        return json.dumps(doc, sort_keys=True).encode("utf-8")
+            pairs = [f"[{s}, {c}]" for s, c in zip(successors.tolist(),
+                                                   counts.astype(np.int64).tolist())]
+            rows = (f'["{",".join(map(str, c))}", [{", ".join(pairs[a:b])}]]'
+                    for c, (a, b, _) in runs.items())
+            tables.append(f"[{', '.join(rows)}]")
+        return (f'{{"add_k": {json.dumps(self.config.add_k)}, "order": {self.config.order}, '
+                f'"tables": [{", ".join(tables)}]}}').encode("utf-8")
 
     @classmethod
     def from_payload(cls, vocab: Vocabulary, header: dict, payload: bytes) -> "NgramModel":
-        """Inverse of ``header_config``/``to_payload``, contexts in any order: the
-        config is ``{}``, table ``m`` holds length-``m`` contexts, each a string
-        spelt as ``to_payload`` spells it and listed once, with at least one
-        successor and each successor once, every index lies in ``[0, |V|)``,
-        every successor index and count is a JSON integer and every count lies
-        in ``[1, 2**53]`` (so float64 holds it exactly)."""
-        if header != {}:
-            raise ModelFormatError("an ngram model's config line must be {}")
+        """Inverse of ``header_config``/``to_payload``. Only what must hold before the
+        arrays are built is checked here: table ``m`` holds length-``m`` contexts,
+        every index lies in ``[0, |V|)`` and every count in ``[1, 2**53]`` (so
+        float64 holds it exactly). ``deserialize_model`` refuses every other
+        spelling: any payload that ``to_payload`` would not write back."""
         try:
             doc = json.loads(payload.decode("utf-8"))
             config = NgramConfig(order=doc["order"], add_k=doc["add_k"])
@@ -136,38 +139,28 @@ class NgramModel(LanguageModel):
             tables = [_read_table(m, t, len(vocab)) for m, t in enumerate(doc.pop("tables"))]
             if len(tables) != config.order:
                 raise ModelFormatError("ngram payload order does not match its tables")
-            model = cls(vocab, config, tables)
-            if [len(t[1]) for t in model._tables] != [len(g) for g, _ in tables]:
-                raise ModelFormatError("a successor is listed twice in one context")
-            return model
-        except (AttributeError, KeyError, RecursionError, TypeError, ValueError) as exc:
+            return cls(vocab, config, tables)
+        except (AttributeError, KeyError, OverflowError, RecursionError, TypeError,
+                ValueError) as exc:
             raise ModelFormatError(f"bad ngram payload: {exc}") from None
 
 
-def _read_table(m: int, entries: list, size: int) -> tuple[np.ndarray, list[int]]:
-    """Table ``m`` of an n-gram payload as ``(grams, counts)``, checked as in ``from_payload``."""
-    spelt = [c for c, _ in entries]  # as to_payload spells them: m plain indices, comma-separated
-    fullmatch = re.compile(",".join(["(?:0|[1-9][0-9]*)"] * m)).fullmatch
-    if (not set(map(type, spelt)) <= {str} or not all(map(fullmatch, spelt))
-            or len(set(spelt)) < len(spelt)):
-        raise ModelFormatError(f"a context repeats or is not {m} indices spelt as in to_payload")
-    if not all(s for _, s in entries):
-        raise ModelFormatError("a context has no successors")
-    # m indices per context, read in one pass (none when m = 0 or the table is empty)
-    flat = list(map(int, filter(None, ",".join(spelt).split(","))))
-    pairs = list(chain.from_iterable(s for _, s in entries))
-    values = list(chain.from_iterable(pairs))  # index, count, index, count, ...
-    if set(map(len, pairs)) - {2} or not set(map(type, values)) <= {int}:  # no bools
-        raise ModelFormatError("ngram successor is not an [index, count] integer pair")
-    counts = values[1::2]  # checked before any int64 conversion
-    if counts and not 1 <= min(counts) <= max(counts) <= 2**53:
+def _read_table(m: int, entries: list, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Table ``m`` of an n-gram payload as ``(grams, counts)``, range-checked
+    before any count is converted to int64 or any index is used."""
+    spelt = [c for c, _ in entries]
+    # One pass each, where a number beyond int64 is an OverflowError: the m indices
+    # of every context (none when m = 0 or the table is empty), then the pairs.
+    flat = np.fromiter(filter(None, ",".join(spelt).split(",")), np.int64)
+    pairs = np.fromiter(chain.from_iterable(chain.from_iterable(s for _, s in entries)),
+                        np.int64).reshape(-1, 2)  # index, count
+    if len(pairs) and not 1 <= pairs[:, 1].min() <= pairs[:, 1].max() <= 2**53:
         raise ModelFormatError("ngram count outside [1, 2**53]")
-    indices = flat + values[0::2]
-    if indices and not 0 <= min(indices) <= max(indices) < size:
+    indices = np.r_[flat, pairs[:, 0]]
+    if len(indices) and not 0 <= indices.min() <= indices.max() < size:
         raise ModelFormatError(f"ngram token index outside [0, {size})")
-    grams = np.repeat(np.array(flat, np.int64).reshape(len(spelt), m),
-                      [len(s) for _, s in entries], axis=0)
-    return np.column_stack([grams, values[0::2]]), counts
+    grams = np.repeat(flat.reshape(len(spelt), m), [len(s) for _, s in entries], axis=0)
+    return np.column_stack([grams, pairs[:, 0]]), pairs[:, 1]
 
 
 def train_ngram(tokens: Sequence[str], vocab: Vocabulary,

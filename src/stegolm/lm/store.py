@@ -12,7 +12,8 @@ Layout (UTF-8 header lines, then a raw binary payload):
 Config and payload are backend-defined: the class that ``BACKENDS`` names for
 the tag writes them (``header_config``, ``to_payload``) and reads them back
 (``from_payload``). Loading requires the vocabulary the model was trained
-against; a hash mismatch is an error.
+against; a hash mismatch is an error. A file loads only if saving the loaded
+model writes exactly its bytes, so each model has one file.
 """
 
 from __future__ import annotations
@@ -46,8 +47,10 @@ def serialize_model(model: LanguageModel) -> bytes:
 
 
 def deserialize_model(data: bytes, vocab: Vocabulary) -> LanguageModel:
-    """Inverse of ``serialize_model``: the header lines must come in the order it
-    writes them, and the config line must be the JSON it writes."""
+    """Inverse of ``serialize_model``, checked by it: ``data`` loads only if
+    ``serialize_model`` of the loaded model gives back exactly ``data``. The
+    header line order, the vocabulary hash and the payload length are checked
+    first, so each failure keeps its own error."""
     head = data.split(b"\n", 5)  # five header lines, then the payload
     if head[0] != MODEL_HEADER:
         raise ModelFormatError(f"missing {MODEL_HEADER.decode()!r} header")
@@ -66,8 +69,6 @@ def deserialize_model(data: bytes, vocab: Vocabulary) -> LanguageModel:
         config = json.loads(config_line)
     except (RecursionError, ValueError) as exc:  # RecursionError: JSON nested too deeply
         raise ModelFormatError(f"bad model header: {exc}") from None
-    if json.dumps(config, sort_keys=True) != config_line:
-        raise ModelFormatError("model config line is not spelt as serialize_model writes it")
     if vocab_hash != vocab.content_hash():
         raise VocabMismatchError("model was trained against a different vocabulary")
     payload = head[5]
@@ -75,7 +76,10 @@ def deserialize_model(data: bytes, vocab: Vocabulary) -> LanguageModel:
         raise ModelFormatError(f"model payload is {len(payload)} bytes, declared {payload_bytes}")
     if backend not in BACKENDS:
         raise ModelFormatError(f"unknown backend tag: {backend!r}")
-    return BACKENDS[backend].from_payload(vocab, config, payload)
+    model = BACKENDS[backend].from_payload(vocab, config, payload)
+    if serialize_model(model) != data:
+        raise ModelFormatError("model file is not spelt as serialize_model writes it")
+    return model
 
 
 def save_model(model: LanguageModel, path: str | Path) -> None:

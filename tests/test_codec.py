@@ -17,7 +17,6 @@ from stegolm.codec import (
     decode_payload,
     encode,
     encode_bits,
-    generate,
     payload_to_bits,
     render,
     split_blocks,
@@ -299,35 +298,13 @@ class TestRoundTrip:
             assert decode(out.tokens, key) == bits[:prefix_len]
 
 
-class TestGenerate:
-    def test_never_emits_sentinels(self, mini_bigram, mini_vocab):
-        tokens = generate(mini_bigram, 60, GenPolicy(mode=Mode.SAMPLE, seed=1))
-        assert len(tokens) == 60
-        assert EOS_TOKEN not in tokens
-        assert "<unk>" not in tokens
-
-    def test_greedy_matches_single_bin_encode_path(self, mini_bigram, mini_vocab):
-        key = generate_key(mini_vocab, 0, 0, seed=1)
-        empty_block = BitBlock(0, key.block_bits)
-        assert empty_block.width == 0
-        ctx = mini_bigram.advance(
-            mini_bigram.initial_context(), mini_vocab.index_of(EOS_TOKEN))
-        constrained = []
-        for _ in range(40):
-            idx = constrained_select(mini_bigram, ctx, key, empty_block, GREEDY)
-            ctx = mini_bigram.advance(ctx, idx)
-            constrained.append(mini_vocab.token(idx))
-        assert constrained == generate(mini_bigram, 40, GREEDY)
-
-
 class TestLowTemperature:
-    def test_encode_and_generate_at_temperature_0_002(self, desk_trigram, desk_vocab):
+    def test_encode_at_temperature_0_002(self, desk_trigram, desk_vocab):
         # 1/T = 500: weights not scaled by their maximum underflow to all zeros
         policy = GenPolicy(mode=Mode.SAMPLE, temperature=0.002, seed=3)
         key = generate_key(desk_vocab, 2, 10, seed=9)
         out = encode(Payload(b"cold", Framing.LENGTH_PREFIXED), key, desk_trigram, policy)
         assert decode_payload(out.tokens, key) == b"cold"
-        assert len(generate(desk_trigram, 25, policy)) == 25
 
 
 class TestDraw:

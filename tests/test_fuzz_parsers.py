@@ -2,12 +2,11 @@
 
 The property: whatever the bytes, a parser raises a ``StegolmError`` subclass
 or returns an object whose ``encode`` of a short payload succeeds or raises a
-``StegolmError``. Vocabulary and key files are one to one: whatever loads
-saves to the same bytes. So does an n-gram payload written with
-``json.dumps(..., sort_keys=True)``, once its contexts are sorted. Inputs are
-arbitrary bytes, truncations and bit flips of valid files, plus structured
-n-gram payloads with indices and counts around the valid range or of the
-wrong JSON type. Vocabulary and models are tiny so the module stays fast.
+``StegolmError``. Every file format is one to one: whatever loads saves to
+the same bytes. Inputs are arbitrary bytes, truncations and bit flips of
+valid files, plus structured n-gram payloads with indices and counts around
+the valid range or of the wrong JSON type, and payloads spelt otherwise than
+saving spells them. Vocabulary and models are tiny so the module stays fast.
 """
 
 import json
@@ -102,20 +101,22 @@ def test_key_parser(data):
 def test_model_parser(data):
     model = parse_or_refuse(lambda d: deserialize_model(d, VOCAB), data)
     if model is not None:
+        assert serialize_model(model) == data
         encode_or_refuse(model, KEY)
 
 
 @st.composite
 def ngram_documents(draw):
-    """An n-gram payload document and whether ``from_payload`` must accept it:
-    valid tables with at most one defect, so indices span [-2, |V|+2] and
-    counts [-1, 5], a context may be one token off its table's order, the
+    """An n-gram payload document, its model file and whether the file must
+    load: valid tables with at most one defect, so indices span [-2, |V|+2]
+    and counts [-1, 5], a context may be one token off its table's order, the
     order may be written as a float, a successor index or count may be a
     float, bool, string or null, a count may exceed 2**53, add_k may be
     zero, NaN or infinite, a successor or a whole context may be listed
     twice, a context may be spelt otherwise than ``to_payload`` spells it
-    (sign, space, leading zero, non-ASCII digits, not a string) and a context
-    may have no successors."""
+    (sign, space, leading zero, non-ASCII digits, not a string), a context
+    may have no successors, two contexts or two successors may be out of
+    ascending order and the JSON may be written without spaces."""
     size = len(VOCAB)
     index, count = st.integers(0, size - 1), st.integers(1, 5)
     order = draw(st.integers(1, 3))
@@ -127,7 +128,8 @@ def ngram_documents(draw):
                                    "context length", "float order", "non-integer value",
                                    "huge count", "add_k", "repeated successor",
                                    "repeated context", "context spelling",
-                                   "empty successors"]))
+                                   "empty successors", "context order", "successor order",
+                                   "compact separators"]))
     m = draw(st.integers(0, order - 1))
     ctx, successors = draw(st.sampled_from(sorted(tables[m].items())))
     bad_index = draw(st.sampled_from([-2, -1, size, size + 1, size + 2]))
@@ -146,10 +148,11 @@ def ngram_documents(draw):
         "add_k": draw(st.sampled_from([0.0, float("nan"), float("inf")]))
         if defect == "add_k" else 0.1,
         "tables": [[[",".join(map(str, c)), [list(p) for p in sorted(nxt.items())]]
-                    for c, nxt in t.items()] for t in tables],
+                    for c, nxt in sorted(t.items())] for t in tables],
     }
     entries = doc["tables"][m]
-    entry = entries[draw(st.integers(0, len(entries) - 1))]  # [context, successors]
+    at = draw(st.integers(0, len(entries) - 1))
+    entry = entries[at]  # [context, successors]
     pair = entry[1][0]  # [index, count]
     if defect == "non-integer value":
         pair[draw(st.integers(0, 1))] = draw(st.sampled_from([True, False, 1.0, 2.5, "1", None]))
@@ -167,18 +170,21 @@ def ngram_documents(draw):
              spelt.translate(FULLWIDTH_DIGITS), spelt.split(",")]))
     elif defect == "empty successors":
         entry[1].clear()
-    return doc, defect is None
+    elif defect == "context order" and len(entries) > 1:
+        entries[at - 1], entries[at] = entries[at], entries[at - 1]  # at = 0 swaps the ends
+    elif defect == "successor order" and len(entry[1]) > 1:
+        entry[1].reverse()
+    elif defect in ("context order", "successor order"):
+        defect = None  # a single context or successor has no order to break
+    compact = defect == "compact separators"
+    return doc, model_file(doc, separators=(",", ":") if compact else None), defect is None
 
 
 FULLWIDTH_DIGITS = str.maketrans("0123456789", "０１２３４５６７８９")  # int() reads these too
 
 
-def context_order(entry) -> tuple[int, ...]:
-    return tuple(map(int, entry[0].split(","))) if entry[0] else ()
-
-
-def model_file(doc) -> bytes:
-    payload = json.dumps(doc, sort_keys=True).encode()
+def model_file(doc, separators=None) -> bytes:
+    payload = json.dumps(doc, sort_keys=True, separators=separators).encode()
     return (f"STEGOLM v1\nbackend: ngram\nvocab_hash: {VOCAB.content_hash()}\n"
             f"config: {{}}\npayload_bytes: {len(payload)}\n").encode() + payload
 
@@ -186,10 +192,9 @@ def model_file(doc) -> bytes:
 @FUZZ
 @given(ngram_documents())
 def test_ngram_payload_checks(document):
-    doc, valid = document
-    model = parse_or_refuse(lambda d: deserialize_model(d, VOCAB), model_file(doc))
+    doc, data, valid = document
+    model = parse_or_refuse(lambda d: deserialize_model(d, VOCAB), data)
     assert (model is not None) == valid
-    if model is not None:  # saved with its contexts in ascending order
-        tables = [sorted(table, key=context_order) for table in doc["tables"]]
-        assert serialize_model(model) == model_file({**doc, "tables": tables})
+    if model is not None:
+        assert serialize_model(model) == model_file(doc)
         assert decode_payload(encode(PAYLOAD, KEY, model, POLICY).tokens, KEY) == PAYLOAD.data

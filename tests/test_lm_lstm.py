@@ -314,6 +314,15 @@ class TestTraining:
                     LstmHyperparams(**{name: value})
 
 
+def respelt_config(data: bytes, change) -> bytes:
+    """The model file ``data`` with ``change`` applied to its parsed config line."""
+    head = data.split(b"\n", 5)
+    config = json.loads(head[3].partition(b": ")[2])
+    change(config)
+    head[3] = b"config: " + json.dumps(config, sort_keys=True).encode()
+    return b"\n".join(head)
+
+
 @pytest.fixture(scope="module")
 def trained(mini_tokens, mini_vocab):
     hp = LstmHyperparams(layers=2, units=10, embed_dim=6, unroll_steps=8,
@@ -374,6 +383,7 @@ class TestPersistence:
                     lstm.replace(b'"units": ', b'"units":', 1),
                     lstm.replace(b"config: ", b"config:  ", 1),
                     lstm.replace(b"backend: ", b"backend:", 1),
+                    respelt_config(lstm, lambda config: config.pop("history")),
                     ngram.replace(b"config: {}", b"config: { }", 1),
                     ngram.replace(b"config: {}", b'config: {"x": 1}', 1),
                     ngram.replace(b"config: {}", b"config: []", 1)):
@@ -405,6 +415,23 @@ class TestPersistence:
         np.savez(buf, **params)
         head = serialize_model(trained).split(b"\n", 5)[:4]  # up to payload_bytes
         data = b"\n".join(head + [b"payload_bytes: %d" % buf.tell(), buf.getvalue()])
+        with pytest.raises(ModelFormatError):
+            deserialize_model(data, mini_vocab)
+
+    @pytest.mark.parametrize("spelling", ["fortran order", "reordered arrays", "compressed"])
+    def test_respelt_payload_rejected(self, trained, mini_vocab, spelling):
+        # the same arrays, saved otherwise than to_payload saves them
+        params = trained.params
+        buf = io.BytesIO()
+        if spelling == "fortran order":
+            np.savez(buf, **{name: np.asfortranarray(array) for name, array in params.items()})
+        elif spelling == "reordered arrays":
+            np.savez(buf, **dict(reversed(params.items())))
+        else:
+            np.savez_compressed(buf, **params)
+        head = serialize_model(trained).split(b"\n", 5)[:4]  # up to payload_bytes
+        data = b"\n".join(head + [b"payload_bytes: %d" % buf.tell(), buf.getvalue()])
+        assert data != serialize_model(trained)
         with pytest.raises(ModelFormatError):
             deserialize_model(data, mini_vocab)
 

@@ -33,12 +33,15 @@ def untrained(vocab, config: NgramConfig) -> NgramModel:
     return NgramModel(vocab, config, [([], [])] * config.order)
 
 
+def ngram_file(vocab, payload: bytes) -> bytes:
+    """An n-gram model file holding ``payload``."""
+    return (f"STEGOLM v1\nbackend: ngram\nvocab_hash: {vocab.content_hash()}\n"
+            f"config: {{}}\npayload_bytes: {len(payload)}\n").encode() + payload
+
+
 def load_ngram(vocab, doc: dict) -> NgramModel:
     """An n-gram model file holding the payload ``doc``, loaded."""
-    payload = json.dumps(doc).encode()
-    return deserialize_model(
-        (f"STEGOLM v1\nbackend: ngram\nvocab_hash: {vocab.content_hash()}\n"
-         f"config: {{}}\npayload_bytes: {len(payload)}\n").encode() + payload, vocab)
+    return deserialize_model(ngram_file(vocab, json.dumps(doc, sort_keys=True).encode()), vocab)
 
 
 class TestSoftmax:
@@ -143,16 +146,33 @@ class TestNgram:
             assert np.array_equal(model.next_distribution(ctx),
                                   reference_distribution(counts, len(mini_vocab), 0.07, ctx)), ctx
 
-    def test_payload_in_any_order_loads_and_saves_sorted(self, mini_vocab):
+    def test_payload_out_of_order_refused_at_load(self, mini_vocab):
         doc = {"order": 2, "add_k": 0.5, "tables": [
-            [["", [[7, 2], [3, 1]]]],
-            [["9", [[4, 1]]], ["2", [[8, 3], [1, 1], [5, 2]]]]]}
-        model = load_ngram(mini_vocab, doc)
-        assert json.loads(model.to_payload())["tables"] == [
             [["", [[3, 1], [7, 2]]]],
-            [["2", [[1, 1], [5, 2], [8, 3]]], ["9", [[4, 1]]]]]
+            [["2", [[1, 1], [5, 2], [8, 3]]], ["9", [[4, 1]]]]]}
+        model = load_ngram(mini_vocab, doc)
+        assert json.loads(model.to_payload()) == doc
         dist = model.next_distribution((2,))
         assert dist[5] == pytest.approx((2 + 0.5) / (6 + 0.5 * len(mini_vocab)), abs=1e-15)
+        unigram, bigram = doc["tables"]
+        # saving writes contexts and successors in ascending order, not these
+        for tables in ([[["", [[7, 2], [3, 1]]]], bigram], [unigram, bigram[::-1]],
+                       [unigram, [["2", [[5, 2], [1, 1], [8, 3]]], ["9", [[4, 1]]]]]):
+            with pytest.raises(ModelFormatError):
+                load_ngram(mini_vocab, {**doc, "tables": tables})
+
+    def test_desk_trigram_respelt_refused_at_load(self, desk_trigram, desk_vocab):
+        data = serialize_model(desk_trigram)
+        assert serialize_model(deserialize_model(data, desk_vocab)) == data
+        doc = json.loads(desk_trigram.to_payload())
+        assert json.dumps(doc, sort_keys=True).encode() == desk_trigram.to_payload()
+        unsorted_keys = {"order": doc["order"], "add_k": doc["add_k"], "tables": doc["tables"]}
+        reversed_contexts = {**doc, "tables": [table[::-1] for table in doc["tables"]]}
+        for payload in (json.dumps(doc, sort_keys=True, separators=(",", ":")),
+                        json.dumps(unsorted_keys),
+                        json.dumps(reversed_contexts, sort_keys=True)):
+            with pytest.raises(ModelFormatError):
+                deserialize_model(ngram_file(desk_vocab, payload.encode()), desk_vocab)
 
     def test_repeated_ngram_refused_at_load(self, mini_vocab):
         for table in ([["", [[3, 1], [3, 5]]]],  # a successor twice in one context
@@ -212,3 +232,6 @@ class TestNgram:
                 NgramConfig(order=order)
         with pytest.raises(ValueError):
             NgramConfig(add_k=0.0)
+        for add_k in (1, True, "0.5"):  # each a second spelling of a float in a payload
+            with pytest.raises(ConfigError):
+                NgramConfig(add_k=add_k)

@@ -78,11 +78,23 @@ PRESETS: dict[str, LstmHyperparams] = {
 
 @dataclass(frozen=True)
 class EpochStats:
+    """One epoch of ``train_lstm``; a model file's history holds one per epoch."""
+
     epoch: int
     train_nll: float
     val_nll: float
     lr_after: float
     decayed: bool
+
+    def __post_init__(self):
+        if type(self.epoch) is not int:  # refuses bools too
+            raise ConfigError(f"epoch must be an integer, not {self.epoch!r}")
+        for name in ("train_nll", "val_nll", "lr_after"):
+            value = getattr(self, name)
+            if not isinstance(value, float) or not math.isfinite(value):
+                raise ConfigError(f"{name} must be a finite float, not {value!r}")
+        if type(self.decayed) is not bool:
+            raise ConfigError(f"decayed must be a bool, not {self.decayed!r}")
 
 
 def param_shapes(vocab_size: int, hp: LstmHyperparams) -> dict[str, tuple[int, ...]]:

@@ -5,6 +5,10 @@ stream) fall back to the matching lower-order table, so an empty context
 yields the smoothed unigram distribution. Each order's counts live once, in a
 compressed sparse row table: ``runs`` maps a seen context to ``(a, b, total)``,
 its successors are ``successors[a:b]`` (ascending), with float64 ``counts[a:b]``.
+
+A payload is ``json.dumps(doc, sort_keys=True)`` of ``{"add_k", "order", "tables"}``.
+Only its head goes through ``json``: each table is written with one ``%`` format,
+and one ``np.fromstring`` pass reads all of them.
 """
 
 from __future__ import annotations
@@ -34,6 +38,15 @@ class NgramConfig:
             raise ConfigError(f"add_k must be a positive finite float, not {self.add_k!r}")
 
 
+#: The brackets that open a table and a ``[context, successors]`` row become mark
+#: numbers, above every count (2**53) and below the 2**63 - 1 that ``np.fromstring``
+#: reads a digit run past int64 as; every other non-digit becomes a blank.
+_TABLE, _ROW = 2**62, 2**62 + 1
+_MARKS = ((b'[["', b" %d %d " % (_TABLE, _ROW)), (b'["', b" %d " % _ROW),
+          (b"[]", b" %d " % _TABLE))
+_BLANK_NON_DIGITS = bytes(c if 48 <= c <= 57 else 32 for c in range(256))
+
+
 def _run_starts(rows: np.ndarray) -> np.ndarray:
     """Positions where the sorted ``rows`` change: 0, and every row unlike the one before."""
     return np.flatnonzero(np.r_[True, np.any(rows[1:] != rows[:-1], axis=1)][:len(rows)])
@@ -46,17 +59,29 @@ class NgramModel(LanguageModel):
                  tables: Sequence[tuple[np.ndarray, np.ndarray]]):
         """``tables[m]`` is ``(grams, counts)``: length-``m + 1`` n-grams of indices in
         ``[0, |V|)`` (context, then successor) as rows in any order, and their counts;
-        the counts of equal rows add up."""
+        the counts of equal rows add up. Every count must be at least 1 and the
+        counts of equal rows must add up to at most 2**53, so float64 holds each
+        sum exactly; otherwise ``ConfigError``."""
         super().__init__(vocab)
         self.config = config
         self._tables = []
-        keys = np.min_scalar_type(len(vocab))  # holds every index; radix-sorted up to 16 bits
+        size = len(vocab)
+        keys = np.min_scalar_type(size)  # holds every index; radix-sorted up to 16 bits
         for m, (grams, counts) in enumerate(tables):
             grams = np.asarray(grams, np.int64).reshape(-1, m + 1)
             order = np.lexsort(grams.T[::-1].astype(keys))  # first column first
             grams, counts = grams[order], np.asarray(counts, np.int64)[order]
             distinct = _run_starts(grams)
-            grams, counts = grams[distinct], np.add.reduceat(counts, distinct)
+            grams, summed = grams[distinct], np.add.reduceat(counts, distinct)
+            if not 0 <= grams.min(initial=0) <= grams.max(initial=0) < size:
+                raise ConfigError(f"ngram token index outside [0, {size})")
+            # With every count at least 1, an int64 sum can wrap around only if the
+            # table's counts add up past 2**63; a float64 sum never wraps.
+            wrapped = (len(counts) * int(counts.max(initial=0)) >= 2**63 and
+                       np.add.reduceat(counts, distinct, dtype=np.float64).max() > 2**53)
+            if counts.min(initial=1) < 1 or summed.max(initial=1) > 2**53 or wrapped:
+                raise ConfigError("ngram count below 1, or equal rows add up past 2**53")
+            counts = summed
             starts = _run_starts(grams[:, :m])
             totals = np.add.reduceat(counts.astype(object), starts).tolist()  # no int64 wrap
             bounds = zip(starts.tolist(), [*starts[1:].tolist(), len(grams)], totals)
@@ -114,53 +139,73 @@ class NgramModel(LanguageModel):
         """``json.dumps(doc, sort_keys=True)`` of ``{"add_k", "order", "tables"}``,
         written directly: table ``m`` lists ``[context, [[successor, count], ...]]``,
         each context ``m`` indices joined by commas, contexts and successors in
-        ascending order."""
+        ascending order. Each table is one ``%`` format of one argument array."""
         tables = []
-        for runs, successors, counts in self._tables:  # runs holds its contexts in sorted order
-            pairs = [f"[{s}, {c}]" for s, c in zip(successors.tolist(),
-                                                   counts.astype(np.int64).tolist())]
-            rows = (f'["{",".join(map(str, c))}", [{", ".join(pairs[a:b])}]]'
-                    for c, (a, b, _) in runs.items())
-            tables.append(f"[{', '.join(rows)}]")
+        for m, (runs, successors, counts) in enumerate(self._tables):
+            # runs lists the contexts in ascending order, and their successors follow
+            # one another in successors
+            contexts = np.fromiter(chain.from_iterable(runs), np.int64, len(runs) * m)
+            starts = np.fromiter((a for a, _, _ in runs.values()), np.int64, len(runs))
+            lengths = np.diff(starts, append=len(successors))
+            # row r's arguments: its m context indices, then successor and count per pair
+            args = np.empty(len(contexts) + 2 * len(successors), np.int64)
+            first = np.arange(len(runs)) * m + 2 * starts  # where row r's arguments start
+            args[first[:, None] + np.arange(m)] = contexts.reshape(len(runs), m)
+            row = np.repeat(np.arange(len(runs)), lengths)  # of each successor
+            pair = (row + 1) * m + 2 * np.arange(len(successors))  # where its arguments are
+            args[pair], args[pair + 1] = successors, counts
+            context = '"' + ",".join(["%d"] * m) + '"'
+            pieces = {n: f'[{context}, [{", ".join(["[%d, %d]"] * n)}]]'
+                      for n in set(lengths.tolist())}  # one per row length
+            fmt = "[" + ", ".join(map(pieces.__getitem__, lengths.tolist())) + "]"
+            tables.append(fmt % tuple(args.tolist()))
         return (f'{{"add_k": {json.dumps(self.config.add_k)}, "order": {self.config.order}, '
                 f'"tables": [{", ".join(tables)}]}}').encode("utf-8")
 
     @classmethod
     def from_payload(cls, vocab: Vocabulary, header: dict, payload: bytes) -> "NgramModel":
-        """Inverse of ``header_config``/``to_payload``. Only what must hold before the
-        arrays are built is checked here: table ``m`` holds length-``m`` contexts,
-        every index lies in ``[0, |V|)`` and every count in ``[1, 2**53]`` (so
-        float64 holds it exactly). ``deserialize_model`` refuses every other
-        spelling: any payload that ``to_payload`` would not write back."""
+        """Inverse of ``header_config``/``to_payload``: ``json`` reads the head up to
+        ``, "tables": ``, ``_read_tables`` the rest, and the constructor checks
+        every index and count (``ConfigError`` becomes ``ModelFormatError``). Bytes
+        that ``to_payload`` would not write may load as some other model here;
+        ``deserialize_model`` refuses them."""
+        head, tables_key, body = payload.partition(b', "tables": ')
         try:
-            doc = json.loads(payload.decode("utf-8"))
+            if not tables_key:
+                raise ValueError('no "tables"')
+            doc = json.loads(head + b"}")
             config = NgramConfig(order=doc["order"], add_k=doc["add_k"])
-            # popped, so the parsed tables are freed before the model is built
-            tables = [_read_table(m, t, len(vocab)) for m, t in enumerate(doc.pop("tables"))]
+            tables = _read_tables(body)
             if len(tables) != config.order:
-                raise ModelFormatError("ngram payload order does not match its tables")
+                raise ValueError("ngram payload order does not match its tables")
             return cls(vocab, config, tables)
-        except (AttributeError, KeyError, OverflowError, RecursionError, TypeError,
-                ValueError) as exc:
+        except (IndexError, KeyError, RecursionError, TypeError, ValueError) as exc:
             raise ModelFormatError(f"bad ngram payload: {exc}") from None
 
 
-def _read_table(m: int, entries: list, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Table ``m`` of an n-gram payload as ``(grams, counts)``, range-checked
-    before any count is converted to int64 or any index is used."""
-    spelt = [c for c, _ in entries]
-    # One pass each, where a number beyond int64 is an OverflowError: the m indices
-    # of every context (none when m = 0 or the table is empty), then the pairs.
-    flat = np.fromiter(filter(None, ",".join(spelt).split(",")), np.int64)
-    pairs = np.fromiter(chain.from_iterable(chain.from_iterable(s for _, s in entries)),
-                        np.int64).reshape(-1, 2)  # index, count
-    if len(pairs) and not 1 <= pairs[:, 1].min() <= pairs[:, 1].max() <= 2**53:
-        raise ModelFormatError("ngram count outside [1, 2**53]")
-    indices = np.r_[flat, pairs[:, 0]]
-    if len(indices) and not 0 <= indices.min() <= indices.max() < size:
-        raise ModelFormatError(f"ngram token index outside [0, {size})")
-    grams = np.repeat(flat.reshape(len(spelt), m), [len(s) for _, s in entries], axis=0)
-    return np.column_stack([grams, pairs[:, 0]]), pairs[:, 1]
+def _read_tables(body: bytes) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The ``"tables"`` value of a payload as ``(grams, counts)`` per table, in
+    payload order. Every number is read in one pass: the brackets that open a
+    table or a row become marks (``_MARKS``), every other non-digit a blank, and
+    one ``np.fromstring`` reads what is left. Table ``m``'s rows then give their
+    ``m`` context indices and ``successor, count`` pairs. Nothing is checked here:
+    misplaced numbers raise ``IndexError`` or ``ValueError`` or read as other
+    arrays."""
+    for mark, number in _MARKS:
+        body = body.replace(mark, number)
+    numbers = np.fromstring(body.translate(_BLANK_NON_DIGITS), np.int64, sep=" ")
+    tables = []
+    for m, table in enumerate(np.split(numbers, np.flatnonzero(numbers == _TABLE))[1:]):
+        table = table[1:]  # after its mark
+        rows = np.flatnonzero(table == _ROW)
+        context = rows[:, None] + np.arange(1, m + 1)  # where each row's context indices are
+        in_pair = np.ones(len(table), bool)
+        in_pair[rows] = in_pair[context] = False
+        pairs = table[in_pair].reshape(-1, 2)  # successor, count
+        per_row = (np.diff(np.r_[rows, len(table)]) - 1 - m) // 2
+        grams = np.column_stack([np.repeat(table[context], per_row, axis=0), pairs[:, 0]])
+        tables.append((grams, pairs[:, 1]))
+    return tables
 
 
 def train_ngram(tokens: Sequence[str], vocab: Vocabulary,

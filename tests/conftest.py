@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from stegolm.corpus import CorpusConfig, Vocabulary, build_vocab, tokenize
 from stegolm.keying import BIN_RESERVED, StegoKey
 from stegolm.lm.base import LanguageModel
-from stegolm.lm.ngram import NgramConfig, train_ngram
+from stegolm.lm.ngram import NgramConfig, _read_tables, train_ngram
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "stegolm" / "data"
 
@@ -47,6 +48,33 @@ class FixedModel(LanguageModel):
 
     def next_distribution(self, ctx):
         return self.probs.copy()
+
+
+def json_tables(payload: bytes) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The tables of an n-gram payload as ``(grams, counts)`` per table, read with
+    ``json`` and a loop over every context and successor: the reference that
+    ``stegolm.lm.ngram._read_tables`` must equal array for array."""
+    tables = []
+    for m, entries in enumerate(json.loads(payload)["tables"]):
+        grams, counts = [], []
+        for context, successors in entries:
+            indices = [int(i) for i in context.split(",")] if m else []
+            for successor, count in successors:
+                grams.append([*indices, successor])
+                counts.append(count)
+        tables.append((np.array(grams, np.int64).reshape(-1, m + 1), np.array(counts, np.int64)))
+    return tables
+
+
+def assert_tables_equal(payload: bytes):
+    """``_read_tables`` of ``payload``'s tables equals ``json_tables`` of it."""
+    read = _read_tables(payload.partition(b', "tables": ')[2])
+    expected = json_tables(payload)
+    assert len(read) == len(expected)
+    for (grams, counts), (json_grams, json_counts) in zip(read, expected):
+        for array, reference in ((grams, json_grams), (counts, json_counts)):
+            assert array.dtype == reference.dtype and array.shape == reference.shape
+            assert np.array_equal(array, reference)
 
 
 @pytest.fixture(scope="session")

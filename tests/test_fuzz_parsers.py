@@ -6,7 +6,9 @@ or returns an object whose ``encode`` of a short payload succeeds or raises a
 the same bytes. Inputs are arbitrary bytes, truncations and bit flips of
 valid files, plus structured n-gram payloads with indices and counts around
 the valid range or of the wrong JSON type, and payloads spelt otherwise than
-saving spells them. Vocabulary and models are tiny so the module stays fast.
+saving spells them. The tables of every valid n-gram payload read as the
+``json`` reference reads them. Vocabulary and models are tiny so the module
+stays fast.
 """
 
 import json
@@ -14,6 +16,7 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_tables_equal
 from stegolm.codec import Framing, GenPolicy, Mode, Payload, decode_payload, encode
 from stegolm.corpus import Vocabulary, build_vocab, tokenize
 from stegolm.errors import StegolmError
@@ -197,4 +200,5 @@ def test_ngram_payload_checks(document):
     assert (model is not None) == valid
     if model is not None:
         assert serialize_model(model) == model_file(doc)
+        assert_tables_equal(json.dumps(doc, sort_keys=True).encode())
         assert decode_payload(encode(PAYLOAD, KEY, model, POLICY).tokens, KEY) == PAYLOAD.data

@@ -2,6 +2,7 @@ import io
 import json
 import math
 from collections import Counter
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -389,6 +390,31 @@ class TestPersistence:
                     ngram.replace(b"config: {}", b"config: []", 1)):
             with pytest.raises(ModelFormatError):
                 deserialize_model(bad, mini_vocab)
+
+    def test_history_of_wrong_types_refused_at_load(self, desk_vocab):
+        hp = PRESETS["desk"]
+        model = LstmModel(desk_vocab, hp, init_params(len(desk_vocab), hp, 0),
+                          [EpochStats(0, 5.0, 4.5, 4.0, False)])
+        data = serialize_model(model)
+        assert serialize_model(deserialize_model(data, desk_vocab)) == data
+        bad = {"epoch": "x", "train_nll": None, "val_nll": [1], "lr_after": {"a": 1},
+               "decayed": "no"}
+        with pytest.raises(ModelFormatError):
+            deserialize_model(respelt_config(data, lambda config: config.update(history=[bad])),
+                              desk_vocab)
+
+    @pytest.mark.parametrize("name, value", [
+        ("epoch", "x"), ("epoch", True), ("epoch", 1.0), ("train_nll", None),
+        ("train_nll", 1), ("train_nll", math.nan), ("val_nll", [1]), ("val_nll", math.inf),
+        ("lr_after", {"a": 1}), ("lr_after", -math.inf), ("decayed", "no"), ("decayed", 0)])
+    def test_history_entry_checked(self, trained, mini_vocab, name, value):
+        entry = asdict(trained.history[0])
+        with pytest.raises(ConfigError):  # the same check in memory
+            EpochStats(**{**entry, name: value})
+        data = respelt_config(serialize_model(trained),
+                              lambda config: config["history"][0].update({name: value}))
+        with pytest.raises(ModelFormatError):
+            deserialize_model(data, mini_vocab)
 
     def test_non_utf8_header_rejected(self, mini_vocab, mini_bigram):
         data = serialize_model(mini_bigram).replace(b"backend: ngram", b"backend: \xffngram", 1)

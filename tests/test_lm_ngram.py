@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from conftest import assert_tables_equal
 from stegolm.corpus import Vocabulary, build_vocab
 from stegolm.errors import ConfigError, ModelFormatError, TrainingError
 from stegolm.lm.base import softmax
@@ -207,6 +208,82 @@ class TestNgram:
         assert split.to_payload() == summed.to_payload()
         for ctx in [(), (4,), (2,), (5,)]:
             assert np.array_equal(split.next_distribution(ctx), summed.next_distribution(ctx))
+
+    def test_reader_equals_json_reference(self, desk_trigram, desk_vocab):
+        untrained_payload = untrained(desk_vocab, NgramConfig(order=3, add_k=0.5)).to_payload()
+        assert untrained_payload.endswith(b'"tables": [[], [], []]}')
+        for payload in (desk_trigram.to_payload(), untrained_payload):
+            assert_tables_equal(payload)
+            data = ngram_file(desk_vocab, payload)
+            assert serialize_model(deserialize_model(data, desk_vocab)) == data
+
+    @pytest.mark.parametrize("order, tables", [
+        (1, b'[[["", [[0, 1]]]]]'),
+        (2, b'[[["", [[0, 1], [7, 2]]]], [["0", [[0, 1]]], ["7", [[0, 2]]]]]'),
+        (2, b'[[["", [[0, 1]]]], []]'),
+    ])
+    def test_reader_reads_canonical_shapes(self, mini_vocab, order, tables):
+        payload = b'{"add_k": 0.5, "order": %d, "tables": %s}' % (order, tables)
+        data = ngram_file(mini_vocab, payload)
+        assert serialize_model(deserialize_model(data, mini_vocab)) == data
+        assert_tables_equal(payload)
+
+    @pytest.mark.parametrize("old, new", [
+        (b'[[["", [[0, 1]]]]]}', b" }"),  # np.fromstring reads blank text as [0]
+        (b'"order": 1', b'"order": 2'),  # one table short
+        (b"[[0, 1]]", b"[[0, 9223372036854775808]]"),  # np.fromstring saturates to 2**63 - 1
+        (b"[[0, 1]]", b"[[9223372036854775808, 1]]"),
+        (b"[[0, 1]]", b"[[0, 4611686018427387905]]"),  # a count spelt as a mark
+        (b"[[0, 1]]", b"[[0, 4611686018427387904], [1, 1]]"),
+        (b"[[0, 1]]", b"[[4611686018427387904, 1]]"),  # an index spelt as a mark
+        (b"[[0, 1]]", b"[[4611686018427387905, 1], [1, 1]]"),
+        (b', "tables": ', b', "tables":'),  # no ', "tables": '
+        (b', "tables": ', b',"tables": '),
+        (b', "tables": [[["", [[0, 1]]]]]', b""),
+        (b"]}", b"]} "),  # trailing bytes
+        (b"]}", b"]}0"),
+        (b"]}", b"]}[]"),
+        (b"]}", b"], []]}"),  # one table too many
+        (b"]}", b"]"),
+    ])
+    def test_reader_hazards_refused(self, mini_vocab, old, new):
+        payload = b'{"add_k": 0.5, "order": 1, "tables": [[["", [[0, 1]]]]]}'
+        assert old in payload
+        with pytest.raises(ModelFormatError):
+            deserialize_model(ngram_file(mini_vocab, payload.replace(old, new)), mini_vocab)
+
+    @pytest.mark.parametrize("payload", [
+        b'{"add_k": 0.5, "order": 1, "tables": [[["", [[0, 1]]]]], "x": 1}',
+        b'{"add_k": 0.5, "order": 1, "x": 1, "tables": [[["", [[0, 1]]]]]}',
+        b'{"order": 1, "add_k": 0.5, "tables": [[["", [[0, 1]]]]]}',
+        b'[0.5, 1, "tables": [[["", [[0, 1]]]]]]',
+        b'{"add_k": 0.5, "order": [[[[1]]]], "tables": [[["", [[0, 1]]]]]}',
+    ])
+    def test_payload_head_respelt_refused(self, mini_vocab, payload):
+        with pytest.raises(ModelFormatError):
+            deserialize_model(ngram_file(mini_vocab, payload), mini_vocab)
+
+    @pytest.mark.parametrize("grams, counts", [
+        ([[-1]], [1]),
+        ([[5]], [1]),
+        ([[0]], [-3]),
+        ([[0]], [0]),
+        ([[0]], [2**60]),
+        ([[0], [0]], [2**53, 1]),  # equal rows add up past 2**53
+        ([[0]] * 2049, [2**53] * 2048 + [1]),  # and their int64 sum wraps around to 1
+    ], ids=["index -1", "index |V|", "count -3", "count 0", "count 2**60", "sum 2**53 + 1",
+            "sum 2**64 + 1"])
+    def test_out_of_range_model_refused_in_memory(self, grams, counts):
+        vocab = build_vocab(["a", "b", "c"])
+        assert len(vocab) == 5
+        with pytest.raises(ConfigError):
+            NgramModel(vocab, NgramConfig(order=1, add_k=0.5), [(grams, counts)])
+
+    def test_range_bounds_are_inclusive(self):
+        vocab = build_vocab(["a", "b", "c"])
+        model = NgramModel(vocab, NgramConfig(order=1, add_k=0.5),
+                           [([[0], [4], [4]], [1, 2**52, 2**52])])
+        assert json.loads(model.to_payload())["tables"] == [[["", [[0, 1], [4, 2**53]]]]]
 
     def test_context_total_above_int64_is_exact(self):
         # 1100 counts of 2**53 sum past 2**63: the total must not wrap around

@@ -70,15 +70,6 @@ def check_token(surface: str) -> str:
     return surface
 
 
-def parse_int(text: str) -> int:
-    """The integer ``text`` spells as ``str`` writes it (no sign, space or leading
-    zero); ``ValueError`` for any other spelling, so each file has one spelling."""
-    value = int(text)
-    if str(value) != text:
-        raise ValueError(f"{text!r} is not spelt as {str(value)!r}")
-    return value
-
-
 def _tokenize_chunk(chunk: str, config: CorpusConfig) -> list[str]:
     if config.replace_users_urls:
         if _URL_RE.match(chunk):
@@ -206,27 +197,24 @@ class Vocabulary:
 
     @classmethod
     def deserialize(cls, data: bytes) -> "Vocabulary":
+        """Inverse of ``serialize``, checked by it: ``data`` loads only if
+        ``serialize`` of the loaded vocabulary gives back exactly ``data``."""
         try:
             lines = data.decode("utf-8").split("\n")
         except UnicodeDecodeError as exc:
             raise VocabFormatError(f"vocabulary file is not UTF-8: {exc}") from None
         if lines[0] != VOCAB_HEADER:
             raise VocabFormatError(f"missing {VOCAB_HEADER!r} header")
-        if lines[-1]:
-            raise VocabFormatError("vocabulary file does not end in a newline")
-        tokens: list[str] = []
-        counts: list[int] = []
-        for lineno, line in enumerate(lines[1:-1], start=2):  # a blank line is refused
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise VocabFormatError(f"line {lineno}: expected 'token<TAB>count'")
-            try:
-                count = parse_int(parts[1])
-            except ValueError:
-                raise VocabFormatError(f"line {lineno}: count is not a plain integer") from None
-            tokens.append(parts[0])
-            counts.append(count)
-        return cls(tuple(tokens), tuple(counts))
+        # what follows the last newline is left out; the comparison refuses any
+        rows = [line.partition("\t") for line in lines[1:-1]]
+        try:
+            counts = tuple(int(count) for _, _, count in rows)
+        except ValueError as exc:
+            raise VocabFormatError(f"expected 'token<TAB>count' lines: {exc}") from None
+        vocab = cls(tuple(token for token, _, _ in rows), counts)
+        if vocab.serialize() != data:
+            raise VocabFormatError("vocabulary file is not spelt as serialize writes it")
+        return vocab
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import EOS_TOKEN, RESERVED_NONCARRIERS, UNK_TOKEN, Vocabulary, parse_int
+from .corpus import EOS_TOKEN, RESERVED_NONCARRIERS, UNK_TOKEN, Vocabulary
 from .errors import DecodeError, KeyFormatError, KeyGenError, KeyInvariantError, VocabMismatchError
 
 KEY_HEADER = "STEGOKEY v1"
@@ -226,12 +226,13 @@ def generate_key(
 
 
 def serialize_key(key: StegoKey) -> bytes:
+    token = key.vocab.tokens.__getitem__  # every index of a key is in range
     lines = [
         KEY_HEADER,
         f"block_bits: {key.block_bits}",
         f"vocab_hash: {key.vocab_hash}",
         f"seed: {key.seed}",
-        *(prefix + "".join(f"\t{key.vocab.token(i)}" for i in members)
+        *("\t".join([prefix, *map(token, members)])
           for prefix, members in zip(_line_prefixes(key.block_bits), [key.common, *key.bins])),
     ]
     return ("\n".join(lines) + "\n").encode("utf-8")
@@ -251,22 +252,21 @@ def _field(line: str, prefix: str) -> str:
 
 
 def deserialize_key(data: bytes, vocab: Vocabulary) -> StegoKey:
-    """Parse and validate a key file against the vocabulary it was built from;
-    only the bytes ``serialize_key`` writes for the key load."""
+    """Parse a key file against its vocabulary; ``data`` loads only if
+    ``serialize_key`` of the loaded key gives back exactly ``data``."""
     try:
         lines = data.decode("utf-8").split("\n")
     except UnicodeDecodeError as exc:
         raise KeyFormatError(f"key file is not UTF-8: {exc}") from None
-    if lines.pop():
-        raise KeyFormatError("key file does not end in a newline")
+    lines.pop()  # what follows the last newline; the comparison refuses any
     if len(lines) < 6:
         raise KeyFormatError("key file too short")
     if lines[0] != KEY_HEADER:
         raise KeyFormatError(f"missing {KEY_HEADER!r} header")
     try:
-        block_bits = parse_int(_field(lines[1], "block_bits: "))
+        block_bits = int(_field(lines[1], "block_bits: "))
         vocab_hash = _field(lines[2], "vocab_hash: ")
-        seed = parse_int(_field(lines[3], "seed: "))
+        seed = int(_field(lines[3], "seed: "))
     except ValueError as exc:
         raise KeyFormatError(f"bad header field: {exc}") from None
     if vocab_hash != vocab.content_hash():
@@ -279,24 +279,25 @@ def deserialize_key(data: bytes, vocab: Vocabulary) -> StegoKey:
     if len(lines) - 5 != num_bins:
         raise KeyFormatError(f"expected {num_bins} bin lines for block_bits={block_bits}, "
                              f"found {len(lines) - 5}")
-    # One pass over the common line and the bin lines, in slot order.
-    members = [[] if line == prefix else _field(line, prefix + "\t").split("\t")
-               for line, prefix in zip(lines[4:], _line_prefixes(block_bits))]
-    surfaces = [surface for line in members for surface in line]
+    # The common line, then the bin lines in slot order. A line without its label
+    # or first tab would read as an empty bin or an uncovered token, so check each.
+    rows = [line.split("\t") for line in lines[4:]]
+    for (label, *_), prefix in zip(rows, _line_prefixes(block_bits)):
+        if label != prefix:
+            raise KeyFormatError(f"expected a {prefix!r} line, found {label!r}")
+    surfaces = [surface for row in rows for surface in row[1:]]
     ids = np.array(vocab.indices(surfaces), dtype=np.int64)
     if ids.size and ids.min() < 0:
         raise KeyFormatError(f"key token not in vocabulary: {surfaces[int(np.argmin(ids))]!r}")
     repeated = np.flatnonzero(np.bincount(ids, minlength=len(vocab)) > 1)
     if repeated.size:
         raise KeyInvariantError(f"token assigned twice: {vocab.token(int(repeated[0]))!r}")
-    # Lines come in ascending slot order, so (slot, index) ascends through the
-    # file exactly when every line lists its tokens in ascending index order.
-    line_slots = np.repeat([BIN_COMMON, *range(num_bins)], [len(line) for line in members])
-    if (np.diff(line_slots * len(vocab) + ids) < 0).any():
-        raise KeyFormatError("key line tokens are not in ascending vocabulary order")
     slots = np.full(len(vocab), BIN_RESERVED, dtype=np.int64)
-    slots[ids] = line_slots
-    return StegoKey(block_bits, slots, seed, vocab)
+    slots[ids] = np.repeat([BIN_COMMON, *range(num_bins)], [len(row) - 1 for row in rows])
+    key = StegoKey(block_bits, slots, seed, vocab)
+    if serialize_key(key) != data:
+        raise KeyFormatError("key file is not spelt as serialize_key writes it")
+    return key
 
 
 def save_key(key: StegoKey, path: str | Path) -> None:

@@ -314,11 +314,16 @@ class LstmModel(LanguageModel):
         """``params`` must hold exactly the finite float64 arrays, by name and
         shape, that ``param_shapes`` calls for, and no gate pre-activation or
         logit they can produce may overflow; otherwise ``ConfigError``."""
+        # embed, wx/wh/b per layer, wo, bo; counted first, since a huge ``layers``
+        # would make building the expected shapes slow
+        if len(params) != 3 * hp.layers + 3:
+            raise ConfigError(f"{len(params)} lstm arrays, not {3 * hp.layers + 3}, "
+                              f"for {hp.layers} layers")
         expected = {n: ("float64", shape) for n, shape in param_shapes(len(vocab), hp).items()}
         found = {n: (str(array.dtype), array.shape) for n, array in params.items()}
         wrong = sorted(n for n in expected.keys() | found.keys() if found.get(n) != expected.get(n))
         if wrong:
-            raise ConfigError(f"lstm arrays missing, extra or misshapen: {wrong}")
+            raise ConfigError(f"lstm arrays missing, extra or misshapen: {wrong[:3]}")
         # Worst case of every gate pre-activation and logit: input bound @ |w| plus
         # |wh| column sums (|h| <= 1) and |b|; a NaN or inf in any array shows here too.
         with np.errstate(over="ignore", invalid="ignore"):

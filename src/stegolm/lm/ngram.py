@@ -58,9 +58,9 @@ class NgramModel(LanguageModel):
     def __init__(self, vocab: Vocabulary, config: NgramConfig,
                  tables: Sequence[tuple[np.ndarray, np.ndarray]]):
         """``tables[m]`` is ``(grams, counts)``: length-``m + 1`` n-grams of indices in
-        ``[0, |V|)`` (context, then successor) as rows in any order, and their counts;
-        the counts of equal rows add up. Every count must be at least 1 and the
-        counts of equal rows must add up to at most 2**53, so float64 holds each
+        ``[0, |V|)`` (context, then successor) as rows in any order, and one count
+        per row; the counts of equal rows add up. Every count must be at least 1 and
+        the counts of equal rows must add up to at most 2**53, so float64 holds each
         sum exactly; otherwise ``ConfigError``."""
         super().__init__(vocab)
         self.config = config
@@ -68,9 +68,13 @@ class NgramModel(LanguageModel):
         size = len(vocab)
         keys = np.min_scalar_type(size)  # holds every index; radix-sorted up to 16 bits
         for m, (grams, counts) in enumerate(tables):
-            grams = np.asarray(grams, np.int64).reshape(-1, m + 1)
+            try:  # OverflowError: an index or count past int64
+                grams = np.asarray(grams, np.int64).reshape(-1, m + 1)
+                counts = np.asarray(counts, np.int64).reshape(len(grams))
+            except (OverflowError, ValueError) as exc:
+                raise ConfigError(f"ngram table {m}: {exc}") from None
             order = np.lexsort(grams.T[::-1].astype(keys))  # first column first
-            grams, counts = grams[order], np.asarray(counts, np.int64)[order]
+            grams, counts = grams[order], counts[order]
             distinct = _run_starts(grams)
             grams, summed = grams[distinct], np.add.reduceat(counts, distinct)
             if not 0 <= grams.min(initial=0) <= grams.max(initial=0) < size:

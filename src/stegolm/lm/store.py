@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from ..corpus import Vocabulary, parse_int
+from ..corpus import Vocabulary
 from ..errors import ModelFormatError, VocabMismatchError
 from .base import LanguageModel
 from .lstm import LstmModel
@@ -65,7 +65,7 @@ def deserialize_model(data: bytes, vocab: Vocabulary) -> LanguageModel:
         raise ModelFormatError(f"model header lines must be {', '.join(HEADER_FIELDS)}, in order")
     backend, vocab_hash, config_line, payload_line = (value for _, _, value in fields)
     try:
-        payload_bytes = parse_int(payload_line)
+        payload_bytes = int(payload_line)
         config = json.loads(config_line)
     except (RecursionError, ValueError) as exc:  # RecursionError: JSON nested too deeply
         raise ModelFormatError(f"bad model header: {exc}") from None

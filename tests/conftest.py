@@ -50,6 +50,18 @@ class FixedModel(LanguageModel):
         return self.probs.copy()
 
 
+def int_respellings(number: str) -> list[str]:
+    """Other spellings of ``number`` that ``int`` reads as the same number: a
+    digit group (from two digits on), Arabic-Indic digits, fullwidth digits and a
+    leading no-break space. A file spelling a number so has a second spelling."""
+    spellings = [number.translate({48 + d: 0x660 + d for d in range(10)}),
+                 number.translate({48 + d: 0xFF10 + d for d in range(10)}), "\xa0" + number]
+    if len(number) > 1:
+        spellings.append(number[0] + "_" + number[1:])
+    assert all(spelt != number and int(spelt) == int(number) for spelt in spellings)
+    return spellings
+
+
 def json_tables(payload: bytes) -> list[tuple[np.ndarray, np.ndarray]]:
     """The tables of an n-gram payload as ``(grams, counts)`` per table, read with
     ``json`` and a loop over every context and successor: the reference that

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import int_respellings
 import stegolm
 from stegolm.cli import build_parser, main
 from stegolm.corpus import Vocabulary
@@ -392,6 +393,17 @@ def overflowing_gates(params):
     params["wx0"][:] = 1e308
 
 
+def payload_bytes_respelt(which: int):
+    """Damage for a model file: its ``payload_bytes`` value as the ``which``-th of
+    ``int_respellings``, the same number spelt otherwise."""
+    def damage(data: bytes) -> bytes:
+        head = data.split(b"\n", 5)
+        number = head[4].partition(b": ")[2].decode()
+        head[4] = b"payload_bytes: " + int_respellings(number)[which].encode()
+        return b"\n".join(head)
+    return damage
+
+
 def swapped_bin_tokens(data: bytes) -> bytes:
     """A key file whose first bin line is out of ascending vocabulary order."""
     lines = data.split(b"\n")
@@ -488,6 +500,13 @@ def lstm_file(workspace):
     (ENCODE, ("model", lambda data: data.replace(b"config: {}", b"config: " + NESTED, 1)),
      "ModelFormatError"),
     (ENCODE, ("model", model_payload(lambda payload: NESTED)), "ModelFormatError"),
+    (ENCODE, ("model", payload_bytes_respelt(0)), "ModelFormatError"),
+    (ENCODE, ("model", payload_bytes_respelt(1)), "ModelFormatError"),
+    (ENCODE, ("model", payload_bytes_respelt(2)), "ModelFormatError"),
+    (ENCODE, ("model", payload_bytes_respelt(3)), "ModelFormatError"),
+    (ENCODE, ("key", lambda data: data.replace(b"bin 00:\t", b"bin 00:", 1)), "KeyFormatError"),
+    (ENCODE.replace("{model}", "{lstm}"),
+     ("lstm", lstm_header(b'"layers": 1,', b'"layers": 100000,')), "ModelFormatError"),
 ], ids=["temp-0", "max-common-run-0", "order-0", "units-0", "max-vocab-1", "block-bits-neg",
         "vocab-not-utf8", "key-not-utf8", "model-not-utf8", "encode-seed-neg", "train-seed-neg",
         "max-bytes-0", "trials-neg", "decode-tokens-not-utf8", "decode-text-not-utf8",
@@ -505,7 +524,9 @@ def lstm_file(workspace):
         "ngram-successors-empty", "key-block-bits-plus", "key-seed-zeros",
         "model-payload-bytes-plus", "vocab-blank-line", "vocab-count-plus",
         "vocab-token-space", "model-header-swapped", "ngram-config-extra",
-        "model-config-nested", "ngram-payload-nested"])
+        "model-config-nested", "ngram-payload-nested", "model-payload-bytes-arabic-indic",
+        "model-payload-bytes-fullwidth", "model-payload-bytes-nbsp",
+        "model-payload-bytes-grouped", "key-bin-tab-lost", "lstm-layers-huge"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_input_prints_one_error_line(workspace, lstm_file, tmp_path, capsys,
                                          argv, damage, error):

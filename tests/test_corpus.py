@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import int_respellings
 from stegolm.corpus import (
     CorpusConfig,
     EOS_TOKEN,
@@ -141,6 +142,13 @@ class TestVocabulary:
                     data.replace(b"\t", b"\t+", 1), data.replace(b"\t", b"\t0", 1),
                     data.replace(b"\t", b"\t ", 1)):
             with pytest.raises(VocabFormatError):
+                Vocabulary.deserialize(bad)
+        token, count = mini_vocab.tokens[0], str(mini_vocab.counts[0])
+        line = f"\n{token}\t{count}\n"
+        assert len(count) > 1 and line.encode() in data
+        for spelt in int_respellings(count):
+            bad = data.replace(line.encode(), f"\n{token}\t{spelt}\n".encode())
+            with pytest.raises(VocabFormatError, match="spelt"):
                 Vocabulary.deserialize(bad)
 
     def test_misordered_file_rejected(self):

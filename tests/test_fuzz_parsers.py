@@ -3,12 +3,12 @@
 The property: whatever the bytes, a parser raises a ``StegolmError`` subclass
 or returns an object whose ``encode`` of a short payload succeeds or raises a
 ``StegolmError``. Every file format is one to one: whatever loads saves to
-the same bytes. Inputs are arbitrary bytes, truncations and bit flips of
-valid files, plus structured n-gram payloads with indices and counts around
-the valid range or of the wrong JSON type, and payloads spelt otherwise than
-saving spells them. The tables of every valid n-gram payload read as the
-``json`` reference reads them. Vocabulary and models are tiny so the module
-stays fast.
+the same bytes. Inputs are arbitrary bytes, truncations, bit flips and single
+insertions into valid files, plus structured n-gram payloads with indices and
+counts around the valid range or of the wrong JSON type, and payloads spelt
+otherwise than saving spells them. The tables of every valid n-gram payload
+read as the ``json`` reference reads them. Vocabulary and models are tiny so
+the module stays fast.
 """
 
 import json
@@ -49,14 +49,22 @@ def flip(data: bytes, flips) -> bytes:
     return bytes(out)
 
 
+#: Bytes whose insertion may keep a file parsing: ``int`` reads a number with a
+#: leading zero, a sign, a digit group, blanks around it or other Unicode digits.
+INSERTS = [b"0", b"+", b" ", b"_", b"\t", b"\n", "\xa0".encode(), "\u0663".encode()]
+
+
 def mangled(valid: bytes):
-    """Arbitrary bytes, a truncation, or a few bit flips of a valid file."""
+    """Arbitrary bytes, a truncation, a few bit flips or one insertion into a
+    valid file."""
     flips = st.lists(st.tuples(st.integers(0, len(valid) - 1), st.integers(0, 7)),
                      min_size=1, max_size=4)
     return st.one_of(
         st.binary(max_size=64),
         st.integers(0, len(valid) - 1).map(lambda n: valid[:n]),
         flips.map(lambda fs: flip(valid, fs)),
+        st.tuples(st.integers(0, len(valid)), st.sampled_from(INSERTS)).map(
+            lambda insert: valid[:insert[0]] + insert[1] + valid[insert[0]:]),
     )
 
 

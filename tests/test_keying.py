@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import int_respellings
 from stegolm.corpus import EOS_TOKEN, UNK_TOKEN, Vocabulary, build_vocab
 from stegolm.errors import (
     DecodeError,
@@ -302,7 +303,7 @@ class TestSerialization:
         lines = serialize_key(generate_key(vocab, 1, 0, seed=4)).decode().splitlines()
         prefix, first, second, *rest = lines[5].split("\t")
         lines[5] = "\t".join([prefix, second, first, *rest])
-        with pytest.raises(KeyFormatError, match="ascending"):
+        with pytest.raises(KeyFormatError, match="spelt"):
             deserialize_key(("\n".join(lines) + "\n").encode(), vocab)
 
     def test_wrong_vocab_rejected(self):
@@ -323,12 +324,20 @@ class TestSerialization:
                          (b"block_bits: 1", b"block_bits: 01"),
                          (b"block_bits: 1", b"block_bits:  1"), (b"seed: 4", b"seed: 0004"),
                          (b"seed: 4", b"seed: 4 "), (b"common:", b"common:\t"),
-                         (b"bin 0:\t", b"bin 0: \t"), (b"bin 0:\t", b"bin 0:\t\t")]:
+                         (b"bin 0:\t", b"bin 0: \t"), (b"bin 0:\t", b"bin 0:\t\t"),
+                         (b"bin 0:\t", b"bin 0:")]:
             assert old in data
             with pytest.raises(KeyFormatError):
                 deserialize_key(data.replace(old, new), mini_vocab)
-        with pytest.raises(KeyFormatError, match="newline"):
+        with pytest.raises(KeyFormatError, match="bin lines"):
             deserialize_key(data[:-1], mini_vocab)
+        data = serialize_key(generate_key(mini_vocab, 1, 0, seed=10))
+        for field, number in [("block_bits: ", "1"), ("seed: ", "10")]:
+            assert (field + number).encode() in data
+            for spelt in int_respellings(number):
+                with pytest.raises(KeyFormatError, match="spelt"):
+                    deserialize_key(data.replace((field + number).encode(),
+                                                 (field + spelt).encode()), mini_vocab)
 
     def test_malformed_header_rejected(self, mini_vocab):
         with pytest.raises(KeyFormatError):

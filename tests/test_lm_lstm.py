@@ -403,6 +403,14 @@ class TestPersistence:
             deserialize_model(respelt_config(data, lambda config: config.update(history=[bad])),
                               desk_vocab)
 
+    def test_huge_layers_refused_by_array_count(self, trained, mini_vocab):
+        # refused before the 300,003 expected shapes are built, in a short message
+        data = respelt_config(serialize_model(trained),
+                              lambda config: config["hyperparams"].update(layers=100_000))
+        with pytest.raises(ModelFormatError, match="100000 layers") as refused:
+            deserialize_model(data, mini_vocab)
+        assert len(str(refused.value)) < 100
+
     @pytest.mark.parametrize("name, value", [
         ("epoch", "x"), ("epoch", True), ("epoch", 1.0), ("train_nll", None),
         ("train_nll", 1), ("train_nll", math.nan), ("val_nll", [1]), ("val_nll", math.inf),

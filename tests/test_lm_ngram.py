@@ -271,8 +271,11 @@ class TestNgram:
         ([[0]], [2**60]),
         ([[0], [0]], [2**53, 1]),  # equal rows add up past 2**53
         ([[0]] * 2049, [2**53] * 2048 + [1]),  # and their int64 sum wraps around to 1
+        ([[0], [1]], [1, 2, 3]),
+        ([[0], [1]], [1]),
+        ([[0]], [2**64]),
     ], ids=["index -1", "index |V|", "count -3", "count 0", "count 2**60", "sum 2**53 + 1",
-            "sum 2**64 + 1"])
+            "sum 2**64 + 1", "counts too many", "counts too few", "count 2**64"])
     def test_out_of_range_model_refused_in_memory(self, grams, counts):
         vocab = build_vocab(["a", "b", "c"])
         assert len(vocab) == 5

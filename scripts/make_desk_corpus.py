@@ -12,6 +12,8 @@ this script must reproduce the committed file byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import random
 from pathlib import Path
 
@@ -115,9 +117,14 @@ NAMES = [
 URL_STEMS = ["t.co", "bit.ly", "tinyurl.com", "ow.ly"]
 
 
+@functools.cache
+def zipf_cum_weights(size: int, exponent: float) -> list[float]:
+    """The running sums ``random.choices`` would take of the Zipf weights."""
+    return list(itertools.accumulate(1.0 / (rank + 1) ** exponent for rank in range(size)))
+
+
 def zipf_pick(rng: random.Random, pool: list[str], exponent: float = 1.0) -> str:
-    weights = [1.0 / (rank + 1) ** exponent for rank in range(len(pool))]
-    return rng.choices(pool, weights=weights, k=1)[0]
+    return rng.choices(pool, cum_weights=zipf_cum_weights(len(pool), exponent), k=1)[0]
 
 
 class MessageSampler:

@@ -214,6 +214,7 @@ class Vocabulary:
         vocab = cls(tuple(token for token, _, _ in rows), counts)
         if vocab.serialize() != data:
             raise VocabFormatError("vocabulary file is not spelt as serialize writes it")
+        object.__setattr__(vocab, "_hash", hashlib.sha256(data).hexdigest())  # see content_hash
         return vocab
 
     @classmethod

@@ -61,31 +61,21 @@ BIN_COMMON = -2
 BIN_RESERVED = -1
 
 
-class _SplitMix64:
-    """Tiny deterministic generator; its stream is part of the key format."""
-
-    def __init__(self, seed: int):
-        self._state = seed & 0xFFFFFFFFFFFFFFFF
-
-    def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-        return z ^ (z >> 31)
-
-    def randbelow(self, n: int) -> int:
-        # Rejection sampling keeps the draw unbiased.
-        limit = (1 << 64) - ((1 << 64) % n)
-        while True:
-            v = self.next_u64()
-            if v < limit:
-                return v % n
-
-    def shuffle(self, items: list) -> None:
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randbelow(i + 1)
-            items[i], items[j] = items[j], items[i]
+def _shuffle(items: list, seed: int) -> None:
+    """Fisher-Yates shuffle of ``items`` in place, driven by a splitmix64 stream
+    from ``seed``; the stream is part of the key format."""
+    mask = (1 << 64) - 1
+    state = seed & mask
+    for i in range(len(items) - 1, 0, -1):
+        limit = (1 << 64) - ((1 << 64) % (i + 1))  # rejection sampling keeps j unbiased
+        z = limit
+        while z >= limit:
+            state = (state + 0x9E3779B97F4A7C15) & mask
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+            z ^= z >> 31
+        j = z % (i + 1)
+        items[i], items[j] = items[j], items[i]
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,15 +92,17 @@ class StegoKey:
     def __post_init__(self):
         if not 0 <= self.block_bits <= MAX_BLOCK_BITS:
             raise KeyInvariantError(f"block_bits must be in [0, {MAX_BLOCK_BITS}]")
-        slots = np.array(self.slot_array, dtype=np.int64)
+        slots = np.asarray(self.slot_array)
+        vocab, num_bins = self.vocab, self.num_bins
+        if slots.shape != (len(vocab),) or slots.dtype.kind not in "iu":  # never coerced
+            raise KeyInvariantError(f"slot array of shape {slots.shape} and {slots.dtype} values "
+                                    f"for |V|={len(vocab)}: not one integer per token")
+        if ((slots < BIN_COMMON) | (slots >= num_bins)).any():
+            raise KeyInvariantError(f"slot values must lie in [{BIN_COMMON}, {num_bins})")
+        slots = slots.astype(np.int64)  # in range, so no uint64 value wraps
         slots.flags.writeable = False
         object.__setattr__(self, "slot_array", slots)
         object.__setattr__(self, "_allowed", {})
-        vocab, num_bins = self.vocab, self.num_bins
-        if slots.shape != (len(vocab),):
-            raise KeyInvariantError(f"slot array of shape {slots.shape} for |V|={len(vocab)}")
-        if ((slots < BIN_COMMON) | (slots >= num_bins)).any():
-            raise KeyInvariantError(f"slot values must lie in [{BIN_COMMON}, {num_bins})")
         eos, unk = vocab.indices((EOS_TOKEN, UNK_TOKEN))
         # <eos> may join the common set (lets generation end messages); <unk> never.
         if (unk >= 0 and slots[unk] != BIN_RESERVED) or (eos >= 0 and slots[eos] >= 0):
@@ -218,7 +210,7 @@ def generate_key(
         raise KeyGenError(f"only {len(carriers)} carrier tokens left for {num_bins} bins")
     if include_eos_common and EOS_TOKEN in vocab:
         common.append(vocab.index_of(EOS_TOKEN))
-    _SplitMix64(seed).shuffle(carriers)
+    _shuffle(carriers, seed)
     slots = np.full(len(vocab), BIN_RESERVED, dtype=np.int64)
     slots[carriers] = np.arange(len(carriers)) % num_bins  # dealt round-robin
     slots[common] = BIN_COMMON

@@ -4,7 +4,7 @@ Contexts shorter than ``order - 1`` (only possible at the very start of a
 stream) fall back to the matching lower-order table, so an empty context
 yields the smoothed unigram distribution. Each order's counts live once, in a
 compressed sparse row table: ``runs`` maps a seen context to ``(a, b, total)``,
-its successors are ``successors[a:b]`` (ascending), with float64 ``counts[a:b]``.
+its successors are ``successors[a:b]`` (ascending), with int64 ``counts[a:b]``.
 
 A payload is ``json.dumps(doc, sort_keys=True)`` of ``{"add_k", "order", "tables"}``.
 Only its head goes through ``json``: each table is written with one ``%`` format,
@@ -57,40 +57,35 @@ class NgramModel(LanguageModel):
 
     def __init__(self, vocab: Vocabulary, config: NgramConfig,
                  tables: Sequence[tuple[np.ndarray, np.ndarray]]):
-        """``tables[m]`` is ``(grams, counts)``: length-``m + 1`` n-grams of indices in
-        ``[0, |V|)`` (context, then successor) as rows in any order, and one count
-        per row; the counts of equal rows add up. Every count must be at least 1 and
-        the counts of equal rows must add up to at most 2**53, so float64 holds each
-        sum exactly; otherwise ``ConfigError``."""
+        """``tables[m]`` is ``(grams, counts)`` as a payload lists them and ``train_ngram``
+        counts them: distinct length-``m + 1`` n-grams of integer indices in ``[0, |V|)``
+        (context, then successor) as rows in ascending order, and one integer count in
+        ``[1, 2**53]`` per row, so float64 holds it exactly; otherwise ``ConfigError``."""
         super().__init__(vocab)
         self.config = config
         self._tables = []
-        size = len(vocab)
-        keys = np.min_scalar_type(size)  # holds every index; radix-sorted up to 16 bits
         for m, (grams, counts) in enumerate(tables):
-            try:  # OverflowError: an index or count past int64
-                grams = np.asarray(grams, np.int64).reshape(-1, m + 1)
-                counts = np.asarray(counts, np.int64).reshape(len(grams))
-            except (OverflowError, ValueError) as exc:
+            try:  # ValueError: a ragged list, or not one count per row
+                grams, counts = np.asarray(grams), np.asarray(counts)
+                if grams.size and not {grams.dtype.kind, counts.dtype.kind} <= {"i", "u"}:
+                    raise ValueError("indices and counts must be integers")  # never coerced
+                grams = grams.astype(np.int64, copy=False).reshape(-1, m + 1)
+                counts = counts.astype(np.int64).reshape(len(grams))
+            except ValueError as exc:
                 raise ConfigError(f"ngram table {m}: {exc}") from None
-            order = np.lexsort(grams.T[::-1].astype(keys))  # first column first
-            grams, counts = grams[order], counts[order]
-            distinct = _run_starts(grams)
-            grams, summed = grams[distinct], np.add.reduceat(counts, distinct)
-            if not 0 <= grams.min(initial=0) <= grams.max(initial=0) < size:
-                raise ConfigError(f"ngram token index outside [0, {size})")
-            # With every count at least 1, an int64 sum can wrap around only if the
-            # table's counts add up past 2**63; a float64 sum never wraps.
-            wrapped = (len(counts) * int(counts.max(initial=0)) >= 2**63 and
-                       np.add.reduceat(counts, distinct, dtype=np.float64).max() > 2**53)
-            if counts.min(initial=1) < 1 or summed.max(initial=1) > 2**53 or wrapped:
-                raise ConfigError("ngram count below 1, or equal rows add up past 2**53")
-            counts = summed
+            if not 0 <= grams.min(initial=0) <= grams.max(initial=0) < len(vocab):
+                raise ConfigError(f"ngram token index outside [0, {len(vocab)})")
+            if counts.min(initial=1) < 1 or counts.max(initial=1) > 2**53:
+                raise ConfigError("ngram count outside [1, 2**53]")
+            step = np.diff(grams, axis=0)  # rows ascend: each step's first nonzero is > 0
+            if (step[np.arange(len(step)), (step != 0).argmax(axis=1)] <= 0).any():
+                raise ConfigError(f"ngram table {m}: rows repeated or not in ascending order")
+            del step  # not held while runs is built
             starts = _run_starts(grams[:, :m])
             totals = np.add.reduceat(counts.astype(object), starts).tolist()  # no int64 wrap
             bounds = zip(starts.tolist(), [*starts[1:].tolist(), len(grams)], totals)
             runs = dict(zip(map(tuple, grams[starts, :m].tolist()), bounds))
-            self._tables.append((runs, grams[:, -1].copy(), counts.astype(np.float64)))
+            self._tables.append((runs, grams[:, -1].copy(), counts))
 
     def initial_context(self) -> tuple[int, ...]:
         return ()
@@ -169,8 +164,8 @@ class NgramModel(LanguageModel):
     @classmethod
     def from_payload(cls, vocab: Vocabulary, header: dict, payload: bytes) -> "NgramModel":
         """Inverse of ``header_config``/``to_payload``: ``json`` reads the head up to
-        ``, "tables": ``, ``_read_tables`` the rest, and the constructor checks
-        every index and count (``ConfigError`` becomes ``ModelFormatError``). Bytes
+        ``, "tables": ``, ``_read_tables`` the rest, and the constructor checks the
+        tables' form (``ConfigError`` becomes ``ModelFormatError``). Bytes
         that ``to_payload`` would not write may load as some other model here;
         ``deserialize_model`` refuses them."""
         head, tables_key, body = payload.partition(b', "tables": ')
@@ -221,5 +216,12 @@ def train_ngram(tokens: Sequence[str], vocab: Vocabulary,
     ids = np.fromiter(map(vocab.index_or_unk, tokens), np.int64, len(tokens))
     # windows[i] holds the n ids that end at token i, padded on the left with -1
     windows = np.lib.stride_tricks.sliding_window_view(np.r_[np.full(n - 1, -1), ids], n)
-    grams = [windows[m:, n - 1 - m:] for m in range(n)]  # every (m + 1)-gram, once per occurrence
-    return NgramModel(vocab, config, [(g, np.broadcast_to(1, len(g))) for g in grams])
+    keys = np.min_scalar_type(len(vocab))  # holds every index; radix-sorted up to 16 bits
+    tables = []
+    for m in range(n):
+        grams = windows[m:, n - 1 - m:]  # every (m + 1)-gram, once per occurrence
+        grams = grams[np.lexsort(grams.T[::-1].astype(keys))]  # first column first
+        distinct = _run_starts(grams)
+        tables.append((grams[distinct], np.diff(distinct, append=len(grams))))
+    del grams, distinct  # not held while the model is built
+    return NgramModel(vocab, config, tables)

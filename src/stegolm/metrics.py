@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Vocabulary
-from .errors import ConfigError, CorpusError
+from .errors import ConfigError, CorpusError, VocabMismatchError
 from .keying import BIN_COMMON, BIN_RESERVED, MAX_BLOCK_BITS, StegoKey
 from .lm.base import LanguageModel
 
@@ -160,6 +160,8 @@ def stego_distribution(probs: np.ndarray, key: StegoKey) -> np.ndarray:
 
 def stego_word_prob(model: LanguageModel, ctx, key: StegoKey, word_index: int) -> float:
     """Average over all bit blocks of the word's masked probability."""
+    if model.vocab_hash != key.vocab_hash:
+        raise VocabMismatchError("model and key were built from different vocabularies")
     model.check_index(word_index)
     return float(stego_distribution(model.next_distribution(ctx), key)[word_index])
 
@@ -168,6 +170,8 @@ def stego_perplexity(model: LanguageModel, key: StegoKey,
                      tokens: Sequence[str]) -> PerplexityReport:
     """Perplexity with the block-averaged word probability in place of the
     model probability; reserved sentinels are skipped and counted."""
+    if model.vocab_hash != key.vocab_hash:
+        raise VocabMismatchError("model and key were built from different vocabularies")
     ids = _stream_ids(model.vocab, tokens)
     reserved = (key.lookup_array()[ids] == BIN_RESERVED) & (not is_vacuous(key))
     return _score(model, ids, reserved, lambda probs: stego_distribution(probs, key))

@@ -1,8 +1,11 @@
+import runpy
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import int_respellings
+from conftest import DATA, int_respellings
 from stegolm.corpus import (
     CorpusConfig,
     EOS_TOKEN,
@@ -16,6 +19,8 @@ from stegolm.corpus import (
     write_token_file,
 )
 from stegolm.errors import CorpusError, VocabFormatError
+from stegolm.keying import generate_key, load_key, save_key
+from stegolm.lm.store import load_model, save_model
 
 
 class TestTokenize:
@@ -127,6 +132,21 @@ class TestVocabulary:
         assert Vocabulary.load(path) == mini_vocab
         assert path.read_bytes().startswith(b"STEGOVOCAB v1\n")
 
+    def test_loads_serialize_the_vocabulary_once(self, tmp_path, monkeypatch, mini_vocab,
+                                                 mini_bigram):
+        mini_vocab.save(tmp_path / "v.tsv")
+        save_key(generate_key(mini_vocab, 1, 0, seed=3), tmp_path / "k")
+        save_model(mini_bigram, tmp_path / "m")
+        calls = []
+        serialize = Vocabulary.serialize
+        monkeypatch.setattr(Vocabulary, "serialize", lambda self: calls.append(self) or
+                            serialize(self))
+        vocab = Vocabulary.load(tmp_path / "v.tsv")
+        load_key(tmp_path / "k", vocab)
+        load_model(tmp_path / "m", vocab)
+        assert len(calls) == 1  # the load's comparison; the hash is of the same bytes
+        assert vocab.content_hash() == mini_vocab.content_hash()
+
     def test_bad_header_rejected(self):
         with pytest.raises(VocabFormatError):
             Vocabulary.deserialize(b"NOPE\na\t1\n")
@@ -182,3 +202,10 @@ def test_token_file_roundtrip(tmp_path, mini_tokens):
     path = tmp_path / "tokens.txt"
     write_token_file(path, mini_tokens)
     assert read_token_file(path) == list(mini_tokens)
+
+
+def test_desk_corpus_regenerates(tmp_path, monkeypatch):
+    out = tmp_path / "desk_corpus.txt"
+    monkeypatch.setattr(sys, "argv", ["make_desk_corpus.py", "--out", str(out)])
+    runpy.run_path(str(DATA.parents[2] / "scripts" / "make_desk_corpus.py"), run_name="__main__")
+    assert out.read_bytes() == (DATA / "desk_corpus.txt").read_bytes()

@@ -233,6 +233,21 @@ class TestKeyInvariants:
         with pytest.raises(KeyInvariantError, match="block_bits"):
             StegoKey(17, fixture_key.lookup_array(), 0, fixture_vocab)
 
+    def test_non_integer_slots_rejected(self):
+        vocab = small_vocab(6)
+        assert len(vocab) == 8
+        key = generate_key(vocab, 1, 0, seed=4)
+        slots = key.lookup_array()
+        # np.int64 would truncate the first two and parse the third into this key
+        for bad in (np.where(slots >= 0, slots + 0.4, slots), slots.astype(float),
+                    slots.astype(str)):
+            with pytest.raises(KeyInvariantError, match="integer"):
+                StegoKey(1, bad, key.seed, vocab)
+        # a uint64 array holds the reserved slot as 2**64 - 1: out of range, not -1
+        with pytest.raises(KeyInvariantError, match="slot values"):
+            StegoKey(1, slots.astype(np.uint64), key.seed, vocab)
+        assert StegoKey(1, slots.astype(np.int8), key.seed, vocab) == key
+
     def test_sentinels_stay_reserved(self, fixture_vocab, fixture_key):
         eos, unk = fixture_vocab.indices([EOS_TOKEN, UNK_TOKEN])
         for idx, slot in ((unk, BIN_COMMON), (unk, 0), (eos, 0)):

@@ -200,14 +200,19 @@ class TestNgram:
         assert serialize_model(deserialize_model(serialize_model(model), vocab)) == \
             serialize_model(model)
 
-    def test_equal_rows_add_up_in_memory(self, mini_vocab):
+    def test_repeated_or_unordered_rows_refused_in_memory(self, mini_vocab):
         config = NgramConfig(order=2, add_k=0.5)
-        split = NgramModel(mini_vocab, config, [([[3], [7], [3]], [1, 2, 5]),
-                                                ([[4, 3], [2, 9], [4, 3]], [1, 1, 1])])
-        summed = NgramModel(mini_vocab, config, [([[3], [7]], [6, 2]), ([[2, 9], [4, 3]], [1, 2])])
-        assert split.to_payload() == summed.to_payload()
-        for ctx in [(), (4,), (2,), (5,)]:
-            assert np.array_equal(split.next_distribution(ctx), summed.next_distribution(ctx))
+        unigram, bigram = ([[3], [7]], [6, 2]), ([[2, 9], [4, 3]], [1, 2])
+        model = NgramModel(mini_vocab, config, [unigram, bigram])
+        assert json.loads(model.to_payload())["tables"] == [
+            [["", [[3, 6], [7, 2]]]], [["2", [[9, 1]]], ["4", [[3, 2]]]]]
+        for tables in ([([[3], [7], [3]], [1, 2, 5]), bigram],  # equal rows
+                       [unigram, ([[2, 9], [4, 3], [4, 3]], [1, 1, 1])],
+                       [([[7], [3]], [2, 6]), bigram],  # descending rows
+                       [unigram, ([[4, 3], [2, 9]], [2, 1])],
+                       [unigram, ([[2, 9], [2, 3]], [1, 2])]):  # descending in one context
+            with pytest.raises(ConfigError):
+                NgramModel(mini_vocab, config, tables)
 
     def test_reader_equals_json_reference(self, desk_trigram, desk_vocab):
         untrained_payload = untrained(desk_vocab, NgramConfig(order=3, add_k=0.5)).to_payload()
@@ -237,6 +242,7 @@ class TestNgram:
         (b"[[0, 1]]", b"[[0, 4611686018427387904], [1, 1]]"),
         (b"[[0, 1]]", b"[[4611686018427387904, 1]]"),  # an index spelt as a mark
         (b"[[0, 1]]", b"[[4611686018427387905, 1], [1, 1]]"),
+        (b"[[0, 1]]", b"[[0, 1.0]]"),  # a float count
         (b', "tables": ', b', "tables":'),  # no ', "tables": '
         (b', "tables": ', b',"tables": '),
         (b', "tables": [[["", [[0, 1]]]]]', b""),
@@ -274,8 +280,14 @@ class TestNgram:
         ([[0], [1]], [1, 2, 3]),
         ([[0], [1]], [1]),
         ([[0]], [2**64]),
+        ([[0.7], [1.2]], [2, 3]),  # np.int64 would truncate these and parse strings
+        ([[0.0], [1.0]], [2, 3]),
+        ([["0"], ["1"]], [2, 3]),
+        ([[0], [1]], [2.5, 3]),
+        ([[0], [1]], [2, "3"]),
     ], ids=["index -1", "index |V|", "count -3", "count 0", "count 2**60", "sum 2**53 + 1",
-            "sum 2**64 + 1", "counts too many", "counts too few", "count 2**64"])
+            "sum 2**64 + 1", "counts too many", "counts too few", "count 2**64", "index float",
+            "index integral float", "index string", "count float", "count string"])
     def test_out_of_range_model_refused_in_memory(self, grams, counts):
         vocab = build_vocab(["a", "b", "c"])
         assert len(vocab) == 5
@@ -284,8 +296,7 @@ class TestNgram:
 
     def test_range_bounds_are_inclusive(self):
         vocab = build_vocab(["a", "b", "c"])
-        model = NgramModel(vocab, NgramConfig(order=1, add_k=0.5),
-                           [([[0], [4], [4]], [1, 2**52, 2**52])])
+        model = NgramModel(vocab, NgramConfig(order=1, add_k=0.5), [([[0], [4]], [1, 2**53])])
         assert json.loads(model.to_payload())["tables"] == [[["", [[0, 1], [4, 2**53]]]]]
 
     def test_context_total_above_int64_is_exact(self):

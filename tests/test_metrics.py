@@ -6,7 +6,7 @@ import pytest
 from conftest import FixedModel
 from stegolm.codec import GenPolicy, Mode, constrained_select
 from stegolm.corpus import EOS_TOKEN, UNK_TOKEN, Vocabulary, build_vocab
-from stegolm.errors import CorpusError, DecodeError
+from stegolm.errors import CorpusError, DecodeError, VocabMismatchError
 from stegolm.keying import BIN_COMMON, BIN_RESERVED, BitBlock, StegoKey, generate_key
 from stegolm.lm.base import LanguageModel
 from stegolm.lm.lstm import LstmHyperparams, LstmModel, init_params
@@ -209,6 +209,20 @@ class TestStegoPerplexity:
         assert stego.perplexity == pytest.approx(plain.perplexity, rel=1e-9)
         assert stego.token_count == plain.token_count
         assert stego.skipped_sentinels == 0
+
+    @pytest.mark.parametrize("key_tokens", [
+        ("a", "b", "c", "d", "e", "f", "g", "h", "i"),  # a key of 11 tokens for a model of 9
+        ("a", "b", "c", "d", "e", "f", "g"),  # another vocabulary of 9 tokens
+    ])
+    def test_key_of_another_vocabulary_refused(self, key_tokens):
+        vocab = build_vocab(["a", "b", "c", "d", "e", "f", "x"])
+        other = build_vocab(list(key_tokens))
+        model = FixedModel(vocab, np.full(len(vocab), 1 / len(vocab)))
+        key = generate_key(other, 1, 0, seed=2)
+        with pytest.raises(VocabMismatchError):
+            stego_perplexity(model, key, ["a", "b", "c"])
+        with pytest.raises(VocabMismatchError):
+            stego_word_prob(model, (), key, 0)
 
     def test_uniform_model_balanced_key_equals_plain(self):
         vocab = Vocabulary(("a", "b", "c", "d"), (4, 3, 2, 1))

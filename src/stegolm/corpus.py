@@ -25,6 +25,7 @@ import hashlib
 import re
 from collections import Counter
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -65,7 +66,7 @@ def check_token(surface: str) -> str:
     """Validate a token surface: non-empty, no whitespace. Returns it unchanged."""
     if not surface:
         raise CorpusError("empty token surface")
-    if any(ch.isspace() for ch in surface):
+    if surface.split() != [surface]:  # the characters str.isspace() calls whitespace
         raise CorpusError(f"token contains whitespace: {surface!r}")
     return surface
 
@@ -131,16 +132,22 @@ class Vocabulary:
     def __post_init__(self):
         if len(self.tokens) != len(self.counts):
             raise VocabFormatError("tokens and counts differ in length")
-        if len(set(self.tokens)) != len(self.tokens):
-            raise VocabFormatError("duplicate token in vocabulary")
         try:
             for surface in self.tokens:
+                if not isinstance(surface, str):
+                    raise CorpusError(f"token surface is not a string: {surface!r}")
                 check_token(surface)
         except CorpusError as exc:
             raise VocabFormatError(str(exc)) from None
+        if len(set(self.tokens)) != len(self.tokens):
+            raise VocabFormatError("duplicate token in vocabulary")
+        for count in self.counts:  # integer kind checked, never coerced
+            if isinstance(count, bool) or not isinstance(count, Integral):
+                raise VocabFormatError(f"count is not an integer: {count!r}")
         if any(c < 0 for c in self.counts):
             raise VocabFormatError("negative count in vocabulary")
-        ordered = sorted(zip(self.tokens, self.counts), key=_vocab_sort_key)
+        # int: a numpy unsigned count would wrap around when negated
+        ordered = sorted(zip(self.tokens, map(int, self.counts)), key=_vocab_sort_key)
         if tuple(t for t, _ in ordered) != self.tokens:
             raise VocabFormatError("vocabulary violates the (count desc, surface asc) ordering")
         object.__setattr__(self, "_index", {t: i for i, t in enumerate(self.tokens)})

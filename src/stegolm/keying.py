@@ -90,9 +90,15 @@ class StegoKey:
     vocab: Vocabulary
 
     def __post_init__(self):
-        if not 0 <= self.block_bits <= MAX_BLOCK_BITS:
-            raise KeyInvariantError(f"block_bits must be in [0, {MAX_BLOCK_BITS}]")
-        slots = np.asarray(self.slot_array)
+        if type(self.block_bits) is not int or not 0 <= self.block_bits <= MAX_BLOCK_BITS:
+            raise KeyInvariantError(f"block_bits must be an integer in [0, {MAX_BLOCK_BITS}], "
+                                    f"not {self.block_bits!r}")
+        if type(self.seed) is not int or not 0 <= self.seed < 1 << 64:
+            raise KeyInvariantError(f"seed must be an integer in [0, 2**64), not {self.seed!r}")
+        try:  # ValueError: a ragged list
+            slots = np.asarray(self.slot_array)
+        except ValueError as exc:
+            raise KeyInvariantError(f"slot array: {exc}") from None
         vocab, num_bins = self.vocab, self.num_bins
         if slots.shape != (len(vocab),) or slots.dtype.kind not in "iu":  # never coerced
             raise KeyInvariantError(f"slot array of shape {slots.shape} and {slots.dtype} values "
@@ -197,12 +203,12 @@ def generate_key(
     ``include_eos_common`` additionally adds ``<eos>`` so generated messages
     may end naturally.
     """
-    if not 0 <= block_bits <= MAX_BLOCK_BITS:
-        raise KeyGenError(f"block_bits must be in [0, {MAX_BLOCK_BITS}], got {block_bits}")
-    if common_count < 0:
-        raise KeyGenError("common_count must be non-negative")
-    if not 0 <= seed < 1 << 64:
-        raise KeyGenError(f"seed must be in [0, 2**64), got {seed}")
+    if type(block_bits) is not int or not 0 <= block_bits <= MAX_BLOCK_BITS:
+        raise KeyGenError(f"block_bits must be in [0, {MAX_BLOCK_BITS}], got {block_bits!r}")
+    if type(common_count) is not int or common_count < 0:
+        raise KeyGenError(f"common_count must be a non-negative integer, got {common_count!r}")
+    if type(seed) is not int or not 0 <= seed < 1 << 64:  # refuses floats and bools too
+        raise KeyGenError(f"seed must be in [0, 2**64), got {seed!r}")
     num_bins = 1 << block_bits
     eligible = [i for i, t in enumerate(vocab.tokens) if t not in RESERVED_NONCARRIERS]
     common, carriers = eligible[:common_count], eligible[common_count:]

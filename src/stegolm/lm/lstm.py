@@ -48,6 +48,11 @@ class LstmHyperparams:
             value = getattr(self, name)
             if type(value) is not int or value < 1:  # refuses floats and bools too
                 raise ConfigError(f"{name} must be a positive integer, not {value!r}")
+        clip = () if self.clip_norm is None else ("clip_norm",)
+        for name in ("lr_init", "lr_decay", "dropout", *clip):
+            value = getattr(self, name)  # what a JSON number reads as: no bool, str or np.int64
+            if type(value) is not int and not isinstance(value, float):
+                raise ConfigError(f"{name} must be an int or float, not {value!r}")
         # Chained comparisons with math.inf refuse NaN and infinity too.
         if not 0 < self.lr_init < math.inf:
             raise ConfigError("lr_init must be positive and finite")
@@ -320,7 +325,8 @@ class LstmModel(LanguageModel):
             raise ConfigError(f"{len(params)} lstm arrays, not {3 * hp.layers + 3}, "
                               f"for {hp.layers} layers")
         expected = {n: ("float64", shape) for n, shape in param_shapes(len(vocab), hp).items()}
-        found = {n: (str(array.dtype), array.shape) for n, array in params.items()}
+        found = {n: (str(array.dtype), array.shape) for n, array in params.items()
+                 if isinstance(array, np.ndarray)}
         wrong = sorted(n for n in expected.keys() | found.keys() if found.get(n) != expected.get(n))
         if wrong:
             raise ConfigError(f"lstm arrays missing, extra or misshapen: {wrong[:3]}")

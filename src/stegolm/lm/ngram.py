@@ -3,8 +3,13 @@
 Contexts shorter than ``order - 1`` (only possible at the very start of a
 stream) fall back to the matching lower-order table, so an empty context
 yields the smoothed unigram distribution. Each order's counts live once, in a
-compressed sparse row table: ``runs`` maps a seen context to ``(a, b, total)``,
-its successors are ``successors[a:b]`` (ascending), with int64 ``counts[a:b]``.
+compressed sparse row table of the arrays the constructor checks: context ``r``
+is ``contexts[r]`` (ascending rows), its successors are ``successors[a:b]``
+(ascending), with int64 ``counts[a:b]``, from ``a = starts[r]`` to the next
+start. The order check finds where each n-gram first differs from the one
+before, and a difference inside the context starts a new one. ``runs`` maps a
+seen context, as a tuple, to ``(a, b, total)`` for lookups; ``to_payload``
+writes from the arrays.
 
 A payload is ``json.dumps(doc, sort_keys=True)`` of ``{"add_k", "order", "tables"}``.
 Only its head goes through ``json``: each table is written with one ``%`` format,
@@ -16,7 +21,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -47,11 +51,6 @@ _MARKS = ((b'[["', b" %d %d " % (_TABLE, _ROW)), (b'["', b" %d " % _ROW),
 _BLANK_NON_DIGITS = bytes(c if 48 <= c <= 57 else 32 for c in range(256))
 
 
-def _run_starts(rows: np.ndarray) -> np.ndarray:
-    """Positions where the sorted ``rows`` change: 0, and every row unlike the one before."""
-    return np.flatnonzero(np.r_[True, np.any(rows[1:] != rows[:-1], axis=1)][:len(rows)])
-
-
 class NgramModel(LanguageModel):
     backend = "ngram"
 
@@ -60,9 +59,12 @@ class NgramModel(LanguageModel):
         """``tables[m]`` is ``(grams, counts)`` as a payload lists them and ``train_ngram``
         counts them: distinct length-``m + 1`` n-grams of integer indices in ``[0, |V|)``
         (context, then successor) as rows in ascending order, and one integer count in
-        ``[1, 2**53]`` per row, so float64 holds it exactly; otherwise ``ConfigError``."""
+        ``[1, 2**53]`` per row, so float64 holds it exactly; and one table per order;
+        otherwise ``ConfigError``."""
         super().__init__(vocab)
         self.config = config
+        if len(tables) != config.order:
+            raise ConfigError(f"{len(tables)} ngram tables for order {config.order}")
         self._tables = []
         for m, (grams, counts) in enumerate(tables):
             try:  # ValueError: a ragged list, or not one count per row
@@ -78,14 +80,16 @@ class NgramModel(LanguageModel):
             if counts.min(initial=1) < 1 or counts.max(initial=1) > 2**53:
                 raise ConfigError("ngram count outside [1, 2**53]")
             step = np.diff(grams, axis=0)  # rows ascend: each step's first nonzero is > 0
-            if (step[np.arange(len(step)), (step != 0).argmax(axis=1)] <= 0).any():
+            column = (step != 0).argmax(axis=1)  # where each row first differs
+            if (step[np.arange(len(step)), column] <= 0).any():
                 raise ConfigError(f"ngram table {m}: rows repeated or not in ascending order")
-            del step  # not held while runs is built
-            starts = _run_starts(grams[:, :m])
+            starts = np.flatnonzero(np.r_[True, column < m][:len(grams)])  # a new context
+            del step, column  # not held while runs is built
+            contexts = grams[starts, :m]
             totals = np.add.reduceat(counts.astype(object), starts).tolist()  # no int64 wrap
             bounds = zip(starts.tolist(), [*starts[1:].tolist(), len(grams)], totals)
-            runs = dict(zip(map(tuple, grams[starts, :m].tolist()), bounds))
-            self._tables.append((runs, grams[:, -1].copy(), counts))
+            runs = dict(zip(map(tuple, contexts.tolist()), bounds))
+            self._tables.append((runs, contexts, starts, grams[:, -1].copy(), counts))
 
     def initial_context(self) -> tuple[int, ...]:
         return ()
@@ -100,7 +104,7 @@ class NgramModel(LanguageModel):
         k, size, m = self.config.add_k, len(self.vocab), len(ctx)
         if m >= self.config.order:
             raise ValueError(f"context longer than order-1: {m} >= {self.config.order}")
-        runs, successors, counts = self._tables[m]
+        runs, _, _, successors, counts = self._tables[m]
         a, b, total = runs.get(ctx, (0, 0, 0))
         denom = total + k * size
         dist = np.full(size, k / denom)
@@ -114,7 +118,7 @@ class NgramModel(LanguageModel):
         k, size, keep = self.config.add_k, len(self.vocab), self.config.order - 1
         seq = [*ctx, *map(self.check_index, ids)]
         contexts = [tuple(seq[max(0, t - keep):t]) for t in range(len(ctx), len(seq))]
-        runs, successors, counts = self._tables[keep]
+        runs, _, _, successors, counts = self._tables[keep]
         a, b, total = np.array([runs.get(c, (0, 0, 0)) for c in contexts],
                                np.float64).reshape(-1, 3).T
         denom = total + k * size
@@ -140,17 +144,13 @@ class NgramModel(LanguageModel):
         each context ``m`` indices joined by commas, contexts and successors in
         ascending order. Each table is one ``%`` format of one argument array."""
         tables = []
-        for m, (runs, successors, counts) in enumerate(self._tables):
-            # runs lists the contexts in ascending order, and their successors follow
-            # one another in successors
-            contexts = np.fromiter(chain.from_iterable(runs), np.int64, len(runs) * m)
-            starts = np.fromiter((a for a, _, _ in runs.values()), np.int64, len(runs))
+        for m, (_, contexts, starts, successors, counts) in enumerate(self._tables):
             lengths = np.diff(starts, append=len(successors))
             # row r's arguments: its m context indices, then successor and count per pair
-            args = np.empty(len(contexts) + 2 * len(successors), np.int64)
-            first = np.arange(len(runs)) * m + 2 * starts  # where row r's arguments start
-            args[first[:, None] + np.arange(m)] = contexts.reshape(len(runs), m)
-            row = np.repeat(np.arange(len(runs)), lengths)  # of each successor
+            args = np.empty(contexts.size + 2 * len(successors), np.int64)
+            first = np.arange(len(starts)) * m + 2 * starts  # where row r's arguments start
+            args[first[:, None] + np.arange(m)] = contexts
+            row = np.repeat(np.arange(len(starts)), lengths)  # of each successor
             pair = (row + 1) * m + 2 * np.arange(len(successors))  # where its arguments are
             args[pair], args[pair + 1] = successors, counts
             context = '"' + ",".join(["%d"] * m) + '"'
@@ -165,19 +165,14 @@ class NgramModel(LanguageModel):
     def from_payload(cls, vocab: Vocabulary, header: dict, payload: bytes) -> "NgramModel":
         """Inverse of ``header_config``/``to_payload``: ``json`` reads the head up to
         ``, "tables": ``, ``_read_tables`` the rest, and the constructor checks the
-        tables' form (``ConfigError`` becomes ``ModelFormatError``). Bytes
+        tables' count and form (``ConfigError`` becomes ``ModelFormatError``). Bytes
         that ``to_payload`` would not write may load as some other model here;
         ``deserialize_model`` refuses them."""
-        head, tables_key, body = payload.partition(b', "tables": ')
+        head, _, body = payload.partition(b', "tables": ')
         try:
-            if not tables_key:
-                raise ValueError('no "tables"')
             doc = json.loads(head + b"}")
             config = NgramConfig(order=doc["order"], add_k=doc["add_k"])
-            tables = _read_tables(body)
-            if len(tables) != config.order:
-                raise ValueError("ngram payload order does not match its tables")
-            return cls(vocab, config, tables)
+            return cls(vocab, config, _read_tables(body))
         except (IndexError, KeyError, RecursionError, TypeError, ValueError) as exc:
             raise ModelFormatError(f"bad ngram payload: {exc}") from None
 
@@ -221,7 +216,8 @@ def train_ngram(tokens: Sequence[str], vocab: Vocabulary,
     for m in range(n):
         grams = windows[m:, n - 1 - m:]  # every (m + 1)-gram, once per occurrence
         grams = grams[np.lexsort(grams.T[::-1].astype(keys))]  # first column first
-        distinct = _run_starts(grams)
+        changed = np.any(grams[1:] != grams[:-1], axis=1)  # each row unlike the one before
+        distinct = np.flatnonzero(np.r_[True, changed][:len(grams)])  # none if len(ids) <= m
         tables.append((grams[distinct], np.diff(distinct, append=len(grams))))
-    del grams, distinct  # not held while the model is built
+    del grams, changed, distinct  # not held while the model is built
     return NgramModel(vocab, config, tables)

@@ -14,6 +14,7 @@ from stegolm.corpus import (
     USER_TOKEN,
     Vocabulary,
     build_vocab,
+    check_token,
     read_token_file,
     tokenize,
     write_token_file,
@@ -196,6 +197,18 @@ class TestVocabulary:
 
     def test_index_or_unk(self, mini_vocab):
         assert mini_vocab.index_or_unk("never-seen") == mini_vocab.index_of(UNK_TOKEN)
+
+
+def test_token_whitespace_is_what_isspace_calls_whitespace():
+    characters = [chr(c) for c in range(sys.maxunicode + 1)]
+    spaces = [ch for ch in characters if ch.isspace()]
+    assert len(spaces) == 29  # tab to carriage return, U+001C to U+001F, and Unicode blanks
+    for ch in spaces:
+        for surface in (ch, f"a{ch}", f"a{ch}b"):
+            with pytest.raises(CorpusError, match="whitespace"):
+                check_token(surface)
+    others = "".join(ch for ch in characters if not ch.isspace())
+    assert check_token(others) is others  # every other character, in one surface
 
 
 def test_token_file_roundtrip(tmp_path, mini_tokens):

@@ -214,6 +214,12 @@ class TestNgram:
             with pytest.raises(ConfigError):
                 NgramModel(mini_vocab, config, tables)
 
+    @pytest.mark.parametrize("count", [0, 1, 2, 4])
+    def test_table_count_refused_in_memory(self, mini_vocab, count):
+        # one table per order; a trigram given one table would fail its first lookup
+        with pytest.raises(ConfigError, match=f"{count} ngram tables for order 3"):
+            NgramModel(mini_vocab, NgramConfig(order=3), [([], [])] * count)
+
     def test_reader_equals_json_reference(self, desk_trigram, desk_vocab):
         untrained_payload = untrained(desk_vocab, NgramConfig(order=3, add_k=0.5)).to_payload()
         assert untrained_payload.endswith(b'"tables": [[], [], []]}')

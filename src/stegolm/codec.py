@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import EOS_TOKEN, URL_TOKEN, USER_TOKEN
-from .errors import ConfigError, DecodeError, EncodeError, VocabMismatchError
+from .errors import ConfigError, DecodeError, EncodeError, VocabMismatchError, check_int
 from .keying import BIN_COMMON, BitBlock, StegoKey
 from .lm.base import LanguageModel
 
@@ -50,6 +50,12 @@ class Payload:
     data: bytes
     framing: Framing = Framing.RAW
 
+    def __post_init__(self):
+        if not isinstance(self.data, bytes):
+            raise ConfigError(f"payload data must be bytes, not {type(self.data).__name__}")
+        if not isinstance(self.framing, Framing):
+            raise ConfigError(f"framing must be a Framing, not {self.framing!r}")
+
 
 @dataclass(frozen=True)
 class GenPolicy:
@@ -61,12 +67,14 @@ class GenPolicy:
     max_common_run: int = 5
 
     def __post_init__(self):
-        if not 0 < self.temperature < math.inf:  # refuses NaN too
-            raise ConfigError("temperature must be positive and finite")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
-        if self.max_common_run < 1:
-            raise ConfigError("max_common_run must be at least 1")
+        if not isinstance(self.mode, Mode):
+            raise ConfigError(f"mode must be a Mode, not {self.mode!r}")
+        real = type(self.temperature) is int or isinstance(self.temperature, float)
+        if not real or not 0 < self.temperature < math.inf:  # refuses NaN too
+            raise ConfigError(f"temperature must be a positive finite int or float, "
+                              f"not {self.temperature!r}")
+        check_int("seed", self.seed, 0)
+        check_int("max_common_run", self.max_common_run, 1)
 
 
 @dataclass(frozen=True)
@@ -230,6 +238,8 @@ def encode(
 
 def decode(tokens, key: StegoKey, framing: Framing = Framing.RAW) -> str:
     """Recover the embedded bit string from a token sequence (no model needed)."""
+    if not isinstance(framing, Framing):
+        raise ConfigError(f"framing must be a Framing, not {framing!r}")
     slots = key.slots(tokens)
     carriers = slots[slots >= 0]
     shifts = np.arange(key.block_bits - 1, -1, -1)

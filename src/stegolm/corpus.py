@@ -29,7 +29,7 @@ from numbers import Integral
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import ConfigError, CorpusError, VocabFormatError
+from .errors import CorpusError, VocabFormatError, check_int
 
 USER_TOKEN = "<user>"
 URL_TOKEN = "<url>"
@@ -56,10 +56,9 @@ class CorpusConfig:
     min_count: int = 0
 
     def __post_init__(self):
-        if self.max_vocab is not None and self.max_vocab < 2:
-            raise ConfigError("max_vocab must be at least 2 (sentinels always kept)")
-        if self.min_count < 0:
-            raise ConfigError("min_count must be non-negative")
+        if self.max_vocab is not None:  # at least 2: the sentinels are always kept
+            check_int("max_vocab", self.max_vocab, 2)
+        check_int("min_count", self.min_count, 0)
 
 
 def check_token(surface: str) -> str:

@@ -2,7 +2,7 @@
 
 Every error the toolkit raises on purpose derives from StegolmError so the
 CLI can report a single machine-parsable line (``error: <ClassName>: <msg>``)
-and exit nonzero.
+and exit nonzero. ``check_int`` is the one rule for integer arguments.
 """
 
 
@@ -61,3 +61,13 @@ class DecodeError(StegolmError):
     def __init__(self, message: str, position: int | None = None):
         super().__init__(message if position is None else f"{message} (token position {position})")
         self.position = position
+
+
+def check_int(name: str, value, low: int, high: int | None = None, error=ConfigError) -> int:
+    """``value`` if it is a Python ``int`` (never a ``bool``, a float or a numpy
+    integer: checked, not coerced) with ``low <= value``, and ``value < high``
+    when ``high`` is given; otherwise ``error``."""
+    if type(value) is int and low <= value and (high is None or value < high):
+        return value
+    bound = f">= {low}" if high is None else f"in [{low}, {high})"
+    raise error(f"{name} must be an integer {bound}, not {value!r}")

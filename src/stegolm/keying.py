@@ -26,7 +26,8 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import EOS_TOKEN, RESERVED_NONCARRIERS, UNK_TOKEN, Vocabulary
-from .errors import DecodeError, KeyFormatError, KeyGenError, KeyInvariantError, VocabMismatchError
+from .errors import (DecodeError, KeyFormatError, KeyGenError, KeyInvariantError,
+                     VocabMismatchError, check_int)
 
 KEY_HEADER = "STEGOKEY v1"
 MAX_BLOCK_BITS = 16
@@ -42,7 +43,7 @@ class BitBlock:
     def __post_init__(self):
         if self.width < 0:
             raise ValueError("bit block width must be non-negative")
-        if not 0 <= self.value < (1 << self.width) and not (self.width == 0 and self.value == 0):
+        if not 0 <= self.value < (1 << self.width):
             raise ValueError(f"value {self.value} does not fit in {self.width} bits")
 
     @property
@@ -90,11 +91,8 @@ class StegoKey:
     vocab: Vocabulary
 
     def __post_init__(self):
-        if type(self.block_bits) is not int or not 0 <= self.block_bits <= MAX_BLOCK_BITS:
-            raise KeyInvariantError(f"block_bits must be an integer in [0, {MAX_BLOCK_BITS}], "
-                                    f"not {self.block_bits!r}")
-        if type(self.seed) is not int or not 0 <= self.seed < 1 << 64:
-            raise KeyInvariantError(f"seed must be an integer in [0, 2**64), not {self.seed!r}")
+        check_int("block_bits", self.block_bits, 0, MAX_BLOCK_BITS + 1, KeyInvariantError)
+        check_int("seed", self.seed, 0, 1 << 64, KeyInvariantError)
         try:  # ValueError: a ragged list
             slots = np.asarray(self.slot_array)
         except ValueError as exc:
@@ -203,12 +201,9 @@ def generate_key(
     ``include_eos_common`` additionally adds ``<eos>`` so generated messages
     may end naturally.
     """
-    if type(block_bits) is not int or not 0 <= block_bits <= MAX_BLOCK_BITS:
-        raise KeyGenError(f"block_bits must be in [0, {MAX_BLOCK_BITS}], got {block_bits!r}")
-    if type(common_count) is not int or common_count < 0:
-        raise KeyGenError(f"common_count must be a non-negative integer, got {common_count!r}")
-    if type(seed) is not int or not 0 <= seed < 1 << 64:  # refuses floats and bools too
-        raise KeyGenError(f"seed must be in [0, 2**64), got {seed!r}")
+    check_int("block_bits", block_bits, 0, MAX_BLOCK_BITS + 1, KeyGenError)
+    check_int("common_count", common_count, 0, error=KeyGenError)
+    check_int("seed", seed, 0, 1 << 64, KeyGenError)
     num_bins = 1 << block_bits
     eligible = [i for i, t in enumerate(vocab.tokens) if t not in RESERVED_NONCARRIERS]
     common, carriers = eligible[:common_count], eligible[common_count:]
@@ -269,10 +264,8 @@ def deserialize_key(data: bytes, vocab: Vocabulary) -> StegoKey:
         raise KeyFormatError(f"bad header field: {exc}") from None
     if vocab_hash != vocab.content_hash():
         raise VocabMismatchError("key was generated from a different vocabulary")
-    if not 0 <= block_bits <= MAX_BLOCK_BITS:
-        raise KeyFormatError(f"block_bits must be in [0, {MAX_BLOCK_BITS}], got {block_bits}")
-    if not 0 <= seed < 1 << 64:
-        raise KeyFormatError(f"seed must be in [0, 2**64), got {seed}")
+    check_int("block_bits", block_bits, 0, MAX_BLOCK_BITS + 1, KeyFormatError)
+    check_int("seed", seed, 0, 1 << 64, KeyFormatError)
     num_bins = 1 << block_bits
     if len(lines) - 5 != num_bins:
         raise KeyFormatError(f"expected {num_bins} bin lines for block_bits={block_bits}, "

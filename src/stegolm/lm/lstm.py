@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from ..corpus import Vocabulary
-from ..errors import ConfigError, ModelFormatError, TrainingError
+from ..errors import ConfigError, ModelFormatError, TrainingError, check_int
 from .base import LanguageModel, softmax
 
 #: Validation-loss slack below which an epoch counts as "did not improve".
@@ -45,9 +45,7 @@ class LstmHyperparams:
 
     def __post_init__(self):
         for name in ("layers", "units", "embed_dim", "unroll_steps", "batch_size"):
-            value = getattr(self, name)
-            if type(value) is not int or value < 1:  # refuses floats and bools too
-                raise ConfigError(f"{name} must be a positive integer, not {value!r}")
+            check_int(name, getattr(self, name), 1)
         clip = () if self.clip_norm is None else ("clip_norm",)
         for name in ("lr_init", "lr_decay", "dropout", *clip):
             value = getattr(self, name)  # what a JSON number reads as: no bool, str or np.int64
@@ -413,10 +411,8 @@ class LstmModel(LanguageModel):
 def train_lstm(tokens: Sequence[str], vocab: Vocabulary, hp: LstmHyperparams,
                epochs: int, seed: int) -> LstmModel:
     """Train on a token stream (OOV folded to <unk>), last 10% held out."""
-    if seed < 0:
-        raise ConfigError("seed must be non-negative")
-    if epochs < 1:
-        raise ConfigError("epochs must be at least 1")
+    check_int("seed", seed, 0)
+    check_int("epochs", epochs, 1)
     if len(tokens) < hp.unroll_steps * hp.batch_size:
         raise TrainingError(
             f"corpus of {len(tokens)} tokens is smaller than "

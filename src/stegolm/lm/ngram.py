@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from ..corpus import Vocabulary
-from ..errors import ConfigError, ModelFormatError, TrainingError
+from ..errors import ConfigError, ModelFormatError, TrainingError, check_int
 from .base import LanguageModel
 
 
@@ -36,8 +36,7 @@ class NgramConfig:
     add_k: float = 0.01
 
     def __post_init__(self):
-        if type(self.order) is not int or self.order < 1:  # refuses floats and bools too
-            raise ConfigError(f"order must be an integer >= 1, not {self.order!r}")
+        check_int("order", self.order, 1)
         if not isinstance(self.add_k, float) or not 0 < self.add_k < math.inf:  # refuses NaN too
             raise ConfigError(f"add_k must be a positive finite float, not {self.add_k!r}")
 

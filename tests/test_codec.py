@@ -22,7 +22,7 @@ from stegolm.codec import (
     split_blocks,
 )
 from stegolm.corpus import EOS_TOKEN, USER_TOKEN, build_vocab
-from stegolm.errors import DecodeError, EncodeError, VocabMismatchError
+from stegolm.errors import ConfigError, DecodeError, EncodeError, VocabMismatchError
 from stegolm.keying import BitBlock, generate_key
 
 GREEDY = GenPolicy(mode=Mode.GREEDY)
@@ -365,3 +365,28 @@ class TestRender:
         again = tokenize(render(out.tokens), CorpusConfig(lowercase=False))
         assert list(out.tokens) == again
         assert decode(again, key) == decode(out.tokens, key)
+
+
+class TestArgumentKinds:
+    """An enum or bytes argument of another type is refused, not read as some
+    other value or left to a raw error later."""
+
+    def test_mode_string_refused(self):
+        with pytest.raises(ConfigError, match="mode"):
+            GenPolicy(mode="greedy")
+
+    def test_payload_framing_string_refused(self):
+        with pytest.raises(ConfigError, match="framing"):
+            Payload(b"\xa5", "raw")
+
+    def test_decode_framing_string_refused(self, fixture_key):
+        with pytest.raises(ConfigError, match="framing"):
+            decode(["I", "am", "attaching", "an", "NDA"], fixture_key, "raw")
+
+    def test_payload_string_refused(self):
+        with pytest.raises(ConfigError, match="payload data"):
+            Payload("abc")
+
+    def test_temperature_string_refused(self):
+        with pytest.raises(ConfigError, match="temperature"):
+            GenPolicy(temperature="1")

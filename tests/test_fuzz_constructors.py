@@ -1,16 +1,23 @@
 """Fuzzing of the constructors of the four types that have a file: ``Vocabulary``,
 ``StegoKey`` (built directly or by ``generate_key``), ``NgramModel`` and
-``LstmModel``.
+``LstmModel``; and of the arguments that have none: ``GenPolicy``, ``Payload``,
+``CorpusConfig``, ``train_lstm`` and ``capacity``.
 
 The property: whatever the arguments, a constructor raises a ``StegolmError``
 subclass, or the object it built saves a file that loads back and saves the
-same bytes. Arguments start from a valid object's, with one of them changed:
-replaced by a Python or numpy scalar of any kind, a string, a bool or a ragged
-list, or by a value at one of its bounds or one past it. The ``@example`` rows
-are objects that once built and then saved a file their own loader refused,
-or ended in a raw Python or numpy error.
+same bytes. Without a file, the object works end to end: a policy or payload
+encodes and decodes back and acts as the command line's spelling of it would,
+a corpus configuration builds a vocabulary that saves a loadable file, and a
+capacity report writes the JSON ``eval --json`` writes. Arguments start from a
+valid object's, with one of them changed: replaced by a Python or numpy scalar
+of any kind, a string, a bool or a ragged list, or by a value at one of its
+bounds or one past it. The ``@example`` rows are objects that once built and
+then saved a file their own loader refused, worked as some other value, or
+ended in a raw Python or numpy error.
 """
 
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -18,7 +25,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import json_tables
-from stegolm.corpus import Vocabulary, build_vocab, tokenize
+from stegolm.codec import Framing, GenPolicy, Mode, Payload, bytes_to_bits, decode, encode
+from stegolm.corpus import CorpusConfig, Vocabulary, build_vocab, tokenize
 from stegolm.errors import StegolmError
 from stegolm.keying import StegoKey, deserialize_key, generate_key, serialize_key
 from stegolm.lm import (
@@ -29,16 +37,19 @@ from stegolm.lm import (
     NgramModel,
     deserialize_model,
     serialize_model,
+    train_lstm,
     train_ngram,
 )
 from stegolm.lm.lstm import init_params
+from stegolm.metrics import capacity
 
 TOKENS = tokenize("a b c d .\nb c a e .\nd a f b .\n" * 4)
 VOCAB = build_vocab(TOKENS)  # 9 tokens
 KEY = generate_key(VOCAB, 2, 1, seed=3)
 TWO_BINS = generate_key(VOCAB, 1, 1, seed=3).slot_array.tolist()
+BIGRAM = train_ngram(TOKENS, VOCAB, NgramConfig(order=2))
 NGRAM_TABLES = [(grams.tolist(), counts.tolist()) for grams, counts in json_tables(
-    train_ngram(TOKENS, VOCAB, NgramConfig(order=2)).to_payload())]
+    BIGRAM.to_payload())]
 LSTM_HP = dict(units=2, embed_dim=2, unroll_steps=2, batch_size=2)
 LSTM_PARAMS = init_params(len(VOCAB), LstmHyperparams(**LSTM_HP), 0)
 EPOCH = dict(epoch=1, train_nll=2.5, val_nll=2.75, lr_after=4.0, decayed=False)
@@ -268,3 +279,143 @@ def test_lstm_constructor(arguments):
     builds_or_refuses(lambda: LstmModel(VOCAB, LstmHyperparams(**hp), params,
                                         [EpochStats(**epoch) for epoch in epochs]),
                       serialize_model, load_model)
+
+
+def encodes_and_decodes(payload: Payload, policy: GenPolicy) -> tuple[str, ...]:
+    """The tokens of ``payload`` under ``policy``, after checking that they
+    decode back to it."""
+    tokens = encode(payload, KEY, BIGRAM, policy).tokens
+    # RAW too: every byte fills whole 2-bit blocks
+    assert decode(tokens, KEY, payload.framing) == bytes_to_bits(payload.data)
+    return tokens
+
+
+def respelt_policy(policy: GenPolicy) -> GenPolicy:
+    """The policy ``encode --mode --temp --seed --max-common-run`` builds from
+    ``policy``'s values written out as flags."""
+    return GenPolicy(Mode(policy.mode.value), float(str(policy.temperature)),
+                     int(str(policy.seed)), int(str(policy.max_common_run)))
+
+
+def respelt_payload(payload: Payload) -> Payload:
+    """The payload ``encode --framing`` builds from the same bytes."""
+    return Payload(payload.data, Framing(payload.framing.value))
+
+
+PAYLOAD = Payload(b"\xa5\x0f", Framing.LENGTH_PREFIXED)
+POLICY = GenPolicy(seed=3)
+ENUM_STRINGS = ("greedy", "sample", "raw", "length")
+
+
+@st.composite
+def policy_arguments(draw):
+    """``GenPolicy`` keyword arguments, one of them changed."""
+    arguments = dict(mode=Mode.SAMPLE, temperature=1.0, seed=3, max_common_run=2)
+    name = draw(st.sampled_from(sorted(arguments)))
+    arguments[name] = draw({
+        "mode": st.one_of(st.sampled_from([*Mode, *ENUM_STRINGS]), scalars(0)),
+        "temperature": st.one_of(scalars(0, 1, 2), st.sampled_from(
+            [0.5, np.float32(0.5), np.float64(0.5), math.nan, math.inf])),
+        "seed": scalars(-1, 0, 3, 2**64),
+        "max_common_run": scalars(0, 1, 2),
+    }[name])
+    return arguments
+
+
+@FUZZ
+@given(policy_arguments())
+@example(dict(mode="greedy"))
+@example(dict(mode="sample"))
+@example(dict(temperature="1"))
+@example(dict(seed=2.5))
+@example(dict(seed=True))
+def test_policy_constructor(arguments):
+    try:
+        policy = GenPolicy(**arguments)
+        tokens = encodes_and_decodes(PAYLOAD, policy)
+    except StegolmError:
+        return
+    assert encodes_and_decodes(PAYLOAD, respelt_policy(policy)) == tokens
+
+
+@st.composite
+def payload_arguments(draw):
+    """``(data, framing)`` for ``Payload``, one of them changed."""
+    data, framing = b"\xa5", Framing.LENGTH_PREFIXED
+    if draw(st.booleans()):
+        data = draw(st.one_of(st.binary(max_size=4), st.text(max_size=3), scalars(0, 165),
+                              st.sampled_from([bytearray(b"\xa5"), [165], np.uint8(165)])))
+    else:
+        framing = draw(st.one_of(st.sampled_from([*Framing, *ENUM_STRINGS]), scalars(0)))
+    return data, framing
+
+
+@FUZZ
+@given(payload_arguments())
+@example((b"\xa5", "raw"))
+@example((b"\xa5", "length"))
+@example(("abc", Framing.RAW))
+def test_payload_constructor(arguments):
+    try:
+        payload = Payload(*arguments)
+        tokens = encodes_and_decodes(payload, POLICY)
+    except StegolmError:
+        return
+    assert encodes_and_decodes(respelt_payload(payload), POLICY) == tokens
+
+
+@st.composite
+def corpus_config_arguments(draw):
+    """``CorpusConfig`` keyword arguments, one of them changed."""
+    if draw(st.booleans()):
+        return dict(max_vocab=draw(st.one_of(st.none(), scalars(1, 2, 3, len(VOCAB)))))
+    return dict(min_count=draw(scalars(-1, 0, 1, 12)))
+
+
+@FUZZ
+@given(corpus_config_arguments())
+@example(dict(max_vocab=2.5))
+@example(dict(min_count="1"))
+def test_corpus_config_constructor(arguments):
+    builds_or_refuses(lambda: build_vocab(TOKENS, CorpusConfig(**arguments)),
+                      Vocabulary.serialize, Vocabulary.deserialize)
+
+
+@FUZZ
+@given(st.tuples(scalars(0, 1, 2), scalars(-1, 0, 1, 2**64)))
+@example((1, 0.5))
+@example(("1", 0))
+@example((True, 0))
+def test_train_lstm_arguments(arguments):
+    epochs, seed = arguments
+    builds_or_refuses(lambda: train_lstm(TOKENS, VOCAB, LstmHyperparams(**LSTM_HP),
+                                         epochs, seed),
+                      serialize_model, load_model)
+
+
+@st.composite
+def capacity_arguments(draw):
+    """``(block_bits, common_fraction, mean_message_length)``, one of them changed."""
+    arguments = [2, 0.25, None]
+    at = draw(st.integers(0, 2))
+    arguments[at] = draw([
+        scalars(-1, 0, 1, 16, 17),
+        st.one_of(scalars(0, 1), st.sampled_from([0.5, np.float32(0.5), math.nan])),
+        st.one_of(scalars(-1, 0, 16), st.sampled_from([16.04, np.float32(0.5), math.nan,
+                                                       math.inf])),
+    ][at])
+    return tuple(arguments)
+
+
+@FUZZ
+@given(capacity_arguments())
+@example((2, "0", None))
+@example((2, 0.0, "16"))
+@example((2.0, 0.0, None))
+def test_capacity_arguments(arguments):
+    """A report is built, or refused; one built writes the JSON it reads back."""
+    try:
+        report = dataclasses.asdict(capacity(*arguments))
+    except StegolmError:
+        return
+    assert json.loads(json.dumps(report)) == report

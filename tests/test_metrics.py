@@ -6,7 +6,7 @@ import pytest
 from conftest import FixedModel
 from stegolm.codec import GenPolicy, Mode, constrained_select
 from stegolm.corpus import EOS_TOKEN, UNK_TOKEN, Vocabulary, build_vocab
-from stegolm.errors import CorpusError, DecodeError, VocabMismatchError
+from stegolm.errors import ConfigError, CorpusError, DecodeError, VocabMismatchError
 from stegolm.keying import BIN_COMMON, BIN_RESERVED, BitBlock, StegoKey, generate_key
 from stegolm.lm.base import LanguageModel
 from stegolm.lm.lstm import LstmHyperparams, LstmModel, init_params
@@ -406,6 +406,14 @@ class TestCapacity:
 
     def test_text_report_format(self):
         assert "capacity: 2.000 bits/word" in capacity(2, 0.0).to_text()
+
+    @pytest.mark.parametrize("arguments, field", [
+        ((2, "0"), "common_fraction"), ((2, 0.0, "16"), "mean message length"),
+        (("2", 0.0), "block_bits"),
+    ])
+    def test_string_arguments_refused(self, arguments, field):
+        with pytest.raises(ConfigError, match=field):
+            capacity(*arguments)
 
 
 class TestCapacityEmpirical:

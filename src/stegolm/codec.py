@@ -114,14 +114,14 @@ def payload_to_bits(payload: Payload, block_bits: int) -> str:
 
 
 def split_blocks(bits: str, block_bits: int) -> list[BitBlock]:
-    """Cut a bit string into blocks, dropping any trailing remainder."""
+    """Cut a bit string into blocks, dropping any trailing remainder. Equal
+    blocks share one ``BitBlock`` (it is immutable), built and checked once."""
     if block_bits < 1:
         raise EncodeError("block_bits must be at least 1 to split payload bits")
     full = len(bits) // block_bits
-    return [
-        BitBlock.from_bits(bits[i * block_bits:(i + 1) * block_bits])
-        for i in range(full)
-    ]
+    pieces = [bits[i * block_bits:(i + 1) * block_bits] for i in range(full)]
+    blocks = {piece: BitBlock.from_bits(piece) for piece in set(pieces)}
+    return [blocks[piece] for piece in pieces]
 
 
 def _pick(probs: np.ndarray, allowed: np.ndarray, policy: GenPolicy,

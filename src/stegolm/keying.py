@@ -41,10 +41,8 @@ class BitBlock:
     width: int
 
     def __post_init__(self):
-        if self.width < 0:
-            raise ValueError("bit block width must be non-negative")
-        if not 0 <= self.value < (1 << self.width):
-            raise ValueError(f"value {self.value} does not fit in {self.width} bits")
+        check_int("width", self.width, 0)
+        check_int("value", self.value, 0, 1 << self.width)
 
     @property
     def bits(self) -> str:

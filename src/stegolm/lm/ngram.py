@@ -4,12 +4,16 @@ Contexts shorter than ``order - 1`` (only possible at the very start of a
 stream) fall back to the matching lower-order table, so an empty context
 yields the smoothed unigram distribution. Each order's counts live once, in a
 compressed sparse row table of the arrays the constructor checks: context ``r``
-is ``contexts[r]`` (ascending rows), its successors are ``successors[a:b]``
-(ascending), with int64 ``counts[a:b]``, from ``a = starts[r]`` to the next
-start. The order check finds where each n-gram first differs from the one
-before, and a difference inside the context starts a new one. ``runs`` maps a
-seen context, as a tuple, to ``(a, b, total)`` for lookups; ``to_payload``
-writes from the arrays.
+is ``keys[r]``, its indices packed as one int64 in base ``|V|`` (first index
+most significant), its successors are ``successors[a:b]`` (ascending), with
+int64 ``counts[a:b]``, from ``a = bounds[r]`` to ``b = bounds[r + 1]``, and its
+``totals[r]`` is their exact sum rounded once to float64. The contexts ascend,
+so their keys do; the constructor refuses ``|V| ** (order - 1) >= 2**63``, so
+every key fits. The order check finds where each n-gram first differs from the
+one before, and a difference inside the context starts a new one. ``runs``
+maps a key to ``(a, b, total)`` for ``next_distribution``; ``next_distributions``
+packs every full-length context of a block in numpy and finds them all with one
+``keys.searchsorted``; ``to_payload`` unpacks the keys and writes from the arrays.
 
 A payload is ``json.dumps(doc, sort_keys=True)`` of ``{"add_k", "order", "tables"}``.
 Only its head goes through ``json``: each table is written with one ``%`` format,
@@ -64,6 +68,10 @@ class NgramModel(LanguageModel):
         self.config = config
         if len(tables) != config.order:
             raise ConfigError(f"{len(tables)} ngram tables for order {config.order}")
+        size = len(vocab)
+        if size ** min(config.order - 1, 64) >= 2**63:  # min: no huge power for a huge order
+            raise ConfigError(f"|V| ** (order - 1) = {size} ** {config.order - 1} is not "
+                              f"below 2**63, so a context does not fit one int64 key")
         self._tables = []
         for m, (grams, counts) in enumerate(tables):
             try:  # ValueError: a ragged list, or not one count per row
@@ -74,8 +82,8 @@ class NgramModel(LanguageModel):
                 counts = counts.astype(np.int64).reshape(len(grams))
             except ValueError as exc:
                 raise ConfigError(f"ngram table {m}: {exc}") from None
-            if not 0 <= grams.min(initial=0) <= grams.max(initial=0) < len(vocab):
-                raise ConfigError(f"ngram token index outside [0, {len(vocab)})")
+            if not 0 <= grams.min(initial=0) <= grams.max(initial=0) < size:
+                raise ConfigError(f"ngram token index outside [0, {size})")
             if counts.min(initial=1) < 1 or counts.max(initial=1) > 2**53:
                 raise ConfigError("ngram count outside [1, 2**53]")
             step = np.diff(grams, axis=0)  # rows ascend: each step's first nonzero is > 0
@@ -84,11 +92,13 @@ class NgramModel(LanguageModel):
                 raise ConfigError(f"ngram table {m}: rows repeated or not in ascending order")
             starts = np.flatnonzero(np.r_[True, column < m][:len(grams)])  # a new context
             del step, column  # not held while runs is built
-            contexts = grams[starts, :m]
-            totals = np.add.reduceat(counts.astype(object), starts).tolist()  # no int64 wrap
-            bounds = zip(starts.tolist(), [*starts[1:].tolist(), len(grams)], totals)
-            runs = dict(zip(map(tuple, contexts.tolist()), bounds))
-            self._tables.append((runs, contexts, starts, grams[:, -1].copy(), counts))
+            keys = _pack(grams[starts, :m], size)
+            # exact Python-int sums (no int64 wrap), each rounded once
+            totals = np.add.reduceat(counts.astype(object), starts).astype(np.float64)
+            bounds = np.r_[starts, len(grams)]
+            runs = dict(zip(keys.tolist(), zip(starts.tolist(), bounds[1:].tolist(),
+                                               totals.tolist())))
+            self._tables.append((runs, keys, bounds, totals, grams[:, -1].copy(), counts))
 
     def initial_context(self) -> tuple[int, ...]:
         return ()
@@ -103,8 +113,11 @@ class NgramModel(LanguageModel):
         k, size, m = self.config.add_k, len(self.vocab), len(ctx)
         if m >= self.config.order:
             raise ValueError(f"context longer than order-1: {m} >= {self.config.order}")
-        runs, _, _, successors, counts = self._tables[m]
-        a, b, total = runs.get(ctx, (0, 0, 0))
+        key = 0
+        for index in ctx:
+            key = key * size + index
+        runs, _, _, _, successors, counts = self._tables[m]
+        a, b, total = runs.get(key, (0, 0, 0))
         denom = total + k * size
         dist = np.full(size, k / denom)
         dist[successors[a:b]] += counts[a:b] / denom
@@ -112,26 +125,40 @@ class NgramModel(LanguageModel):
 
     def next_distributions(self, ctx: tuple[int, ...], ids) -> tuple[np.ndarray, tuple]:
         """The rows ``next_distribution`` builds, with the same operations, for all
-        full-length contexts of the block at once; a shorter context (only at the
-        start of a stream) is built alone."""
+        full-length contexts of the block at once: their keys are packed together
+        and found by one ``searchsorted``. A shorter context (only at the start of
+        a stream) is built alone."""
         k, size, keep = self.config.add_k, len(self.vocab), self.config.order - 1
-        seq = [*ctx, *map(self.check_index, ids)]
-        contexts = [tuple(seq[max(0, t - keep):t]) for t in range(len(ctx), len(seq))]
-        runs, _, _, successors, counts = self._tables[keep]
-        a, b, total = np.array([runs.get(c, (0, 0, 0)) for c in contexts],
-                               np.float64).reshape(-1, 3).T
+        ids = np.asarray(ids)
+        if ids.size and ids.dtype.kind not in "iu":  # never truncated
+            raise ValueError(f"token indices must be integers, not {ids.dtype}")
+        outside = (ids < 0) | (ids >= size)
+        if outside.any():
+            self.check_index(ids[outside.argmax()].item())  # raises its ValueError
+        # ``keep`` zeros before the stream give every position a full window; the
+        # short ones are rebuilt below
+        padded = np.concatenate((np.zeros(keep, np.int64), np.array(ctx, np.int64),
+                                 ids.astype(np.int64)))
+        seq = padded[keep:]
+        packed = _pack(padded[np.arange(len(ctx), len(seq))[:, None] + np.arange(keep)], size)
+        _, keys, bounds, totals, successors, counts = self._tables[keep]
+        found = keys.searchsorted(packed)
+        hit = found < len(keys)
+        hit[hit] = keys[found[hit]] == packed[hit]
+        row = found[hit]
+        a, b, total = np.zeros((3, len(ids)))  # a miss reads (0, 0, 0)
+        a[hit], b[hit], total[hit] = bounds[row], bounds[row + 1], totals[row]
         denom = total + k * size
         probs = np.repeat((k / denom)[:, None], size, axis=1)
         # one flat gather of every row's successors[a:b] and counts[a:b]
         lengths = (b - a).astype(np.int64)
-        rows = np.repeat(np.arange(len(contexts)), lengths)
+        rows = np.repeat(np.arange(len(ids)), lengths)
         first = np.cumsum(lengths) - lengths  # where each row's entries start in the gather
         flat = np.arange(len(rows)) + np.repeat(a.astype(np.int64) - first, lengths)
         probs[rows, successors[flat]] += counts[flat] / denom[rows]
-        for t, c in enumerate(contexts[:keep]):
-            if len(c) < keep:
-                probs[t] = self.next_distribution(c)
-        return probs, tuple(seq[max(0, len(seq) - keep):])
+        for t in range(len(ctx), min(keep, len(seq))):
+            probs[t - len(ctx)] = self.next_distribution(tuple(seq[:t].tolist()))
+        return probs, tuple(seq[max(0, len(seq) - keep):].tolist())
 
     def header_config(self) -> dict:
         """The ``config:`` header of a model file; the payload holds everything."""
@@ -142,9 +169,10 @@ class NgramModel(LanguageModel):
         written directly: table ``m`` lists ``[context, [[successor, count], ...]]``,
         each context ``m`` indices joined by commas, contexts and successors in
         ascending order. Each table is one ``%`` format of one argument array."""
-        tables = []
-        for m, (_, contexts, starts, successors, counts) in enumerate(self._tables):
-            lengths = np.diff(starts, append=len(successors))
+        tables, size = [], len(self.vocab)
+        for m, (_, keys, bounds, _, successors, counts) in enumerate(self._tables):
+            starts, lengths = bounds[:-1], np.diff(bounds)
+            contexts = keys[:, None] // size ** np.arange(m - 1, -1, -1) % size  # unpacked
             # row r's arguments: its m context indices, then successor and count per pair
             args = np.empty(contexts.size + 2 * len(successors), np.int64)
             first = np.arange(len(starts)) * m + 2 * starts  # where row r's arguments start
@@ -174,6 +202,15 @@ class NgramModel(LanguageModel):
             return cls(vocab, config, _read_tables(body))
         except (IndexError, KeyError, RecursionError, TypeError, ValueError) as exc:
             raise ModelFormatError(f"bad ngram payload: {exc}") from None
+
+
+def _pack(rows: np.ndarray, size: int) -> np.ndarray:
+    """Each row of indices in ``[0, size)`` as one int64 in base ``size``, its first
+    index most significant, so ascending rows give ascending keys."""
+    keys = np.zeros(len(rows), np.int64)
+    for column in rows.T:
+        keys = keys * size + column
+    return keys
 
 
 def _read_tables(body: bytes) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -8,8 +8,10 @@ are averaged over the ``2**block_bits`` equally likely blocks. Bins, common
 set and the reserved sentinels (in no bin and not common) are read off the
 key's slot array (``StegoKey.lookup_array``); sentinels are skipped and
 counted instead of contributing ``-inf``. Scoring takes the stream in blocks of
-``BLOCK`` positions, one ``next_distributions`` and one ``stego_distribution``
-call per block.
+``BLOCK`` positions: one ``next_distributions`` call and one ``_stego_factor``
+(every row's per-bin masses in one ``bincount``) per block, then each position's
+factor is read for the word that was read only; the full stego distribution is
+never built.
 
 A single-bin key with no common tokens constrains nothing, so its stego
 perplexity is by definition the plain perplexity (the masks are vacuous).
@@ -94,10 +96,10 @@ BLOCK = 128
 
 
 def _score(model: LanguageModel, ids: list[int], skip: np.ndarray,
-           word_probs) -> PerplexityReport:
-    """exp of the mean -ln ``word_probs(distributions)[t, ids[t]]`` over the
-    stream, taken in blocks of ``BLOCK`` positions; positions where ``skip`` is
-    set advance the context unscored."""
+           key: StegoKey | None) -> PerplexityReport:
+    """exp of the mean -ln ``_word_probs`` over the stream, taken in blocks of
+    ``BLOCK`` positions; positions where ``skip`` is set advance the context
+    unscored."""
     ctx = model.initial_context()
     total = 0.0
     infinite: list[int] = []
@@ -105,8 +107,7 @@ def _score(model: LanguageModel, ids: list[int], skip: np.ndarray,
     for start in range(0, len(ids), BLOCK):
         block = ids[start:start + BLOCK]
         probs, ctx = model.next_distributions(ctx, block)
-        picked = word_probs(probs)[np.arange(len(block)), block].tolist()
-        for position, prob in enumerate(picked, start):
+        for position, prob in enumerate(_word_probs(probs, block, key).tolist(), start):
             if unscored[position]:
                 continue
             if prob > 0:
@@ -126,7 +127,7 @@ def _score(model: LanguageModel, ids: list[int], skip: np.ndarray,
 def perplexity(model: LanguageModel, tokens: Sequence[str]) -> PerplexityReport:
     """exp of the mean negative log-probability over the stream."""
     ids = _stream_ids(model.vocab, tokens)
-    return _score(model, ids, np.zeros(len(ids), dtype=bool), lambda probs: probs)
+    return _score(model, ids, np.zeros(len(ids), dtype=bool), None)
 
 
 def is_vacuous(key: StegoKey) -> bool:
@@ -134,18 +135,17 @@ def is_vacuous(key: StegoKey) -> bool:
     return key.block_bits == 0 and not key.common
 
 
-def stego_distribution(probs: np.ndarray, key: StegoKey) -> np.ndarray:
-    """Block-averaged probabilities of each distribution along the last axis of
-    ``probs``: mean over bins of the masked, renormalized distribution. Reserved
-    sentinels get 0; a vacuous key returns ``probs``. A carrier is scaled by its
-    bin's inverse mask mass, a common token by the sum of them all, each over
-    ``num_bins``."""
-    probs = np.asarray(probs, dtype=np.float64)
+def _stego_factor(probs: np.ndarray, key: StegoKey) -> tuple[np.ndarray, np.ndarray]:
+    """``(factor, rows)`` with ``stego_distribution(probs, key)`` equal to
+    ``probs * factor[..., rows]``: token ``w``'s column of ``factor`` is
+    ``rows[w]``. A carrier's factor is its bin's inverse mask mass, a common
+    token's the sum of them all, each over ``num_bins``; a reserved sentinel's is
+    0, and a vacuous key's is 1 for every token."""
+    lead = probs.shape[:-1]
     if is_vacuous(key):
-        return probs.copy()
+        return np.ones((*lead, 1)), np.zeros(probs.shape[-1], np.intp)
     rows = key.lookup_array() - BIN_COMMON  # common -> 0, reserved -> 1, bin b -> b + 2
     width = key.num_bins + 2
-    lead = probs.shape[:-1]
     # One bincount for every distribution: distribution r's slots are offset by
     # r * width, and each slot adds its entries in vocabulary order.
     offsets = np.arange(math.prod(lead))[:, None] * width
@@ -155,7 +155,28 @@ def stego_distribution(probs: np.ndarray, key: StegoKey) -> np.ndarray:
     inv = np.divide(1.0, mask_mass, out=np.zeros_like(mask_mass), where=mask_mass > 0)
     factor = np.concatenate((inv.sum(axis=-1, keepdims=True), np.zeros((*lead, 1)), inv),
                             axis=-1) / key.num_bins
+    return factor, rows
+
+
+def stego_distribution(probs: np.ndarray, key: StegoKey) -> np.ndarray:
+    """Block-averaged probabilities of each distribution along the last axis of
+    ``probs``: mean over bins of the masked, renormalized distribution. Reserved
+    sentinels get 0; a vacuous key returns ``probs``."""
+    probs = np.asarray(probs, dtype=np.float64)
+    factor, rows = _stego_factor(probs, key)
     return probs * factor[..., rows]
+
+
+def _word_probs(probs: np.ndarray, words: list[int], key: StegoKey | None) -> np.ndarray:
+    """``probs[t, words[t]]`` for each row ``t``, or with a key
+    ``stego_distribution(probs, key)[t, words[t]]``: the same product, taken for
+    the read word only."""
+    t = np.arange(len(words))
+    picked = probs[t, words]
+    if key is None:
+        return picked
+    factor, rows = _stego_factor(probs, key)
+    return picked * factor[t, rows[words]]
 
 
 def stego_word_prob(model: LanguageModel, ctx, key: StegoKey, word_index: int) -> float:
@@ -163,7 +184,9 @@ def stego_word_prob(model: LanguageModel, ctx, key: StegoKey, word_index: int) -
     if model.vocab_hash != key.vocab_hash:
         raise VocabMismatchError("model and key were built from different vocabularies")
     model.check_index(word_index)
-    return float(stego_distribution(model.next_distribution(ctx), key)[word_index])
+    probs = model.next_distribution(ctx)
+    factor, rows = _stego_factor(probs, key)
+    return float(probs[word_index] * factor[rows[word_index]])
 
 
 def stego_perplexity(model: LanguageModel, key: StegoKey,
@@ -174,7 +197,7 @@ def stego_perplexity(model: LanguageModel, key: StegoKey,
         raise VocabMismatchError("model and key were built from different vocabularies")
     ids = _stream_ids(model.vocab, tokens)
     reserved = (key.lookup_array()[ids] == BIN_RESERVED) & (not is_vacuous(key))
-    return _score(model, ids, reserved, lambda probs: stego_distribution(probs, key))
+    return _score(model, ids, reserved, key)
 
 
 def _per_message(bits_per_word: float, mean_message_length: float | None) -> float | None:

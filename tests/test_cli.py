@@ -542,3 +542,21 @@ def test_bad_input_prints_one_error_line(workspace, lstm_file, tmp_path, capsys,
     assert main(argv.format(**paths).split()) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {error}: "), lines
+
+
+def test_train_order_past_the_context_key_limit(tmp_path, capsys):
+    # prep gives 5 tokens (a, b, c, <eos>, <unk>); a context must fit one int64
+    # key, so order 28 trains (5**27 < 2**63) and order 29 is refused
+    (tmp_path / "corpus.txt").write_text("a b c\nc b a\n" * 20, encoding="utf-8")
+    paths = {name: str(tmp_path / name) for name in ("corpus.txt", "tokens.txt", "vocab.tsv")}
+    assert main(["prep", "--in", paths["corpus.txt"], "--out-tokens", paths["tokens.txt"],
+                 "--out-vocab", paths["vocab.tsv"]]) == 0
+    assert len(Vocabulary.load(paths["vocab.tsv"])) == 5
+    train = (f"train --tokens {paths['tokens.txt']} --vocab {paths['vocab.tsv']} "
+             f"--backend ngram --out {tmp_path / 'model.slm'} --order").split()
+    assert main([*train, "28"]) == 0
+    capsys.readouterr()
+    assert main([*train, "29"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ConfigError: "), lines
+    assert "2**63" in lines[0]

@@ -4,6 +4,7 @@ import pytest
 from conftest import int_respellings
 from stegolm.corpus import EOS_TOKEN, UNK_TOKEN, Vocabulary, build_vocab
 from stegolm.errors import (
+    ConfigError,
     DecodeError,
     KeyFormatError,
     KeyGenError,
@@ -40,6 +41,12 @@ class TestBitBlock:
     def test_value_must_fit(self):
         with pytest.raises(ValueError):
             BitBlock(4, 2)
+
+    @pytest.mark.parametrize("value, width", [(2.5, 2), (1, 2.0), (True, 1), (1, True),
+                                              (np.int64(1), 2), (-1, 2), (0, -1)])
+    def test_non_integers_and_negatives_refused(self, value, width):
+        with pytest.raises(ConfigError):
+            BitBlock(value, width)
 
 
 class TestGenerateKey:

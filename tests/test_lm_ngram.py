@@ -8,7 +8,7 @@ import pytest
 from conftest import assert_tables_equal
 from stegolm.corpus import Vocabulary, build_vocab
 from stegolm.errors import ConfigError, ModelFormatError, TrainingError
-from stegolm.lm.base import softmax
+from stegolm.lm.base import LanguageModel, softmax
 from stegolm.lm.ngram import NgramConfig, NgramModel, train_ngram
 from stegolm.lm.store import deserialize_model, serialize_model
 from stegolm.metrics import perplexity
@@ -43,6 +43,15 @@ def ngram_file(vocab, payload: bytes) -> bytes:
 def load_ngram(vocab, doc: dict) -> NgramModel:
     """An n-gram model file holding the payload ``doc``, loaded."""
     return deserialize_model(ngram_file(vocab, json.dumps(doc, sort_keys=True).encode()), vocab)
+
+
+def check_block_path(model: NgramModel, ctx: tuple[int, ...], ids: list[int]):
+    """``next_distributions`` equals the base class's loop over ``next_distribution``
+    and ``advance``, bit for bit, rows and context after."""
+    probs, after = model.next_distributions(ctx, ids)
+    want, want_after = LanguageModel.next_distributions(model, ctx, ids)
+    assert np.array_equal(probs, want) and probs.shape == want.shape
+    assert after == want_after and all(type(i) is int for i in after)
 
 
 class TestSoftmax:
@@ -332,3 +341,74 @@ class TestNgram:
         for add_k in (1, True, "0.5"):  # each a second spelling of a float in a payload
             with pytest.raises(ConfigError):
                 NgramConfig(add_k=add_k)
+
+
+class TestBlockPath:
+    """``next_distributions`` packs each full-length context into one int64 key and
+    finds all of them with one ``searchsorted``."""
+
+    def test_contexts_below_between_and_above_the_keys(self, mini_vocab):
+        size = len(mini_vocab)
+        trigrams = [[1, 3, 5], [1, 7, 2], [4, 2, 9]]  # contexts (1, 3) < (1, 7) < (4, 2)
+        bigrams = sorted({tuple(g[1:]) for g in trigrams} | {tuple(g[:2]) for g in trigrams})
+        unigrams = sorted({(i,) for g in trigrams for i in g})
+        model = NgramModel(mini_vocab, NgramConfig(order=3, add_k=0.5),
+                           [(unigrams, [2] * len(unigrams)), (bigrams, [1] * len(bigrams)),
+                            (trigrams, [3, 1, 2])])
+        ids = [0, 5, 1, 3, 2, 1, 7, 4, 2, 9, size - 1, size - 1, 0]
+        contexts = {tuple(ids[t - 2:t]) for t in range(2, len(ids))}
+        keys = [(1, 3), (1, 7), (4, 2)]
+        assert contexts & set(keys) == set(keys)  # every key is hit
+        assert min(contexts) < keys[0] and max(contexts) > keys[-1]
+        assert any(keys[0] < c < keys[-1] and c not in keys for c in contexts)
+        check_block_path(model, (), ids)
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_every_context_length(self, order, mini_tokens, mini_vocab):
+        ids = mini_vocab.indices(mini_tokens[:60])
+        for model in (train_ngram(mini_tokens, mini_vocab, NgramConfig(order, 0.07)),
+                      untrained(mini_vocab, NgramConfig(order, 0.07))):
+            for length in range(order):
+                for block in (ids[length:length], ids[length:length + 1], ids[length:]):
+                    check_block_path(model, tuple(ids[:length]), block)
+
+    @pytest.mark.parametrize("order", [1, 3])
+    def test_ids_refused(self, order, mini_tokens, mini_vocab):
+        model = train_ngram(mini_tokens, mini_vocab, NgramConfig(order, 0.07))
+        size = len(mini_vocab)
+        for bad in (-1, size):
+            with pytest.raises(ValueError) as caught:
+                model.next_distributions((), [0, 1, bad, 2])
+            with pytest.raises(ValueError) as loop:
+                model.check_index(bad)
+            assert str(caught.value) == str(loop.value)
+        for bad in ([0, 2.5], [2.0], np.array([1.0]), [True]):  # refused, never truncated
+            with pytest.raises(ValueError):
+                model.next_distributions((), bad)
+
+
+class TestContextKeyLimit:
+    """A context is one int64 key, so ``|V| ** (order - 1)`` must be below 2**63:
+    on 5 tokens order 28 fits (5**27 < 2**63) and order 29 does not."""
+
+    def test_order_28_fits(self):
+        vocab = build_vocab(["a", "b", "c"])
+        assert len(vocab) == 5 and 5**27 < 2**63 <= 5**28
+        words = [vocab.token(i) for i in range(5)]
+        tokens = [words[i] for i in np.random.default_rng(3).integers(5, size=200)]
+        model = train_ngram(tokens + [words[4]] * 40, vocab, NgramConfig(order=28))
+        data = serialize_model(model)
+        assert serialize_model(deserialize_model(data, vocab)) == data
+        ids = vocab.indices(tokens[:30]) + [4] * 40  # up to the largest key, 5**27 - 1
+        check_block_path(model, (), ids)
+        check_block_path(model, tuple(ids[:27]), ids[27:])
+
+    def test_order_29_refused(self):
+        vocab = build_vocab(["a", "b", "c"])
+        with pytest.raises(ConfigError, match=r"5 \*\* 28 is not below 2\*\*63"):
+            train_ngram(["a", "b", "c"], vocab, NgramConfig(order=29))
+        with pytest.raises(ConfigError, match=r"2\*\*63"):
+            untrained(vocab, NgramConfig(order=29))
+        load_ngram(vocab, {"order": 28, "add_k": 0.5, "tables": [[]] * 28})
+        with pytest.raises(ModelFormatError, match=r"2\*\*63"):
+            load_ngram(vocab, {"order": 29, "add_k": 0.5, "tables": [[]] * 29})

@@ -13,6 +13,7 @@ from stegolm.lm.lstm import LstmHyperparams, LstmModel, init_params
 from stegolm.lm.ngram import NgramConfig, train_ngram
 from stegolm.metrics import (
     BLOCK,
+    _word_probs,
     capacity,
     capacity_empirical,
     is_vacuous,
@@ -364,6 +365,28 @@ class TestBlockScoring:
             probs, after = model.next_distributions(ctx, [])
             assert probs.shape == (0, len(desk_vocab))
             assert after is ctx or after == ctx
+
+    def test_read_word_values_equal_stego_distribution(self, desk_trigram, desk_tokens,
+                                                       desk_vocab):
+        # scoring reads each position's factor for its word only; the value must
+        # be the full stego distribution's entry, and the report the mean of -ln
+        # of exactly these values in stream order
+        tokens = desk_tokens[-BLOCK:]
+        ids = [desk_vocab.index_or_unk(token) for token in tokens]
+        probs, _ = desk_trigram.next_distributions((), ids)
+        t = np.arange(len(ids))
+        assert np.array_equal(_word_probs(probs, ids, None), probs[t, ids])
+        for b, c in KEY_SHAPES:
+            key = generate_key(desk_vocab, b, c, 7)
+            want = stego_distribution(probs, key)[t, ids]
+            assert np.array_equal(_word_probs(probs, ids, key), want)
+            skip = (key.lookup_array()[ids] == BIN_RESERVED) & (not is_vacuous(key))
+            total = 0.0
+            for value in want[~skip].tolist():
+                total += -math.log(value)
+            report = stego_perplexity(desk_trigram, key, tokens)
+            assert (report.mean_nll, report.skipped_sentinels) == (total / (~skip).sum(),
+                                                                    skip.sum())
 
     def test_sentinels_skipped_at_block_edges(self, desk_trigram, desk_tokens, desk_vocab):
         tokens = list(desk_tokens[-2 * BLOCK - 1:])

@@ -172,10 +172,17 @@ class Vocabulary:
         return [get(surface, -1) for surface in surfaces]
 
     def index_or_unk(self, surface: str) -> int:
-        idx = self._index.get(surface)
-        if idx is None:
-            return self.index_of(UNK_TOKEN)
-        return idx
+        return self.indices_or_unk((surface,))[0]
+
+    def indices_or_unk(self, surfaces: Iterable[str]) -> list[int]:
+        """Index of every surface, <unk>'s for a surface outside the vocabulary
+        (``CorpusError`` for one if the vocabulary has no <unk>)."""
+        get = self._index.get
+        unk = get(UNK_TOKEN)
+        ids = [get(surface, unk) for surface in surfaces]
+        if unk is None and None in ids:
+            self.index_of(UNK_TOKEN)  # raises: nothing to fold the surface into
+        return ids
 
     def token(self, index: int) -> str:
         if not 0 <= index < len(self.tokens):

@@ -48,6 +48,12 @@ class LanguageModel(abc.ABC):
         return self.vocab.content_hash()
 
     def check_index(self, token_index: int) -> int:
+        """``token_index`` as a Python int if it is an integer (Python or numpy;
+        never a bool or a float) in ``[0, |V|)``; otherwise ``ValueError``."""
+        if type(token_index) is not int:
+            if not isinstance(token_index, np.integer):
+                raise ValueError(f"token index must be an integer, not {token_index!r}")
+            token_index = int(token_index)  # numpy uint8 arithmetic on it could wrap
         if not 0 <= token_index < len(self.vocab):
             raise ValueError(
                 f"token index {token_index} out of range for |V|={len(self.vocab)}"

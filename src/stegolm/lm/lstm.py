@@ -6,7 +6,9 @@ parallel streams, plain SGD, global gradient-norm clipping, and dropout on
 the non-recurrent connections only (embedding output and every layer output,
 training time only). The learning rate is divided by ``lr_decay`` after any
 epoch whose validation loss fails to improve on the best seen so far by more
-than 1e-4 nats. Training, encoding and scoring share one cell function.
+than 1e-4 nats. Training, encoding and scoring share one cell function. A
+training window keeps one (batch, steps, |V|) array, worked in place from the
+logits to the softmax gradient.
 
 All state is float64 and every source of randomness is derived from the
 training seed, so a (seed, corpus, hyperparams) triple reproduces the exact
@@ -182,11 +184,14 @@ def window_forward(params, hp, inputs, targets, states, drop_masks=None):
         caches.append(layer_cache)
         new_states.append((h_prev, c_prev))
         xin = hs if drop_masks is None else hs * drop_masks[layer + 1]
-    logits = xin @ params["wo"] + params["bo"]  # (B, T, V)
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    expd = np.exp(shifted)
+    # One (B, T, V) array, worked in place: the logits, the shifted logits (read
+    # for ``picked``), their exponentials and, in the backward, the softmax gradient.
+    expd = xin @ params["wo"]
+    expd += params["bo"]
+    np.subtract(expd, expd.max(axis=-1, keepdims=True), out=expd)
+    picked = np.take_along_axis(expd, targets[..., None], axis=-1)[..., 0]
+    np.exp(expd, out=expd)
     sums = expd.sum(axis=-1)
-    picked = np.take_along_axis(shifted, targets[..., None], axis=-1)[..., 0]
     loss = float((np.log(sums) - picked).mean())
     return loss, (caches, xin, expd, sums), tuple(new_states)
 
@@ -353,9 +358,9 @@ class LstmModel(LanguageModel):
         return _zero_states(self.hp)
 
     def advance(self, ctx: tuple, token_index: int) -> tuple:
-        xw = self._rows.get(token_index)
+        xw = self._rows.get(token_index) if type(token_index) is int else None  # True, 1.0 hash as 1
         if xw is None:
-            self.check_index(token_index)
+            token_index = self.check_index(token_index)
             xw = self._rows[token_index] = self.params["embed"][token_index] @ self._weights[0][0]
         states = []
         for (wx, wh, b), (h, c) in zip(self._weights, ctx):
@@ -418,7 +423,7 @@ def train_lstm(tokens: Sequence[str], vocab: Vocabulary, hp: LstmHyperparams,
             f"corpus of {len(tokens)} tokens is smaller than "
             f"unroll_steps*batch_size = {hp.unroll_steps * hp.batch_size}"
         )
-    ids = np.asarray([vocab.index_or_unk(t) for t in tokens], dtype=np.int64)
+    ids = np.asarray(vocab.indices_or_unk(tokens), dtype=np.int64)
     split = int(round(len(ids) * (1.0 - VAL_FRACTION)))
     train_data = _batchify(ids[:split], hp.batch_size)
     val_batch = max(1, min(hp.batch_size, len(ids[split:]) // (hp.unroll_steps + 1)))

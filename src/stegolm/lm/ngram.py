@@ -104,7 +104,7 @@ class NgramModel(LanguageModel):
         return ()
 
     def advance(self, ctx: tuple[int, ...], token_index: int) -> tuple[int, ...]:
-        self.check_index(token_index)
+        token_index = self.check_index(token_index)
         if self.config.order == 1:
             return ()
         return (ctx + (token_index,))[-(self.config.order - 1):]
@@ -114,8 +114,15 @@ class NgramModel(LanguageModel):
         if m >= self.config.order:
             raise ValueError(f"context longer than order-1: {m} >= {self.config.order}")
         key = 0
-        for index in ctx:
-            key = key * size + index
+        try:
+            for index in ctx:  # an entry out of range would alias another context's key
+                if not 0 <= index < size:
+                    self.check_index(index)  # raises
+                key = key * size + index
+        except (OverflowError, TypeError):  # a small numpy integer type overflowed, or no number
+            key = None
+        if type(key) is not int:  # refused by check_index, or numpy integers read as ints
+            return self.next_distribution(tuple(map(self.check_index, ctx)))
         runs, _, _, _, successors, counts = self._tables[m]
         a, b, total = runs.get(key, (0, 0, 0))
         denom = total + k * size
@@ -244,7 +251,7 @@ def train_ngram(tokens: Sequence[str], vocab: Vocabulary,
     if not tokens:
         raise TrainingError("cannot train an n-gram model on an empty stream")
     n = config.order
-    ids = np.fromiter(map(vocab.index_or_unk, tokens), np.int64, len(tokens))
+    ids = np.asarray(vocab.indices_or_unk(tokens), dtype=np.int64)
     # windows[i] holds the n ids that end at token i, padded on the left with -1
     windows = np.lib.stride_tricks.sliding_window_view(np.r_[np.full(n - 1, -1), ids], n)
     keys = np.min_scalar_type(len(vocab))  # holds every index; radix-sorted up to 16 bits

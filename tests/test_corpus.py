@@ -198,6 +198,21 @@ class TestVocabulary:
     def test_index_or_unk(self, mini_vocab):
         assert mini_vocab.index_or_unk("never-seen") == mini_vocab.index_of(UNK_TOKEN)
 
+    def test_indices_or_unk(self, mini_vocab, mini_tokens):
+        surfaces = [*mini_tokens[:50], "never-seen", UNK_TOKEN, "also-unseen"]
+        ids = mini_vocab.indices_or_unk(surfaces)
+        assert ids == [mini_vocab.index_or_unk(surface) for surface in surfaces]
+        assert all(type(i) is int for i in ids)
+        assert ids[-3:] == [mini_vocab.index_of(UNK_TOKEN)] * 3
+        assert mini_vocab.indices_or_unk([]) == []
+
+    def test_oov_without_unk_raises(self):
+        vocab = Vocabulary(("a", "b"), (2, 1))
+        assert vocab.indices_or_unk(["b", "a"]) == [1, 0]
+        for call in (lambda: vocab.indices_or_unk(["a", "c"]), lambda: vocab.index_or_unk("c")):
+            with pytest.raises(CorpusError, match="token not in vocabulary: '<unk>'"):
+                call()
+
 
 def test_token_whitespace_is_what_isspace_calls_whitespace():
     characters = [chr(c) for c in range(sys.maxunicode + 1)]

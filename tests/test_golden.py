@@ -17,7 +17,7 @@ import pytest
 from stegolm.cli import main
 from stegolm.codec import Framing, GenPolicy, Mode, Payload, decode, decode_payload, encode
 from stegolm.keying import generate_key, save_key, serialize_key
-from stegolm.lm.lstm import LstmHyperparams, train_lstm
+from stegolm.lm.lstm import PRESETS, LstmHyperparams, train_lstm
 from stegolm.lm.store import save_model, serialize_model
 from stegolm.metrics import stego_perplexity
 
@@ -64,6 +64,10 @@ TINY_LSTM = LstmHyperparams(layers=2, units=16, embed_dim=8, unroll_steps=8, bat
                             dropout=0.1)
 TINY_LSTM_SHA = "76d2dd97c2f25877e4c52a1c155176a7d998bb1e9c03ae33cbf88c9fc605f6d8"
 TINY_LSTM_TOKENS_SHA = "12a7af1daaeb35a3811bf35d9627602a2503cc0c61d33912df643cfdf238c090"
+
+# The desk preset the bench trains (1 layer, 64 units, clip_norm 0.25, no
+# dropout), 1 epoch on the first 3000 desk tokens, seed 3.
+DESK_LSTM_SHA = "bcd0a293c65d4b6c08353fb644053c05f83c4257c3fad98d7425835c55031211"
 
 # (block_bits, common, <eos> common) of a seed-7 key -> mean NLL of the desk
 # trigram's stego perplexity over the held-out 10 % of the desk corpus.
@@ -120,6 +124,11 @@ def test_tiny_lstm_model_and_encode_match_golden(desk_tokens, desk_vocab):
     stegotext = encode(Payload(payload, Framing.LENGTH_PREFIXED), key, model, policy)
     assert decode_payload(stegotext.tokens, key) == payload
     assert _sha("\n".join(stegotext.tokens).encode("utf-8")) == TINY_LSTM_TOKENS_SHA
+
+
+def test_desk_preset_lstm_model_bytes_match_golden(desk_tokens, desk_vocab):
+    model = train_lstm(desk_tokens[:3000], desk_vocab, PRESETS["desk"], epochs=1, seed=3)
+    assert _sha(serialize_model(model)) == DESK_LSTM_SHA
 
 
 @pytest.mark.parametrize("case", sorted(DESK_STEGO_NLL), ids=lambda c: "-".join(map(str, c)))

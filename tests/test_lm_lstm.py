@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import tracemalloc
 from collections import Counter
 from dataclasses import asdict
 
@@ -120,6 +121,18 @@ class TestCell:
         with pytest.raises(ValueError):
             model.advance(model.initial_context(), len(vocab))
 
+    def test_non_integer_token_refused_after_memo(self):
+        hp = LstmHyperparams(layers=1, units=4, embed_dim=3)
+        vocab = tiny_vocab(6)
+        model = LstmModel(vocab, hp, init_params(len(vocab), hp, 1))
+        start = model.initial_context()
+        expected = model.advance(start, 1)  # memoises index 1, which True and 1.0 equal
+        for bad in (True, 1.0, np.float64(1.0), np.bool_(True)):
+            with pytest.raises(ValueError, match="token index must be an integer"):
+                model.advance(start, bad)
+        for kind in (np.int64, np.uint8):
+            assert np.array_equal(np.array(model.advance(start, kind(1))), np.array(expected))
+
     def test_next_distribution_is_normalized(self):
         hp = LstmHyperparams(layers=1, units=8, embed_dim=4)
         vocab = tiny_vocab(7)
@@ -205,6 +218,37 @@ class TestGradients:
             flat[i] = orig
             numeric = (up - down) / (2 * h)
             assert abs(numeric - analytic[i]) / max(abs(numeric), abs(analytic[i]), 1e-6) < 1e-4
+
+
+class TestWindowMemory:
+    def test_one_output_array_per_window_same_bits(self):
+        # desk shapes: batch 16, 16 steps, 64 units, |V| = 529
+        hp = PRESETS["desk"]
+        vocab_size = 529
+        params = init_params(vocab_size, hp, 4)
+        rng = np.random.default_rng(8)
+        inputs = rng.integers(0, vocab_size, size=(hp.batch_size, hp.unroll_steps))
+        targets = rng.integers(0, vocab_size, size=(hp.batch_size, hp.unroll_steps))
+        states = _zero_states(hp, hp.batch_size)
+        window_forward(params, hp, inputs, targets, states)  # warm-up outside the trace
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            loss, (_, top_out, expd, sums), _ = window_forward(params, hp, inputs, targets, states)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # the out-of-place formula made four (B, T, |V|) arrays: logits, logits + bo,
+        # shifted logits and their exponentials
+        assert peak < 3 * expd.nbytes
+        logits = top_out @ params["wo"] + params["bo"]
+        shifted = logits - logits.max(axis=-1, keepdims=True)
+        expected_expd = np.exp(shifted)
+        expected_sums = expected_expd.sum(axis=-1)
+        picked = np.take_along_axis(shifted, targets[..., None], axis=-1)[..., 0]
+        assert loss == float((np.log(expected_sums) - picked).mean())
+        assert np.array_equal(expd, expected_expd)
+        assert np.array_equal(sums, expected_sums)
 
 
 class TestOptimizer:

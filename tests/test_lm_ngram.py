@@ -387,6 +387,49 @@ class TestBlockPath:
                 model.next_distributions((), bad)
 
 
+class TestIndexKinds:
+    """``check_index`` takes an integer only (a Python or numpy one), and
+    ``next_distribution`` refuses a context entry outside ``[0, |V|)``: packed, one
+    would alias another context's key, ``(-1, 6)`` reading ``(0, 1)``'s row."""
+
+    @pytest.fixture(scope="class")
+    def trigram(self):
+        vocab = build_vocab(["a", "b", "c"])
+        assert len(vocab) == 5
+        return train_ngram(["a", "b", "c", "a", "b"], vocab, NgramConfig(order=3))
+
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True, False, np.float64(1.0), np.bool_(True),
+                                     "1", None])
+    def test_non_integers_refused(self, trigram, bad):
+        for check in (trigram.check_index, lambda index: trigram.advance((), index),
+                      lambda index: trigram.advance((0, 1), index)):
+            with pytest.raises(ValueError, match="token index must be an integer"):
+                check(bad)
+
+    def test_numpy_integers_read_as_ints(self, trigram):
+        for kind in (np.int64, np.int32, np.uint8, np.uint64):
+            assert type(trigram.check_index(kind(4))) is int
+            ctx = trigram.advance(trigram.advance((), kind(3)), kind(4))
+            assert ctx == (3, 4) and all(type(index) is int for index in ctx)
+            assert np.array_equal(trigram.next_distribution((kind(3), kind(4))),
+                                  trigram.next_distribution((3, 4)))
+
+    @pytest.mark.parametrize("ctx", [(-1, 6), (0, 5), (5, 0), (-1,), (5,), (2.5,), (1, 2.0),
+                                     (np.int64(1), np.float64(2.0))])
+    def test_bad_context_entries_refused(self, trigram, ctx):
+        with pytest.raises(ValueError, match="token index"):
+            trigram.next_distribution(ctx)
+
+    def test_small_integer_types_and_strings_in_a_context(self, desk_trigram):
+        # 3 * |V| does not fit a uint8 (|V| = 529): the entries are read as ints
+        assert len(desk_trigram.vocab) > 255
+        assert np.array_equal(desk_trigram.next_distribution((np.uint8(3), np.uint8(4))),
+                              desk_trigram.next_distribution((3, 4)))
+        for ctx in (("a",), (1, "b")):
+            with pytest.raises(ValueError, match="token index must be an integer"):
+                desk_trigram.next_distribution(ctx)
+
+
 class TestContextKeyLimit:
     """A context is one int64 key, so ``|V| ** (order - 1)`` must be below 2**63:
     on 5 tokens order 28 fits (5**27 < 2**63) and order 29 does not."""

@@ -21,7 +21,7 @@ import numpy as np
 from . import codec, corpus, keying, metrics
 from .codec import Framing, GenPolicy, Mode, Payload
 from .corpus import CorpusConfig, Vocabulary
-from .errors import ConfigError, StegolmError
+from .errors import ConfigError, StegolmError, check_int
 from .lm import (
     LstmHyperparams,
     NgramConfig,
@@ -208,8 +208,9 @@ def cmd_eval(args) -> int:
 
 def cmd_roundtrip(args) -> int:
     """Self-test: random payloads through encode/decode on a synthetic corpus."""
-    if min(args.trials, args.max_bytes) < 1 or args.seed < 0:
-        raise ConfigError("--trials and --max-bytes must be positive, --seed non-negative")
+    check_int("--trials", args.trials, 1)
+    check_int("--max-bytes", args.max_bytes, 1)
+    check_int("--seed", args.seed, 0)
     rng = np.random.default_rng(args.seed)
     base = corpus.tokenize(_roundtrip_corpus(args.seed), CorpusConfig())
     vocab = corpus.build_vocab(base, CorpusConfig())

@@ -22,13 +22,13 @@ leftmost bit of a block is its most significant when indexing bins.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import EOS_TOKEN, URL_TOKEN, USER_TOKEN
-from .errors import ConfigError, DecodeError, EncodeError, VocabMismatchError, check_int
+from .errors import (ConfigError, DecodeError, EncodeError, VocabMismatchError, check_int,
+                     check_real)
 from .keying import BIN_COMMON, BitBlock, StegoKey
 from .lm.base import LanguageModel
 
@@ -69,10 +69,7 @@ class GenPolicy:
     def __post_init__(self):
         if not isinstance(self.mode, Mode):
             raise ConfigError(f"mode must be a Mode, not {self.mode!r}")
-        real = type(self.temperature) is int or isinstance(self.temperature, float)
-        if not real or not 0 < self.temperature < math.inf:  # refuses NaN too
-            raise ConfigError(f"temperature must be a positive finite int or float, "
-                              f"not {self.temperature!r}")
+        check_real("temperature", self.temperature, 0, low_open=True)
         check_int("seed", self.seed, 0)
         check_int("max_common_run", self.max_common_run, 1)
 
@@ -210,18 +207,16 @@ def encode_bits(
     ctx = _start_context(model)
     tokens: list[str] = []
     for block in blocks:  # each block ends on exactly one carrier
-        run = 0
-        banned: set[int] = set()
+        banned: set[int] = set()  # the common tokens of this block's run
         while True:
             idx = constrained_select(
                 model, ctx, key, block, policy,
-                rng=rng, include_common=run < policy.max_common_run, banned=banned,
+                rng=rng, include_common=len(banned) < policy.max_common_run, banned=banned,
             )
             ctx = model.advance(ctx, idx)
             tokens.append(key.vocab.token(idx))
             if slots[idx] != BIN_COMMON:
                 break
-            run += 1
             banned.add(idx)
     return Stegotext(tuple(tokens), len(blocks))
 

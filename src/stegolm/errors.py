@@ -2,8 +2,11 @@
 
 Every error the toolkit raises on purpose derives from StegolmError so the
 CLI can report a single machine-parsable line (``error: <ClassName>: <msg>``)
-and exit nonzero. ``check_int`` is the one rule for integer arguments.
+and exit nonzero. ``check_int`` is the one rule for integer arguments and
+``check_real`` the one rule for real-valued ones.
 """
+
+import math
 
 
 class StegolmError(Exception):
@@ -71,3 +74,16 @@ def check_int(name: str, value, low: int, high: int | None = None, error=ConfigE
         return value
     bound = f">= {low}" if high is None else f"in [{low}, {high})"
     raise error(f"{name} must be an integer {bound}, not {value!r}")
+
+
+def check_real(name: str, value, low: float, high: float = math.inf, *,
+               low_open: bool = False) -> float:
+    """``value`` if it is a Python ``int`` or ``float`` (numpy ``float64`` is a
+    float; a bool, a string or another numpy scalar is not) with ``low <= value``
+    (``low < value`` when ``low_open``) and ``value < high``; otherwise
+    ``ConfigError``. NaN fails every comparison."""
+    real = type(value) is int or isinstance(value, float)
+    if real and (low < value if low_open else low <= value) and value < high:
+        return value
+    bound = f"{'(' if low_open else '['}{low}, {high})"
+    raise ConfigError(f"{name} must be an int or float in {bound}, not {value!r}")

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from ..corpus import Vocabulary
-from ..errors import ConfigError, ModelFormatError, TrainingError, check_int
+from ..errors import ConfigError, ModelFormatError, TrainingError, check_int, check_real
 from .base import LanguageModel, softmax
 
 #: Validation-loss slack below which an epoch counts as "did not improve".
@@ -48,20 +48,11 @@ class LstmHyperparams:
     def __post_init__(self):
         for name in ("layers", "units", "embed_dim", "unroll_steps", "batch_size"):
             check_int(name, getattr(self, name), 1)
-        clip = () if self.clip_norm is None else ("clip_norm",)
-        for name in ("lr_init", "lr_decay", "dropout", *clip):
-            value = getattr(self, name)  # what a JSON number reads as: no bool, str or np.int64
-            if type(value) is not int and not isinstance(value, float):
-                raise ConfigError(f"{name} must be an int or float, not {value!r}")
-        # Chained comparisons with math.inf refuse NaN and infinity too.
-        if not 0 < self.lr_init < math.inf:
-            raise ConfigError("lr_init must be positive and finite")
-        if not 1 < self.lr_decay < math.inf:
-            raise ConfigError("lr_decay must be finite and exceed 1")
-        if self.clip_norm is not None and not 0 < self.clip_norm < math.inf:
-            raise ConfigError("clip_norm must be positive and finite, or None")
-        if not 0 <= self.dropout < 1:
-            raise ConfigError("dropout must lie in [0, 1)")
+        check_real("lr_init", self.lr_init, 0, low_open=True)
+        check_real("lr_decay", self.lr_decay, 1, low_open=True)
+        if self.clip_norm is not None:
+            check_real("clip_norm", self.clip_norm, 0, low_open=True)
+        check_real("dropout", self.dropout, 0, 1)
 
 
 #: Named hyperparameter presets. "desk" trains in minutes on a ~100k-token
@@ -92,8 +83,7 @@ class EpochStats:
     decayed: bool
 
     def __post_init__(self):
-        if type(self.epoch) is not int:  # refuses bools too
-            raise ConfigError(f"epoch must be an integer, not {self.epoch!r}")
+        check_int("epoch", self.epoch, 0)
         for name in ("train_nll", "val_nll", "lr_after"):
             value = getattr(self, name)
             if not isinstance(value, float) or not math.isfinite(value):

@@ -114,15 +114,10 @@ class NgramModel(LanguageModel):
         if m >= self.config.order:
             raise ValueError(f"context longer than order-1: {m} >= {self.config.order}")
         key = 0
-        try:
-            for index in ctx:  # an entry out of range would alias another context's key
-                if not 0 <= index < size:
-                    self.check_index(index)  # raises
-                key = key * size + index
-        except (OverflowError, TypeError):  # a small numpy integer type overflowed, or no number
-            key = None
-        if type(key) is not int:  # refused by check_index, or numpy integers read as ints
-            return self.next_distribution(tuple(map(self.check_index, ctx)))
+        for index in ctx:  # an entry out of range would alias another context's key
+            if type(index) is not int or not 0 <= index < size:
+                index = self.check_index(index)
+            key = key * size + index
         runs, _, _, _, successors, counts = self._tables[m]
         a, b, total = runs.get(key, (0, 0, 0))
         denom = total + k * size

@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Vocabulary
-from .errors import ConfigError, CorpusError, VocabMismatchError, check_int
+from .errors import CorpusError, VocabMismatchError, check_int, check_real
 from .keying import BIN_COMMON, BIN_RESERVED, MAX_BLOCK_BITS, StegoKey
 from .lm.base import LanguageModel
 
@@ -204,21 +204,14 @@ def _per_message(bits_per_word: float, mean_message_length: float | None) -> flo
     """Bits per message of ``mean_message_length`` words, if a length is given."""
     if mean_message_length is None:
         return None
-    real = type(mean_message_length) is int or isinstance(mean_message_length, float)
-    if not real or not 0 <= mean_message_length < math.inf:  # refuses NaN too
-        raise ConfigError(f"mean message length must be a finite non-negative int or float, "
-                          f"got {mean_message_length!r}")
-    return bits_per_word * mean_message_length
+    return bits_per_word * check_real("mean message length", mean_message_length, 0)
 
 
 def capacity(block_bits: int, common_fraction: float,
              mean_message_length: float | None = None) -> CapacityReport:
     """Exact arithmetic: (1 - common_fraction) * block_bits bits per word."""
     check_int("block_bits", block_bits, 0, MAX_BLOCK_BITS + 1)
-    real = type(common_fraction) is int or isinstance(common_fraction, float)
-    if not real or not 0 <= common_fraction < 1:
-        raise ConfigError(f"common_fraction must be an int or float in [0, 1), "
-                          f"got {common_fraction!r}")
+    check_real("common_fraction", common_fraction, 0, 1)
     bits_per_word = (1.0 - common_fraction) * block_bits
     return CapacityReport(block_bits, common_fraction, bits_per_word,
                           _per_message(bits_per_word, mean_message_length))

@@ -435,6 +435,7 @@ def lstm_file(workspace):
     (TRAIN + " lstm --seed -1", None, "ConfigError"),
     ("roundtrip --max-bytes 0", None, "ConfigError"),
     ("roundtrip --trials -1", None, "ConfigError"),
+    ("roundtrip --seed -1", None, "ConfigError"),
     (DECODE + " --tokens {tokens}", ("tokens", not_utf8), "CorpusError"),
     (DECODE + " --text {corpus}", ("corpus", not_utf8), "CorpusError"),
     ("prep --in {corpus} --out-vocab {out}", ("corpus", not_utf8), "CorpusError"),
@@ -509,7 +510,8 @@ def lstm_file(workspace):
      ("lstm", lstm_header(b'"layers": 1,', b'"layers": 100000,')), "ModelFormatError"),
 ], ids=["temp-0", "max-common-run-0", "order-0", "units-0", "max-vocab-1", "block-bits-neg",
         "vocab-not-utf8", "key-not-utf8", "model-not-utf8", "encode-seed-neg", "train-seed-neg",
-        "max-bytes-0", "trials-neg", "decode-tokens-not-utf8", "decode-text-not-utf8",
+        "max-bytes-0", "trials-neg", "roundtrip-seed-neg", "decode-tokens-not-utf8",
+        "decode-text-not-utf8",
         "prep-in-not-utf8", "train-tokens-not-utf8", "eval-tokens-not-utf8",
         "ngram-index-high", "ngram-index-neg", "ngram-order-float", "ngram-count-0",
         "lstm-nan", "key-block-bits-huge", "train-epochs-0",

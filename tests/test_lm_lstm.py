@@ -458,7 +458,8 @@ class TestPersistence:
     @pytest.mark.parametrize("name, value", [
         ("epoch", "x"), ("epoch", True), ("epoch", 1.0), ("train_nll", None),
         ("train_nll", 1), ("train_nll", math.nan), ("val_nll", [1]), ("val_nll", math.inf),
-        ("lr_after", {"a": 1}), ("lr_after", -math.inf), ("decayed", "no"), ("decayed", 0)])
+        ("lr_after", {"a": 1}), ("lr_after", -math.inf), ("decayed", "no"), ("decayed", 0),
+        ("epoch", -1)])
     def test_history_entry_checked(self, trained, mini_vocab, name, value):
         entry = asdict(trained.history[0])
         with pytest.raises(ConfigError):  # the same check in memory

@@ -415,7 +415,8 @@ class TestIndexKinds:
                                   trigram.next_distribution((3, 4)))
 
     @pytest.mark.parametrize("ctx", [(-1, 6), (0, 5), (5, 0), (-1,), (5,), (2.5,), (1, 2.0),
-                                     (np.int64(1), np.float64(2.0))])
+                                     (np.int64(1), np.float64(2.0)), (True, 1), (1, True),
+                                     (np.bool_(False), 2)])
     def test_bad_context_entries_refused(self, trigram, ctx):
         with pytest.raises(ValueError, match="token index"):
             trigram.next_distribution(ctx)

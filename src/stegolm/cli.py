@@ -105,7 +105,7 @@ def cmd_train(args) -> int:
         # every LstmHyperparams field is the dest of one flag; unset flags keep the preset
         overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(LstmHyperparams)
                      if getattr(args, f.name) is not None}
-        if overrides.get("clip_norm", 1) <= 0:  # 0 disables clipping; NaN reaches ConfigError
+        if overrides.get("clip_norm") == 0:  # 0 disables clipping; the rest reach LstmHyperparams
             overrides["clip_norm"] = None
         hp = dataclasses.replace(PRESETS[args.preset], **overrides)
         model = train_lstm(tokens, vocab, hp, epochs=args.epochs, seed=args.seed)

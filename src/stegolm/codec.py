@@ -14,6 +14,9 @@ slot (its bin index) as bits. With RAW framing the payload boundary is
 implicit (trailing bits that do not fill a block are never encoded); with
 LENGTH framing a 32-bit big-endian bit count is prepended and the tail is
 zero-padded to a block boundary, so the exact byte payload is recoverable.
+Tokens become slots in one pass (``StegoKey.slots``), the carriers' slots
+become the bit string in a few array operations, and ``decode_payload`` turns
+the framed bits into bytes in one integer conversion (``bits_to_bytes``).
 
 Bit order is fixed: most significant bit first within each byte, and the
 leftmost bit of a block is its most significant when indexing bins.
@@ -87,15 +90,19 @@ _NO_SPACE_BEFORE = set(".,!?;:")
 
 
 def bytes_to_bits(data: bytes) -> str:
-    """MSB-first bit string of a byte sequence."""
-    return "".join(format(byte, "08b") for byte in data)
+    """MSB-first bit string of a byte sequence, in one integer conversion."""
+    if not data:
+        return ""  # format(0, "00b") would be "0"
+    return format(int.from_bytes(data, "big"), f"0{8 * len(data)}b")
 
 
 def bits_to_bytes(bits: str) -> bytes:
-    """Inverse of bytes_to_bits; the length must be a multiple of 8."""
+    """Inverse of bytes_to_bits; the length must be a multiple of 8. One base-2
+    conversion, linear in the length (CPython's int-string digit limit spares
+    power-of-two bases)."""
     if len(bits) % 8:
         raise ValueError(f"bit string length {len(bits)} is not a multiple of 8")
-    return bytes(int(bits[i:i + 8], 2) for i in range(0, len(bits), 8))
+    return int(bits, 2).to_bytes(len(bits) // 8, "big") if bits else b""
 
 
 def payload_to_bits(payload: Payload, block_bits: int) -> str:

@@ -170,7 +170,7 @@ class StegoKey:
         The one classifier of received tokens. Raises ``DecodeError`` with the
         position of the first token that is outside the vocabulary or reserved.
         """
-        ids = np.asarray(self.vocab.indices(tokens), dtype=np.int64)
+        ids = self.vocab.index_array(tokens)
         slots = np.where(ids >= 0, self.slot_array[ids], BIN_RESERVED)
         bad = np.flatnonzero(slots == BIN_RESERVED)
         if bad.size:
@@ -275,7 +275,7 @@ def deserialize_key(data: bytes, vocab: Vocabulary) -> StegoKey:
         if label != prefix:
             raise KeyFormatError(f"expected a {prefix!r} line, found {label!r}")
     surfaces = [surface for row in rows for surface in row[1:]]
-    ids = np.array(vocab.indices(surfaces), dtype=np.int64)
+    ids = vocab.index_array(surfaces)
     if ids.size and ids.min() < 0:
         raise KeyFormatError(f"key token not in vocabulary: {surfaces[int(np.argmin(ids))]!r}")
     repeated = np.flatnonzero(np.bincount(ids, minlength=len(vocab)) > 1)

@@ -15,7 +15,7 @@ from conftest import int_respellings
 import stegolm
 from stegolm.cli import build_parser, main
 from stegolm.corpus import Vocabulary
-from stegolm.lm import LstmHyperparams, LstmModel, save_model
+from stegolm.lm import LstmHyperparams, LstmModel, load_model, save_model
 from stegolm.lm.lstm import init_params
 
 # Child interpreters import the same stegolm as this process, installed or not.
@@ -225,6 +225,18 @@ def test_lstm_training_via_cli(workspace, tmp_path):
     ]) == 0
     data = (tmp_path / "lstm.slm").read_bytes()
     assert data.startswith(b"STEGOLM v1\nbackend: lstm\n")
+
+
+@pytest.mark.parametrize("clip", ["0", "-0", "2.5"])
+def test_clip_norm_flag(workspace, tmp_path, clip):
+    # the one remap the flag makes: exactly 0 means no clipping (a negative
+    # value is refused in test_bad_input_prints_one_error_line)
+    assert main(["train", "--backend", "lstm", "--tokens", str(workspace / "tokens.txt"),
+                 "--vocab", str(workspace / "vocab.tsv"), "--out", str(tmp_path / "lstm.slm"),
+                 "--units", "4", "--epochs", "1", f"--clip-norm={clip}"]) == 0
+    vocab = Vocabulary.load(workspace / "vocab.tsv")
+    model = load_model(tmp_path / "lstm.slm", vocab)
+    assert model.hp.clip_norm == (float(clip) or None)
 
 
 def test_stdin_stdout_piping(workspace, tmp_path):
@@ -508,6 +520,8 @@ def lstm_file(workspace):
     (ENCODE, ("key", lambda data: data.replace(b"bin 00:\t", b"bin 00:", 1)), "KeyFormatError"),
     (ENCODE.replace("{model}", "{lstm}"),
      ("lstm", lstm_header(b'"layers": 1,', b'"layers": 100000,')), "ModelFormatError"),
+    (TRAIN + " lstm --clip-norm -1", None, "ConfigError"),
+    (TRAIN + " lstm --clip-norm=-inf", None, "ConfigError"),
 ], ids=["temp-0", "max-common-run-0", "order-0", "units-0", "max-vocab-1", "block-bits-neg",
         "vocab-not-utf8", "key-not-utf8", "model-not-utf8", "encode-seed-neg", "train-seed-neg",
         "max-bytes-0", "trials-neg", "roundtrip-seed-neg", "decode-tokens-not-utf8",
@@ -528,7 +542,8 @@ def lstm_file(workspace):
         "vocab-token-space", "model-header-swapped", "ngram-config-extra",
         "model-config-nested", "ngram-payload-nested", "model-payload-bytes-arabic-indic",
         "model-payload-bytes-fullwidth", "model-payload-bytes-nbsp",
-        "model-payload-bytes-grouped", "key-bin-tab-lost", "lstm-layers-huge"])
+        "model-payload-bytes-grouped", "key-bin-tab-lost", "lstm-layers-huge",
+        "clip-norm-neg", "clip-norm-neg-inf"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_input_prints_one_error_line(workspace, lstm_file, tmp_path, capsys,
                                          argv, damage, error):

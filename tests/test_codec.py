@@ -26,6 +26,13 @@ from stegolm.errors import ConfigError, DecodeError, EncodeError, VocabMismatchE
 from stegolm.keying import BitBlock, generate_key
 
 GREEDY = GenPolicy(mode=Mode.GREEDY)
+#: One token of each bin of the fixture key (block_bits 2), by block.
+FIXTURE_CARRIER = {"00": "am", "01": "was", "10": "I", "11": "NDA"}
+
+
+def carriers(bits: str) -> list[str]:
+    """Fixture-key tokens that decode to ``bits`` (an even number of them)."""
+    return [FIXTURE_CARRIER[bits[i:i + 2]] for i in range(0, len(bits), 2)]
 
 
 class TestBitBlocks:
@@ -258,6 +265,37 @@ class TestDecode:
         with pytest.raises(DecodeError):
             decode(["I", "am", "attaching", "an", "NDA"], fixture_key,
                    Framing.LENGTH_PREFIXED)
+
+    @pytest.mark.parametrize("tokens, message, position", [
+        (carriers("1000011011"),
+         "only 10 bits decoded; the 32-bit length header is incomplete", None),
+        (carriers(format(16, "032b") + "101010"),
+         "header declares 16 payload bits but only 6 are present", None),
+        (carriers(format(2, "032b") + "11"), "declared payload of 2 bits is not byte-aligned", None),
+        (["I", "zzz"], "token not in key vocabulary: 'zzz' (token position 1)", 1),
+        (["I", "am", EOS_TOKEN], "token carries no bin: '<eos>' (token position 2)", 2),
+    ], ids=["header-incomplete", "header-past-end", "not-byte-aligned", "oov", "reserved"])
+    def test_decode_payload_error_messages(self, fixture_key, tokens, message, position):
+        with pytest.raises(DecodeError) as err:
+            decode_payload(tokens, fixture_key)
+        assert str(err.value) == message
+        assert err.value.position == position
+
+    @given(data=st.binary(max_size=64), zeros=st.integers(0, 4), block_bits=st.integers(1, 8),
+           common=st.sampled_from([0, 10]), seed=st.integers(0, 2**20))
+    @settings(max_examples=100, deadline=None)
+    def test_decode_payload_matches_per_byte_reference(self, desk_vocab, data, zeros,
+                                                       block_bits, common, seed):
+        data = (b"\x00" * zeros + data)[:64]
+        key = generate_key(desk_vocab, block_bits, common, seed=seed)
+        model = FixedModel(desk_vocab, np.full(len(desk_vocab), 1 / len(desk_vocab)))
+        tokens = encode(Payload(data, Framing.LENGTH_PREFIXED), key, model,
+                        GenPolicy(seed=seed)).tokens
+        bits = decode(tokens, key, Framing.RAW)
+        body = bits[32:32 + int(bits[:32], 2)]
+        reference = bytes(int(body[i:i + 8], 2) for i in range(0, len(body), 8))
+        assert reference == data
+        assert decode_payload(tokens, key) == reference
 
     def test_eos_in_common_set_roundtrips(self, mini_vocab):
         # a message-boundary-hungry model: <eos> may be emitted as a common

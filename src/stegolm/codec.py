@@ -138,11 +138,12 @@ def _pick(probs: np.ndarray, allowed: np.ndarray, policy: GenPolicy,
     if not top > 0:
         raise EncodeError("no probability mass on the allowed tokens")
     if policy.mode is Mode.GREEDY:
-        return int(allowed[int(np.argmax(mass))])
+        return int(allowed[mass.argmax()])
     if rng is None:
         rng = np.random.default_rng(policy.seed)
     mass /= top  # a gather, so a new array: tempered and normalised in place
-    mass **= 1.0 / policy.temperature
+    if policy.temperature != 1:  # x ** 1.0 is x
+        mass **= 1.0 / policy.temperature
     mass /= np.add.reduce(mass)
     # Generator.choice(len(allowed), p=mass) without its argument checks:
     # the same steps, so the same stream and the same index.
@@ -166,25 +167,30 @@ def constrained_select(
     less the common tokens in ``banned``), allowed tokens in index order.
     GREEDY takes the argmax of the masked distribution, ties to the lowest
     token index; SAMPLE draws from the masked distribution renormalized at
-    ``policy.temperature``.
+    ``policy.temperature``. Every entry of ``banned`` must pass
+    ``model.check_index`` (``ValueError``).
     """
     if block.width != key.block_bits:
         raise EncodeError(
             f"block width {block.width} does not match key block_bits {key.block_bits}"
         )
     slots = key.lookup_array()
+    probs = model.next_distribution(ctx)
+    size = len(slots)
+    if len(probs) != size:
+        raise VocabMismatchError(f"model emits {len(probs)} probabilities for |V|={size}")
+    for index in banned:
+        if type(index) is not int or not 0 <= index < size:
+            model.check_index(index)  # raises unless a numpy integer in range
     allowed = key.allowed(block.value, include_common)
     if include_common and banned:
-        drop = np.fromiter(banned, dtype=np.int64, count=len(banned))
-        drop = drop[slots[drop] == BIN_COMMON]  # a banned bin token stays allowed
-        keep = np.ones(len(allowed), dtype=bool)
-        keep[allowed.searchsorted(drop)] = False
-        allowed = allowed[keep]
-    probs = model.next_distribution(ctx)
-    if len(probs) != len(slots):
-        raise VocabMismatchError(
-            f"model emits {len(probs)} probabilities for |V|={len(slots)}"
-        )
+        # a banned bin token stays allowed
+        drop = [index for index in banned if slots[index] == BIN_COMMON]
+        if drop:
+            keep = np.empty(len(allowed), bool)  # np.ones without its Python wrapper
+            keep.fill(True)
+            keep[allowed.searchsorted(drop)] = False
+            allowed = allowed[keep]
     return _pick(probs, allowed, policy, rng)
 
 
@@ -209,7 +215,9 @@ def encode_bits(
         raise EncodeError(
             f"payload of {len(bits)} bits is shorter than one {key.block_bits}-bit block"
         )
-    slots = key.lookup_array()
+    # read once as lists: idx is an allowed index, so in range
+    common = (key.lookup_array() == BIN_COMMON).tolist()
+    surfaces = key.vocab.tokens
     rng = np.random.default_rng(policy.seed)
     ctx = _start_context(model)
     tokens: list[str] = []
@@ -221,8 +229,8 @@ def encode_bits(
                 rng=rng, include_common=len(banned) < policy.max_common_run, banned=banned,
             )
             ctx = model.advance(ctx, idx)
-            tokens.append(key.vocab.token(idx))
-            if slots[idx] != BIN_COMMON:
+            tokens.append(surfaces[idx])
+            if not common[idx]:
                 break
             banned.add(idx)
     return Stegotext(tuple(tokens), len(blocks))

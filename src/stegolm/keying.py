@@ -7,10 +7,28 @@ Common tokens are always the most frequent tokens of the vocabulary; they are
 removed from the carrier pool entirely so decoding stays unambiguous.
 
 Both parties regenerate the identical key from (vocabulary, block_bits,
-common_count, seed): the carrier pool is shuffled by a Fisher-Yates pass
-driven by a splitmix64 generator (fixed for the life of the ``STEGOKEY v1``
-format, independent of Python/numpy versions) and dealt round-robin into the
-bins, so bin sizes never differ by more than one.
+common_count, seed). The derivation is part of the ``STEGOKEY v1`` format,
+independent of Python and numpy versions; all arithmetic is on unsigned
+64-bit integers, mod ``2**64``:
+
+1. Pools. The eligible tokens are the vocabulary indices in ascending order
+   (most frequent first), less those of ``<eos>`` and ``<unk>``. The first
+   ``common_count`` of them are the common set (``<eos>`` joins it when
+   ``include_eos_common``); the rest, ``c[0], ..., c[n-1]``, are the carriers.
+2. Stream. splitmix64 (as in Vigna's reference code) from ``seed``: draw
+   ``k = 1, 2, ...`` is ``mix(seed + k * 0x9E3779B97F4A7C15)``, where ``mix(x)``
+   is ``x ^= x >> 30; x *= 0xBF58476D1CE4E5B9; x ^= x >> 27; x *=
+   0x94D049BB133111EB; x ^= x >> 31``. Seed 0 begins ``0xE220A8397B1DCDAF,
+   0x6E789E6AA1B965F4, 0x06C45D188009454F``.
+3. Shuffle. Fisher-Yates over the carriers: for ``i = n-1`` down to ``1``, take
+   the next draw ``z``; while ``z >= 2**64 - (2**64 mod (i+1))`` (no draw is
+   that large when ``i+1`` is a power of two) discard it and take the next, so
+   ``j = z mod (i+1)`` is unbiased; then swap ``c[i]`` and ``c[j]``.
+4. Deal. The carrier at position ``p`` of the shuffled list goes to bin ``p mod
+   2**block_bits``, so bin sizes never differ by more than one.
+
+``serialize_key`` then writes the common set and every bin, each in ascending
+index order.
 
 ``block_bits = 0`` yields the degenerate single-bin key: generation is then
 unconstrained and the key carries no payload (``codec.encode`` rejects it).
@@ -60,20 +78,45 @@ BIN_COMMON = -2
 BIN_RESERVED = -1
 
 
+#: splitmix64's increment and its two mix multipliers (see the module docstring).
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
+_TOP = (1 << 64) - 1
+
+
+def _splitmix64(seed: int, count: int) -> np.ndarray:
+    """Draws 1 to ``count`` of the splitmix64 stream from ``seed``, as uint64.
+    Draw k mixes the state ``seed + k * _GAMMA mod 2**64``, so one array pass
+    makes them all (uint64 arrays wrap mod 2**64, without a warning)."""
+    z = np.arange(1, count + 1, dtype=np.uint64)
+    z *= _GAMMA
+    z += seed
+    z ^= z >> 30
+    z *= _MIX[0]
+    z ^= z >> 27
+    z *= _MIX[1]
+    z ^= z >> 31
+    return z
+
+
 def _shuffle(items: list, seed: int) -> None:
-    """Fisher-Yates shuffle of ``items`` in place, driven by a splitmix64 stream
-    from ``seed``; the stream is part of the key format."""
-    mask = (1 << 64) - 1
-    state = seed & mask
-    for i in range(len(items) - 1, 0, -1):
-        limit = (1 << 64) - ((1 << 64) % (i + 1))  # rejection sampling keeps j unbiased
-        z = limit
-        while z >= limit:
-            state = (state + 0x9E3779B97F4A7C15) & mask
-            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-            z ^= z >> 31
-        j = z % (i + 1)
+    """Fisher-Yates shuffle of ``items`` in place, driven by the splitmix64
+    stream from ``seed`` as the module docstring sets out. The draws, the
+    rejection test and the picks of a pass are computed as arrays; only the
+    swaps run one by one. A rejected draw (chance below n**2 / 2**64) shifts
+    every later draw by one, so the pass resumes after it."""
+    bounds = np.arange(len(items), 1, -1, dtype=np.uint64)  # i + 1 for i = n - 1, ..., 1
+    # the largest draw kept, 2**64 - 1 - (2**64 mod (i + 1)): no uint64 wrap
+    top = _TOP - (_TOP % bounds + 1) % bounds
+    picks: list[int] = []
+    while len(picks) < len(bounds):
+        rest = bounds[len(picks):]
+        z = _splitmix64(seed, len(rest))
+        rejected = np.flatnonzero(z > top[len(picks):])
+        kept = int(rejected[0]) if rejected.size else len(rest)
+        picks += (z[:kept] % rest[:kept]).tolist()
+        seed = (seed + (kept + 1) * _GAMMA) & _TOP  # the stream after the rejected draw
+    for i, j in zip(range(len(items) - 1, 0, -1), picks):
         items[i], items[j] = items[j], items[i]
 
 
@@ -203,7 +246,8 @@ def generate_key(
     check_int("common_count", common_count, 0, error=KeyGenError)
     check_int("seed", seed, 0, 1 << 64, KeyGenError)
     num_bins = 1 << block_bits
-    eligible = [i for i, t in enumerate(vocab.tokens) if t not in RESERVED_NONCARRIERS]
+    reserved = vocab.index_array(RESERVED_NONCARRIERS)
+    eligible = np.delete(np.arange(len(vocab)), reserved[reserved >= 0]).tolist()
     common, carriers = eligible[:common_count], eligible[common_count:]
     if len(carriers) < num_bins:
         raise KeyGenError(f"only {len(carriers)} carrier tokens left for {num_bins} bins")

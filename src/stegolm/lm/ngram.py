@@ -68,7 +68,7 @@ class NgramModel(LanguageModel):
         self.config = config
         if len(tables) != config.order:
             raise ConfigError(f"{len(tables)} ngram tables for order {config.order}")
-        size = len(vocab)
+        self._size = size = len(vocab)  # |V|, read on every token
         if size ** min(config.order - 1, 64) >= 2**63:  # min: no huge power for a huge order
             raise ConfigError(f"|V| ** (order - 1) = {size} ** {config.order - 1} is not "
                               f"below 2**63, so a context does not fit one int64 key")
@@ -104,13 +104,14 @@ class NgramModel(LanguageModel):
         return ()
 
     def advance(self, ctx: tuple[int, ...], token_index: int) -> tuple[int, ...]:
-        token_index = self.check_index(token_index)
+        if type(token_index) is not int or not 0 <= token_index < self._size:
+            token_index = self.check_index(token_index)
         if self.config.order == 1:
             return ()
         return (ctx + (token_index,))[-(self.config.order - 1):]
 
     def next_distribution(self, ctx: tuple[int, ...]) -> np.ndarray:
-        k, size, m = self.config.add_k, len(self.vocab), len(ctx)
+        k, size, m = self.config.add_k, self._size, len(ctx)
         if m >= self.config.order:
             raise ValueError(f"context longer than order-1: {m} >= {self.config.order}")
         key = 0
@@ -121,7 +122,8 @@ class NgramModel(LanguageModel):
         runs, _, _, _, successors, counts = self._tables[m]
         a, b, total = runs.get(key, (0, 0, 0))
         denom = total + k * size
-        dist = np.full(size, k / denom)
+        dist = np.empty(size)  # np.full without its Python wrapper
+        dist.fill(k / denom)
         dist[successors[a:b]] += counts[a:b] / denom
         return dist
 
@@ -130,7 +132,7 @@ class NgramModel(LanguageModel):
         full-length contexts of the block at once: their keys are packed together
         and found by one ``searchsorted``. A shorter context (only at the start of
         a stream) is built alone."""
-        k, size, keep = self.config.add_k, len(self.vocab), self.config.order - 1
+        k, size, keep = self.config.add_k, self._size, self.config.order - 1
         ids = np.asarray(ids)
         if ids.size and ids.dtype.kind not in "iu":  # never truncated
             raise ValueError(f"token indices must be integers, not {ids.dtype}")

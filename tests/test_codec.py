@@ -106,6 +106,29 @@ class TestConstrainedSelect:
         second = constrained_select(model, (), key, block, GREEDY, banned={first})
         assert second in set(key.common) and second != first
 
+    @pytest.mark.parametrize("entry", [-528, True, 1.0, 10**6])
+    def test_banned_entries_checked_as_token_indices(self, desk_vocab, entry):
+        # Read as array indices, -528 (|V| = 529), True and 1.0 would each ban
+        # token 1 and 10**6 would raise IndexError; each is no token index.
+        key = generate_key(desk_vocab, 2, 10, seed=7)
+        assert len(desk_vocab) == 529 and 1 in key.common
+        model = FixedModel(desk_vocab, np.full(len(desk_vocab), 1 / len(desk_vocab)))
+        for include_common in (True, False):
+            with pytest.raises(ValueError, match="token index"):
+                constrained_select(model, (), key, BitBlock(0, 2), GREEDY,
+                                   include_common=include_common, banned={entry})
+
+    def test_numpy_integer_banned_entry_is_an_index(self, desk_vocab):
+        key = generate_key(desk_vocab, 2, 10, seed=7)
+        probs = np.full(len(desk_vocab), 0.1 / len(desk_vocab))
+        probs[1] += 0.9
+        model = FixedModel(desk_vocab, probs)
+        block = BitBlock(0, 2)
+        assert constrained_select(model, (), key, block, GREEDY) == 1
+        banned = constrained_select(model, (), key, block, GREEDY, banned={1})
+        assert banned != 1
+        assert constrained_select(model, (), key, block, GREEDY, banned={np.int64(1)}) == banned
+
     def test_allowed_set_is_sorted_bin_plus_unbanned_common(self, mini_vocab, monkeypatch):
         # The order of the allowed set decides which token a seeded SAMPLE
         # draw picks, so it is pinned element for element.

@@ -6,11 +6,16 @@ exits 1. Each run gives every flag an ordinary value but one, which is wild:
 NaN, +-inf, zero, a negative or any moderate value for a float flag, zero or
 a negative for an integer flag. Sizes stay small (a few hundred tokens, an
 LSTM of 4 units trained for one epoch), so the module stays fast.
+
+``keygen`` also has the stronger property: it exits 0 exactly when the object
+its flags feed (``generate_key``) accepts the parsed values, and the file it
+writes then holds them.
 """
 
 import contextlib
 import io
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +23,8 @@ from hypothesis import strategies as st
 
 from stegolm import errors
 from stegolm.cli import main
+from stegolm.corpus import Vocabulary
+from stegolm.keying import generate_key
 
 CORPUS = (
     "the cat sat on the mat .\n"
@@ -119,3 +126,30 @@ def test_eval_capacity_flags(argv):
 @given(flags({"--block-bits": ints(0, 3), "--common": ints(0, 10)}))
 def test_keygen_flags(ws, argv):
     run_cli(f"keygen --vocab {ws['vocab.tsv']} --out {ws['out']} --seed 1 {argv}")
+
+
+@FUZZ
+@given(block_bits=st.integers(-1, 5), common=st.integers(-1, 20),
+       seed=st.one_of(st.sampled_from([0, 2**64 - 1, 2**64, -1]), st.integers(0, 2**64 - 1)))
+def test_keygen_runs_iff_generate_key_accepts(ws, block_bits, common, seed):
+    """``keygen`` exits 0 exactly when ``generate_key`` accepts the parsed flags,
+    and then its key file holds them."""
+    vocab = Vocabulary.load(ws["vocab.tsv"])
+    try:
+        generate_key(vocab, block_bits, common, seed)
+    except errors.KeyGenError:
+        accepted = False
+    else:
+        accepted = True
+    out = Path(ws["out"])
+    out.unlink(missing_ok=True)
+    code = run_cli(f"keygen --vocab {ws['vocab.tsv']} --out {out} --block-bits={block_bits} "
+                   f"--common={common} --seed={seed}")
+    assert (code == 0) == accepted, (code, block_bits, common, seed)
+    if accepted:
+        lines = out.read_text(encoding="utf-8").split("\n")
+        assert lines[1:4] == [f"block_bits: {block_bits}",
+                              f"vocab_hash: {vocab.content_hash()}", f"seed: {seed}"]
+        assert len(lines[4].split("\t")) - 1 == common  # the common line
+    else:
+        assert not out.exists()

@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from stegolm.errors import (
     KeyInvariantError,
     VocabMismatchError,
 )
+from stegolm import keying
 from stegolm.keying import (
     BIN_COMMON,
     BIN_RESERVED,
@@ -372,3 +376,92 @@ class TestSerialization:
         for seed in (-1, 2**64):
             with pytest.raises(KeyFormatError, match="seed"):
                 deserialize_key(data.replace(b"seed: 4", b"seed: %d" % seed), mini_vocab)
+
+
+MASK = 2**64 - 1
+GAMMA, MIX1, MIX2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+STREAM_SEEDS = [0, 1, 2**63, 2**64 - 1]
+
+
+def mix(x: int) -> int:
+    x = ((x ^ (x >> 30)) * MIX1) & MASK
+    x = ((x ^ (x >> 27)) * MIX2) & MASK
+    return x ^ (x >> 31)
+
+
+def unmix(z: int) -> int:
+    """The state that ``mix`` takes to ``z``: each of its steps is a bijection."""
+    def unshift(y: int, s: int) -> int:  # inverse of x ^ (x >> s)
+        x = y
+        for _ in range(64 // s):
+            x = y ^ (x >> s)
+        return x
+    z = unshift(z, 31)
+    z = unshift(z * pow(MIX2, -1, 2**64) & MASK, 27)
+    return unshift(z * pow(MIX1, -1, 2**64) & MASK, 30)
+
+
+def reference_shuffle(items: list, seed: int) -> None:
+    """The key format's Fisher-Yates pass, one splitmix64 draw at a time, as the
+    ``keying`` module docstring states it."""
+    state = seed
+    for i in range(len(items) - 1, 0, -1):
+        limit = 2**64 - 2**64 % (i + 1)
+        z = limit
+        while z >= limit:
+            state = (state + GAMMA) & MASK
+            z = mix(state)
+        j = z % (i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
+class TestKeyStream:
+    def test_splitmix64_reference_values(self):
+        assert keying._splitmix64(0, 3).tolist() == [
+            0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+
+    def test_splitmix64_is_the_scalar_stream(self):
+        for seed in STREAM_SEEDS:
+            want = [mix((seed + k * GAMMA) & MASK) for k in range(1, 6)]
+            assert keying._splitmix64(seed, 5).tolist() == want, seed
+        assert keying._splitmix64(3, 0).tolist() == []
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 3, *(2**p for p in range(2, 13)), 517])
+    def test_shuffle_equals_reference_loop(self, size):
+        rng = random.Random(size)
+        for seed in [*STREAM_SEEDS, *(rng.getrandbits(64) for _ in range(8))]:
+            want, got = list(range(size)), list(range(size))
+            reference_shuffle(want, seed)
+            keying._shuffle(got, seed)
+            assert got == want, seed
+
+    @pytest.mark.parametrize("size, position", [(3, 0), (517, 0), (517, 200), (517, 514)])
+    def test_rejected_draw_shifts_every_later_draw(self, size, position):
+        # The seed whose draw at ``position`` is 2**64 - 1. That draw picks for
+        # i + 1 = size - position, not a power of two, so it is rejected.
+        assert mix(unmix(MASK)) == MASK and 2**64 % (size - position)
+        seed = (unmix(MASK) - (position + 1) * GAMMA) & MASK
+        assert keying._splitmix64(seed, position + 1)[-1] == MASK
+        want, got = list(range(size)), list(range(size))
+        reference_shuffle(want, seed)
+        keying._shuffle(got, seed)
+        assert got == want
+
+    @pytest.mark.parametrize("block_bits, common, seed, eos", [
+        (2, 10, 7, False), (1, 0, 0, True), (4, 3, 2**64 - 1, False)])
+    def test_docstring_derivation_rebuilds_the_key_file(self, desk_vocab, block_bits,
+                                                        common, seed, eos):
+        tokens = desk_vocab.tokens
+        eligible = [i for i, t in enumerate(tokens) if t not in (EOS_TOKEN, UNK_TOKEN)]
+        common_set, carriers = eligible[:common], eligible[common:]
+        if eos:
+            common_set.append(tokens.index(EOS_TOKEN))
+        reference_shuffle(carriers, seed)
+        bins = [sorted(carriers[b::1 << block_bits]) for b in range(1 << block_bits)]
+        lines = ["STEGOKEY v1", f"block_bits: {block_bits}",
+                 f"vocab_hash: {hashlib.sha256(desk_vocab.serialize()).hexdigest()}",
+                 f"seed: {seed}", "\t".join(["common:", *(tokens[i] for i in sorted(common_set))]),
+                 *("\t".join([f"bin {b:0{block_bits}b}:", *(tokens[i] for i in members)])
+                   for b, members in enumerate(bins))]
+        key = generate_key(desk_vocab, block_bits, common, seed, include_eos_common=eos)
+        assert serialize_key(key).decode() == "\n".join(lines) + "\n"

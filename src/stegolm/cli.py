@@ -261,11 +261,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True, help="UTF-8 text, one message per line")
     p.add_argument("--out-tokens", help="write the token stream, one token per line")
     p.add_argument("--out-vocab", required=True, help="write the STEGOVOCAB file")
-    p.add_argument("--lowercase", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--replace-users-urls", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--drop-retweets", action=argparse.BooleanOptionalAction, default=False)
-    p.add_argument("--max-vocab", type=int, default=None)
-    p.add_argument("--min-count", type=int, default=0)
+    p.add_argument("--lowercase", action=argparse.BooleanOptionalAction,
+                   default=CorpusConfig.lowercase)
+    p.add_argument("--replace-users-urls", action=argparse.BooleanOptionalAction,
+                   default=CorpusConfig.replace_users_urls)
+    p.add_argument("--drop-retweets", action=argparse.BooleanOptionalAction,
+                   default=CorpusConfig.drop_retweets)
+    p.add_argument("--max-vocab", type=int, default=CorpusConfig.max_vocab)
+    p.add_argument("--min-count", type=int, default=CorpusConfig.min_count)
     p.set_defaults(func=cmd_prep)
 
     p = sub.add_parser("train", help="train a language model on a token stream")
@@ -273,8 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tokens", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--order", type=int, default=3, help="ngram order")
-    p.add_argument("--add-k", type=float, default=0.05, help="ngram smoothing constant")
+    p.add_argument("--order", type=int, default=NgramConfig.order, help="ngram order")
+    p.add_argument("--add-k", type=float, default=NgramConfig.add_k,
+                   help="ngram smoothing constant")
     p.add_argument("--preset", choices=sorted(PRESETS), default="desk")
     p.add_argument("--layers", type=int)
     p.add_argument("--units", type=int)
@@ -308,11 +312,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", help="payload bytes (default: stdin)")
     p.add_argument("--out", help="rendered stegotext (default: stdout)")
     p.add_argument("--emit-tokens", help="sidecar token file, one token per line")
-    p.add_argument("--mode", choices=[m.value for m in Mode], default="sample")
-    p.add_argument("--temp", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--mode", choices=[m.value for m in Mode], default=GenPolicy.mode.value)
+    p.add_argument("--temp", type=float, default=GenPolicy.temperature)
+    p.add_argument("--seed", type=int, default=GenPolicy.seed)
     p.add_argument("--framing", choices=[f.value for f in Framing], default="length")
-    p.add_argument("--max-common-run", type=int, default=5)
+    p.add_argument("--max-common-run", type=int, default=GenPolicy.max_common_run)
     p.add_argument("--capitalize", action="store_true")
     p.set_defaults(func=cmd_encode)
 
@@ -322,7 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--tokens", help="token sidecar file (canonical input)")
     src.add_argument("--text", help="rendered text file (best-effort re-tokenization)")
-    p.add_argument("--lowercase-text", action=argparse.BooleanOptionalAction, default=True,
+    p.add_argument("--lowercase-text", action=argparse.BooleanOptionalAction,
+                   default=CorpusConfig.lowercase,
                    help="lowercase when re-tokenizing --text input")
     p.add_argument("--framing", choices=[f.value for f in Framing], default="length")
     p.add_argument("--out", help="payload bytes (length framing) or bit string (raw)")

@@ -1,15 +1,19 @@
-"""Corpus ingestion: tokenization, normalization and vocabulary construction.
+r"""Corpus ingestion: tokenization, normalization and vocabulary construction.
 
 The tokenizer is deliberately self-contained (no third-party models) so that
 sender and receiver always agree on the token stream:
 
 * input is one message per line; each newline-terminated message is followed
   by an ``<eos>`` token, empty messages are skipped entirely
-* whitespace chunks that look like URLs become ``<url>`` and chunks starting
-  with ``@`` become ``<user>`` (when ``replace_users_urls`` is on); both
-  checks run on the raw chunk, before any punctuation is detached
-* remaining chunks split into words (letters/digits, internal apostrophes
+* a whitespace chunk (a run of characters that are not ``str.isspace()``)
+  that starts with ``http://``, ``https://`` or ``www.`` (any case) becomes
+  ``<url>`` and one that starts with ``@`` becomes ``<user>``, if more follows
+  the prefix and ``replace_users_urls`` is on. Both rules see the whole chunk,
+  before any punctuation is detached: in ``_TOKEN_RE``, ``(?<!\S)`` starts
+  them only at a chunk's start and ``\S+`` runs to its end
+* everything else splits into words (letters/digits, internal apostrophes
   allowed) and single punctuation characters
+* with ``lowercase`` on, every token is lowercased
 * with ``drop_retweets`` on, messages whose first token is ``rt`` (any case)
   are dropped wholesale
 
@@ -44,8 +48,10 @@ RESERVED_NONCARRIERS = (EOS_TOKEN, UNK_TOKEN)
 
 VOCAB_HEADER = "STEGOVOCAB v1"
 
-_URL_RE = re.compile(r"^(?:https?://|www\.)\S+$", re.IGNORECASE)
-_WORD_OR_PUNCT_RE = re.compile(r"\w+(?:'\w+)*|[^\w\s]")
+_WORD_OR_PUNCT = r"\w+(?:'\w+)*|[^\w\s]"
+_WORD_OR_PUNCT_RE = re.compile(_WORD_OR_PUNCT)
+#: ``findall`` groups: (url, user, word-or-punctuation).
+_TOKEN_RE = re.compile(rf"(?<!\S)((?i:https?://|www\.)\S+)|(?<!\S)(@\S+)|({_WORD_OR_PUNCT})")
 
 
 @dataclass(frozen=True)
@@ -73,43 +79,24 @@ def check_token(surface: str) -> str:
     return surface
 
 
-def _tokenize_chunk(chunk: str, config: CorpusConfig) -> list[str]:
-    if config.replace_users_urls:
-        if _URL_RE.match(chunk):
-            return [URL_TOKEN]
-        if chunk.startswith("@") and len(chunk) > 1:
-            return [USER_TOKEN]
-    return _WORD_OR_PUNCT_RE.findall(chunk)
-
-
-def _tokenize_message(message: str, config: CorpusConfig) -> list[str]:
-    tokens: list[str] = []
-    for chunk in message.split():
-        tokens.extend(_tokenize_chunk(chunk, config))
-    if config.drop_retweets and tokens and tokens[0].lower() == "rt":
-        return []
-    if config.lowercase:
-        tokens = [t if t in (USER_TOKEN, URL_TOKEN) else t.lower() for t in tokens]
-    return tokens
-
-
 def tokenize(raw_text: str, config: CorpusConfig = CorpusConfig()) -> list[str]:
     """Tokenize raw text (one message per line) into a flat token sequence.
 
     Newline-terminated messages are followed by ``<eos>``; text after the
     final newline is treated as an unterminated message and gets no ``<eos>``.
     """
-    if not raw_text:
-        return []
     lines = raw_text.split("\n")
-    terminated = [True] * (len(lines) - 1) + [False]
     out: list[str] = []
-    for line, has_eos in zip(lines, terminated):
-        tokens = _tokenize_message(line, config)
-        if not tokens:
+    for number, line in enumerate(lines, 1):
+        if config.replace_users_urls:
+            tokens = [URL_TOKEN if url else USER_TOKEN if user else word
+                      for url, user, word in _TOKEN_RE.findall(line)]
+        else:
+            tokens = _WORD_OR_PUNCT_RE.findall(line)
+        if not tokens or (config.drop_retweets and tokens[0].lower() == "rt"):
             continue
-        out.extend(tokens)
-        if has_eos:
+        out.extend([t.lower() for t in tokens] if config.lowercase else tokens)
+        if number < len(lines):
             out.append(EOS_TOKEN)
     return out
 
@@ -174,24 +161,20 @@ class Vocabulary:
         int64 array filled in one pass, with no list between."""
         return np.fromiter(map(self._index.get, surfaces, repeat(-1)), np.int64, len(surfaces))
 
-    def indices(self, surfaces: Sequence[str]) -> list[int]:
-        """``index_array`` as a list of ints."""
-        return self.index_array(surfaces).tolist()
-
-    def index_or_unk(self, surface: str) -> int:
-        return self.indices_or_unk((surface,))[0]
-
-    def indices_or_unk(self, surfaces: Iterable[str]) -> list[int]:
-        """Index of every surface, <unk>'s for a surface outside the vocabulary
+    def indices_or_unk(self, surfaces: Sequence[str]) -> np.ndarray:
+        """``index_array`` with <unk>'s index for a surface outside the vocabulary
         (``CorpusError`` for one if the vocabulary has no <unk>)."""
-        get = self._index.get
-        unk = get(UNK_TOKEN)
-        ids = [get(surface, unk) for surface in surfaces]
-        if unk is None and None in ids:
-            self.index_of(UNK_TOKEN)  # raises: nothing to fold the surface into
+        ids = self.index_array(surfaces)
+        outside = ids < 0
+        if outside.any():
+            ids[outside] = self.index_of(UNK_TOKEN)  # raises: nothing to fold the surface into
         return ids
 
     def token(self, index: int) -> str:
+        """Surface at ``index``, an integer (Python or numpy; never a bool or a
+        float) in ``[0, |V|)``; otherwise ``CorpusError``."""
+        if type(index) is not int and not isinstance(index, np.integer):
+            raise CorpusError(f"token index must be an integer, not {index!r}")
         if not 0 <= index < len(self.tokens):
             raise CorpusError(f"token index out of range: {index}")
         return self.tokens[index]

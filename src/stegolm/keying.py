@@ -148,7 +148,7 @@ class StegoKey:
         slots.flags.writeable = False
         object.__setattr__(self, "slot_array", slots)
         object.__setattr__(self, "_allowed", {})
-        eos, unk = vocab.indices((EOS_TOKEN, UNK_TOKEN))
+        eos, unk = vocab.index_array((EOS_TOKEN, UNK_TOKEN)).tolist()
         # <eos> may join the common set (lets generation end messages); <unk> never.
         if (unk >= 0 and slots[unk] != BIN_RESERVED) or (eos >= 0 and slots[eos] >= 0):
             raise KeyInvariantError(f"{UNK_TOKEN} must be reserved, {EOS_TOKEN} in no bin")

@@ -413,7 +413,7 @@ def train_lstm(tokens: Sequence[str], vocab: Vocabulary, hp: LstmHyperparams,
             f"corpus of {len(tokens)} tokens is smaller than "
             f"unroll_steps*batch_size = {hp.unroll_steps * hp.batch_size}"
         )
-    ids = np.asarray(vocab.indices_or_unk(tokens), dtype=np.int64)
+    ids = vocab.indices_or_unk(tokens)
     split = int(round(len(ids) * (1.0 - VAL_FRACTION)))
     train_data = _batchify(ids[:split], hp.batch_size)
     val_batch = max(1, min(hp.batch_size, len(ids[split:]) // (hp.unroll_steps + 1)))

@@ -37,7 +37,7 @@ from .base import LanguageModel
 @dataclass(frozen=True)
 class NgramConfig:
     order: int = 3
-    add_k: float = 0.01
+    add_k: float = 0.05
 
     def __post_init__(self):
         check_int("order", self.order, 1)
@@ -248,7 +248,7 @@ def train_ngram(tokens: Sequence[str], vocab: Vocabulary,
     if not tokens:
         raise TrainingError("cannot train an n-gram model on an empty stream")
     n = config.order
-    ids = np.asarray(vocab.indices_or_unk(tokens), dtype=np.int64)
+    ids = vocab.indices_or_unk(tokens)
     # windows[i] holds the n ids that end at token i, padded on the left with -1
     windows = np.lib.stride_tricks.sliding_window_view(np.r_[np.full(n - 1, -1), ids], n)
     keys = np.min_scalar_type(len(vocab))  # holds every index; radix-sorted up to 16 bits

@@ -87,7 +87,7 @@ class CapacityReport:
 def _stream_ids(vocab: Vocabulary, tokens: Sequence[str]) -> list[int]:
     if not tokens:
         raise CorpusError("cannot evaluate an empty token stream")
-    return vocab.indices_or_unk(tokens)
+    return vocab.indices_or_unk(tokens).tolist()  # LstmModel.advance memoises Python ints only
 
 
 #: Positions ``_score`` takes from one ``next_distributions`` call: a block

@@ -98,7 +98,7 @@ def fixture_vocab() -> Vocabulary:
 def fixture_key(fixture_vocab) -> StegoKey:
     slots = np.full(len(fixture_vocab), BIN_RESERVED)
     for value, surfaces in FIXTURE_BINS.items():
-        slots[fixture_vocab.indices(surfaces)] = value
+        slots[fixture_vocab.index_array(surfaces)] = value
     return StegoKey(block_bits=2, slot_array=slots, seed=0, vocab=fixture_vocab)
 
 

@@ -15,7 +15,7 @@ from conftest import int_respellings
 import stegolm
 from stegolm.cli import build_parser, main
 from stegolm.corpus import Vocabulary
-from stegolm.lm import LstmHyperparams, LstmModel, load_model, save_model
+from stegolm.lm import LstmHyperparams, LstmModel, NgramConfig, load_model, save_model
 from stegolm.lm.lstm import init_params
 
 # Child interpreters import the same stegolm as this process, installed or not.
@@ -237,6 +237,13 @@ def test_clip_norm_flag(workspace, tmp_path, clip):
     vocab = Vocabulary.load(workspace / "vocab.tsv")
     model = load_model(tmp_path / "lstm.slm", vocab)
     assert model.hp.clip_norm == (float(clip) or None)
+
+
+def test_train_ngram_defaults_are_ngram_config_defaults(workspace, tmp_path):
+    assert main(["train", "--backend", "ngram", "--tokens", str(workspace / "tokens.txt"),
+                 "--vocab", str(workspace / "vocab.tsv"), "--out", str(tmp_path / "m.slm")]) == 0
+    model = load_model(tmp_path / "m.slm", Vocabulary.load(workspace / "vocab.tsv"))
+    assert model.config == NgramConfig()
 
 
 def test_stdin_stdout_piping(workspace, tmp_path):

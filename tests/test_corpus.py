@@ -1,6 +1,9 @@
+import itertools
+import re
 import runpy
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +25,61 @@ from stegolm.corpus import (
 from stegolm.errors import CorpusError, VocabFormatError
 from stegolm.keying import generate_key, load_key, save_key
 from stegolm.lm.store import load_model, save_model
+
+_URL_RE = re.compile(r"^(?:https?://|www\.)\S+$", re.IGNORECASE)
+_WORD_OR_PUNCT_RE = re.compile(r"\w+(?:'\w+)*|[^\w\s]")
+
+
+def _tokenize_chunk(chunk: str, config: CorpusConfig) -> list[str]:
+    if config.replace_users_urls:
+        if _URL_RE.match(chunk):
+            return [URL_TOKEN]
+        if chunk.startswith("@") and len(chunk) > 1:
+            return [USER_TOKEN]
+    return _WORD_OR_PUNCT_RE.findall(chunk)
+
+
+def _tokenize_message(message: str, config: CorpusConfig) -> list[str]:
+    tokens: list[str] = []
+    for chunk in message.split():
+        tokens.extend(_tokenize_chunk(chunk, config))
+    if config.drop_retweets and tokens and tokens[0].lower() == "rt":
+        return []
+    if config.lowercase:
+        tokens = [t if t in (USER_TOKEN, URL_TOKEN) else t.lower() for t in tokens]
+    return tokens
+
+
+def reference_tokenize(raw_text: str, config: CorpusConfig) -> list[str]:
+    """The tokenizer ``tokenize`` must equal: split each message into whitespace
+    chunks, test each whole chunk for a URL or a mention, split the rest."""
+    if not raw_text:
+        return []
+    lines = raw_text.split("\n")
+    terminated = [True] * (len(lines) - 1) + [False]
+    out: list[str] = []
+    for line, has_eos in zip(lines, terminated):
+        tokens = _tokenize_message(line, config)
+        if not tokens:
+            continue
+        out.extend(tokens)
+        if has_eos:
+            out.append(EOS_TOKEN)
+    return out
+
+
+#: Every combination of the switches ``tokenize`` reads.
+SWITCHES = [CorpusConfig(lowercase=a, replace_users_urls=b, drop_retweets=c)
+            for a, b, c in itertools.product([True, False], repeat=3)]
+#: Pieces where the chunk rules, case and whitespace meet: every code point
+#: str.isspace() calls whitespace, URL prefixes in mixed case, mentions, retweet
+#: marks, apostrophes, characters that case-insensitive matching or lowercasing
+#: takes to ASCII or to more than one character (İ, long s, the ff ligature, the
+#: Kelvin sign) and combining marks.
+PIECES = ([chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+          + ["http://", "HTTPS://", "hTtPs://", "wWw.", "www", "httpſ://", "@", "@@", "rt",
+             "RT", "Rt", "'", "İ", "ſ", "ﬀ", "\u212a", "\u0301", "\u0308", "a", "Z", "7", "_",
+             ".", ",", "!", "-", "<url>", "é"])
 
 
 class TestTokenize:
@@ -62,6 +120,17 @@ class TestTokenize:
 
     def test_url_must_cover_whole_chunk(self):
         assert tokenize("nothttp://x.co") != [URL_TOKEN]
+
+    @given(st.lists(st.one_of(st.sampled_from(PIECES), st.characters()), max_size=24))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_per_chunk_reference(self, pieces):
+        text = "".join(pieces)
+        for config in SWITCHES:
+            assert tokenize(text, config) == reference_tokenize(text, config), config
+
+    @pytest.mark.parametrize("config", SWITCHES)
+    def test_desk_corpus_equals_the_per_chunk_reference(self, desk_text, config):
+        assert tokenize(desk_text, config) == reference_tokenize(desk_text, config)
 
     @given(st.text(max_size=300))
     @settings(max_examples=80)
@@ -195,23 +264,31 @@ class TestVocabulary:
         with pytest.raises(CorpusError):
             mini_vocab.index_of("never-seen")
 
-    def test_index_or_unk(self, mini_vocab):
-        assert mini_vocab.index_or_unk("never-seen") == mini_vocab.index_of(UNK_TOKEN)
+    @pytest.mark.parametrize("index, surface", [(np.int64(1), "b"), (True, None), (1.0, None),
+                                                (1.5, None), (-1, None), (5, None)])
+    def test_token_index_is_an_integer_in_range(self, index, surface):
+        vocab = Vocabulary(("a", "b", "c", "d", "e"), (5, 4, 3, 2, 1))
+        if surface is None:
+            with pytest.raises(CorpusError, match="token index"):
+                vocab.token(index)
+        else:
+            assert vocab.token(index) == surface
 
     def test_indices_or_unk(self, mini_vocab, mini_tokens):
         surfaces = [*mini_tokens[:50], "never-seen", UNK_TOKEN, "also-unseen"]
+        unk = mini_vocab.index_of(UNK_TOKEN)
         ids = mini_vocab.indices_or_unk(surfaces)
-        assert ids == [mini_vocab.index_or_unk(surface) for surface in surfaces]
-        assert all(type(i) is int for i in ids)
-        assert ids[-3:] == [mini_vocab.index_of(UNK_TOKEN)] * 3
-        assert mini_vocab.indices_or_unk([]) == []
+        assert ids.dtype == np.int64
+        assert ids.tolist() == [mini_vocab.index_of(s) if s in mini_vocab else unk
+                                for s in surfaces]
+        assert ids[-3:].tolist() == [unk] * 3
+        assert mini_vocab.indices_or_unk([]).tolist() == []
 
     def test_oov_without_unk_raises(self):
         vocab = Vocabulary(("a", "b"), (2, 1))
-        assert vocab.indices_or_unk(["b", "a"]) == [1, 0]
-        for call in (lambda: vocab.indices_or_unk(["a", "c"]), lambda: vocab.index_or_unk("c")):
-            with pytest.raises(CorpusError, match="token not in vocabulary: '<unk>'"):
-                call()
+        assert vocab.indices_or_unk(["b", "a"]).tolist() == [1, 0]
+        with pytest.raises(CorpusError, match="token not in vocabulary: '<unk>'"):
+            vocab.indices_or_unk(["a", "c"])
 
 
 def test_token_whitespace_is_what_isspace_calls_whitespace():

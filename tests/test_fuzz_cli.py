@@ -7,13 +7,16 @@ NaN, +-inf, zero, a negative or any moderate value for a float flag, zero or
 a negative for an integer flag. Sizes stay small (a few hundred tokens, an
 LSTM of 4 units trained for one epoch), so the module stays fast.
 
-``keygen`` also has the stronger property: it exits 0 exactly when the object
-its flags feed (``generate_key``) accepts the parsed values, and the file it
-writes then holds them.
+``keygen``, ``train --backend ngram`` and ``encode`` also have the stronger
+property: each exits 0 exactly when the objects its flags feed (``generate_key``;
+``NgramConfig`` and ``NgramModel``; ``GenPolicy``) accept the parsed values, and
+writes its file only then; the key and model files hold the values.
 """
 
 import contextlib
 import io
+import itertools
+import math
 import re
 from pathlib import Path
 
@@ -23,8 +26,10 @@ from hypothesis import strategies as st
 
 from stegolm import errors
 from stegolm.cli import main
+from stegolm.codec import GenPolicy
 from stegolm.corpus import Vocabulary
 from stegolm.keying import generate_key
+from stegolm.lm import NgramConfig, NgramModel, load_model
 
 CORPUS = (
     "the cat sat on the mat .\n"
@@ -34,6 +39,8 @@ CORPUS = (
 ) * 12
 
 SPECIAL = st.sampled_from(["nan", "inf", "-inf", "0", "-0.0", "-1"])
+#: Edges of a real flag: the specials above and the smallest subnormal.
+REAL_EDGES = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 5e-324])
 FUZZ = settings(max_examples=30, deadline=None)
 # A numpy RuntimeWarning is an extra stderr line outside the contract.
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -153,3 +160,53 @@ def test_keygen_runs_iff_generate_key_accepts(ws, block_bits, common, seed):
         assert len(lines[4].split("\t")) - 1 == common  # the common line
     else:
         assert not out.exists()
+
+
+def accepts(build) -> bool:
+    """Whether ``build()`` returns rather than raising a ``StegolmError``."""
+    try:
+        build()
+    except errors.StegolmError:
+        return False
+    return True
+
+
+@FUZZ
+@given(data=st.data(), add_k=st.one_of(REAL_EDGES, st.floats(-1, 3)))
+def test_train_ngram_runs_iff_ngram_config_and_model_accept(ws, data, add_k):
+    """``train --backend ngram`` exits 0 exactly when ``NgramConfig`` and
+    ``NgramModel`` accept the parsed ``--order`` and ``--add-k`` (an order is
+    refused from the first with ``|V| ** (order - 1) >= 2**63``), and then its
+    model file holds them."""
+    vocab = Vocabulary.load(ws["vocab.tsv"])
+    limit = next(n for n in itertools.count(1) if len(vocab) ** (n - 1) >= 2**63)
+    order = data.draw(st.one_of(st.sampled_from([0, 1, limit - 1, limit]),
+                                st.integers(-1, limit + 1)))
+    accepted = accepts(lambda: NgramModel(vocab, NgramConfig(order, add_k), [([], [])] * order))
+    out = Path(ws["out"])
+    out.unlink(missing_ok=True)
+    code = run_cli(f"train --backend ngram --tokens {ws['tokens.txt']} --vocab {ws['vocab.tsv']} "
+                   f"--out {out} --order={order} --add-k={add_k!r}")
+    assert (code == 0) == accepted, (code, order, add_k)
+    if accepted:
+        assert load_model(out, vocab).config == NgramConfig(order, add_k)
+    else:
+        assert not out.exists()
+
+
+@FUZZ
+@given(temp=st.one_of(REAL_EDGES, st.floats(-1, 1e300)),
+       seed=st.one_of(st.sampled_from([0, 2**64 - 1, 2**64, -1]), st.integers(-3, 2**70)),
+       max_common_run=st.integers(-1, 6))
+def test_encode_runs_iff_gen_policy_accepts(ws, temp, seed, max_common_run):
+    """``encode`` exits 0 exactly when ``GenPolicy`` accepts the parsed
+    ``--temp``, ``--seed`` and ``--max-common-run``."""
+    accepted = accepts(lambda: GenPolicy(temperature=temp, seed=seed,
+                                         max_common_run=max_common_run))
+    out = Path(ws["out"])
+    out.unlink(missing_ok=True)
+    code = run_cli(f"encode --vocab {ws['vocab.tsv']} --key {ws['key.sk']} "
+                   f"--model {ws['model.slm']} --in {ws['payload.bin']} --out {out} "
+                   f"--temp={temp!r} --seed={seed} --max-common-run={max_common_run}")
+    assert (code == 0) == accepted, (code, temp, seed, max_common_run)
+    assert out.exists() == accepted

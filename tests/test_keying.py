@@ -260,7 +260,7 @@ class TestKeyInvariants:
         assert StegoKey(1, slots.astype(np.int8), key.seed, vocab) == key
 
     def test_sentinels_stay_reserved(self, fixture_vocab, fixture_key):
-        eos, unk = fixture_vocab.indices([EOS_TOKEN, UNK_TOKEN])
+        eos, unk = fixture_vocab.index_array([EOS_TOKEN, UNK_TOKEN]).tolist()
         for idx, slot in ((unk, BIN_COMMON), (unk, 0), (eos, 0)):
             slots = fixture_key.lookup_array().copy()
             slots[idx] = slot

@@ -517,7 +517,7 @@ class TestPersistence:
     def test_ngram_roundtrip_preserves_counts(self, mini_tokens, mini_vocab, mini_bigram):
         data = serialize_model(mini_bigram)
         again = deserialize_model(data, mini_vocab)
-        ids = [mini_vocab.index_or_unk(t) for t in mini_tokens]
+        ids = mini_vocab.indices_or_unk(mini_tokens).tolist()
         stream = [Counter(tuple(ids[i - m:i + 1]) for i in range(m, len(ids))) for m in range(2)]
         for model in (mini_bigram, again):
             tables = json.loads(model.to_payload())["tables"]

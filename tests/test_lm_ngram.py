@@ -106,7 +106,7 @@ class TestNgram:
     def test_empty_context_backoff_is_unigram(self, mini_bigram, mini_tokens):
         trigram_like = mini_bigram
         uni = trigram_like.next_distribution(())
-        ids = [trigram_like.vocab.index_or_unk(t) for t in mini_tokens]
+        ids = trigram_like.vocab.indices_or_unk(mini_tokens)
         counts = np.bincount(ids, minlength=len(trigram_like.vocab)).astype(float)
         k = trigram_like.config.add_k
         expected = (counts + k) / (counts.sum() + k * len(counts))
@@ -144,7 +144,7 @@ class TestNgram:
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_distribution_equals_dict_loop_reference(self, mini_tokens, mini_vocab, order):
         model = train_ngram(mini_tokens, mini_vocab, NgramConfig(order=order, add_k=0.07))
-        counts = count_ngrams([mini_vocab.index_or_unk(t) for t in mini_tokens], order)
+        counts = count_ngrams(mini_vocab.indices_or_unk(mini_tokens).tolist(), order)
         contexts = [dict.fromkeys(g[:-1] for g in table) for table in counts]  # as first seen
         rng = np.random.default_rng(order)
         seen = [ctx for table in contexts for ctx in list(table)[:40]]
@@ -365,7 +365,7 @@ class TestBlockPath:
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_every_context_length(self, order, mini_tokens, mini_vocab):
-        ids = mini_vocab.indices(mini_tokens[:60])
+        ids = mini_vocab.index_array(mini_tokens[:60]).tolist()
         for model in (train_ngram(mini_tokens, mini_vocab, NgramConfig(order, 0.07)),
                       untrained(mini_vocab, NgramConfig(order, 0.07))):
             for length in range(order):
@@ -443,7 +443,7 @@ class TestContextKeyLimit:
         model = train_ngram(tokens + [words[4]] * 40, vocab, NgramConfig(order=28))
         data = serialize_model(model)
         assert serialize_model(deserialize_model(data, vocab)) == data
-        ids = vocab.indices(tokens[:30]) + [4] * 40  # up to the largest key, 5**27 - 1
+        ids = vocab.index_array(tokens[:30]).tolist() + [4] * 40  # up to the largest key, 5**27 - 1
         check_block_path(model, (), ids)
         check_block_path(model, tuple(ids[:27]), ids[27:])
 

@@ -266,7 +266,7 @@ def per_token_report(model, tokens, key=None):
     scores one position at a time: ``next_distribution`` and, under ``key``,
     ``stego_word_prob``, skipping reserved sentinels unless the key is vacuous."""
     ctx, total, scored, skipped, infinite = model.initial_context(), 0.0, 0, 0, []
-    for position, idx in enumerate(map(model.vocab.index_or_unk, tokens)):
+    for position, idx in enumerate(model.vocab.indices_or_unk(tokens).tolist()):
         if key is not None and not is_vacuous(key) and key.lookup_array()[idx] == BIN_RESERVED:
             skipped += 1
         else:
@@ -323,7 +323,7 @@ class TestBlockScoring:
         shuffled = [str(t) for t in np.random.default_rng(order).permutation(held)]
         for position in (10, 100, BLOCK):
             shuffled[position] = UNK_TOKEN
-        ids = desk_vocab.indices(shuffled)
+        ids = desk_vocab.index_array(shuffled).tolist()
         # from the start of the stream (short contexts) and from a full-length context
         for ctx in ((), tuple(ids[:order - 1])):
             probs = check_rows(model, ctx, ids, exact=True)
@@ -345,7 +345,7 @@ class TestBlockScoring:
         params = {name: 10 * array for name, array in init_params(len(desk_vocab), hp, 3).items()}
         model = LstmModel(desk_vocab, hp, params)  # larger weights than training starts from
         tokens = desk_tokens[:length]
-        check_rows(model, model.initial_context(), desk_vocab.indices(tokens), exact=False)
+        check_rows(model, model.initial_context(), desk_vocab.index_array(tokens).tolist(), exact=False)
         check_block_scoring(model, tokens,
                             [generate_key(desk_vocab, b, c, 9) for b, c in KEY_SHAPES])
 
@@ -372,7 +372,7 @@ class TestBlockScoring:
         # be the full stego distribution's entry, and the report the mean of -ln
         # of exactly these values in stream order
         tokens = desk_tokens[-BLOCK:]
-        ids = [desk_vocab.index_or_unk(token) for token in tokens]
+        ids = desk_vocab.indices_or_unk(tokens).tolist()
         probs, _ = desk_trigram.next_distributions((), ids)
         t = np.arange(len(ids))
         assert np.array_equal(_word_probs(probs, ids, None), probs[t, ids])

@@ -169,11 +169,10 @@ def cmd_decode(args) -> int:
             t for t in corpus.tokenize(raw, CorpusConfig(lowercase=args.lowercase_text))
             if t != corpus.EOS_TOKEN
         ]
-    framing = Framing(args.framing)
-    if framing is Framing.LENGTH_PREFIXED:
+    if Framing(args.framing) is Framing.LENGTH_PREFIXED:
         _write(args.out, codec.decode_payload(tokens, key))
     else:
-        _write(args.out, (codec.decode(tokens, key, framing) + "\n").encode("ascii"))
+        _write(args.out, (codec.decode(tokens, key) + "\n").encode("ascii"))
     return 0
 
 
@@ -224,8 +223,7 @@ def cmd_roundtrip(args) -> int:
         block_bits = int(rng.integers(1, 4))
         common = int(rng.choice([0, 10]))
         key = keying.generate_key(vocab, block_bits, common, seed=int(rng.integers(1 << 30)))
-        payload = Payload(rng.bytes(int(rng.integers(1, args.max_bytes + 1))),
-                          Framing.LENGTH_PREFIXED)
+        payload = Payload(rng.bytes(int(rng.integers(1, args.max_bytes + 1))))
         policy = GenPolicy(
             mode=Mode.SAMPLE if trial % 2 else Mode.GREEDY,
             seed=int(rng.integers(1 << 30)),
@@ -234,7 +232,7 @@ def cmd_roundtrip(args) -> int:
         stegotext = codec.encode(payload, key, model, policy)
         if codec.decode_payload(stegotext.tokens, key) == payload.data:
             successes += 1
-        elif args.verbose:
+        else:
             print(f"trial {trial}: MISMATCH", file=sys.stderr)
     print(f"{successes}/{args.trials} successes")
     return 0 if successes == args.trials else 1
@@ -315,7 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=[m.value for m in Mode], default=GenPolicy.mode.value)
     p.add_argument("--temp", type=float, default=GenPolicy.temperature)
     p.add_argument("--seed", type=int, default=GenPolicy.seed)
-    p.add_argument("--framing", choices=[f.value for f in Framing], default="length")
+    p.add_argument("--framing", choices=[f.value for f in Framing],
+                   default=Payload.framing.value)
     p.add_argument("--max-common-run", type=int, default=GenPolicy.max_common_run)
     p.add_argument("--capitalize", action="store_true")
     p.set_defaults(func=cmd_encode)
@@ -329,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lowercase-text", action=argparse.BooleanOptionalAction,
                    default=CorpusConfig.lowercase,
                    help="lowercase when re-tokenizing --text input")
-    p.add_argument("--framing", choices=[f.value for f in Framing], default="length")
+    p.add_argument("--framing", choices=[f.value for f in Framing],
+                   default=Payload.framing.value)
     p.add_argument("--out", help="payload bytes (length framing) or bit string (raw)")
     p.set_defaults(func=cmd_decode)
 
@@ -353,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-bytes", type=int, default=32)
     p.add_argument("--backend", choices=["ngram", "lstm", "both"], default="ngram")
-    p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_roundtrip)
     return parser
 

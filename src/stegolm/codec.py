@@ -9,14 +9,15 @@ within the run, which guarantees termination under greedy selection. Every
 emitted token, common or carrier, advances the model context. Generation
 starts from the model's initial state after consuming ``<eos>``.
 
-Decoding needs no language model: drop common tokens, write each carrier's
-slot (its bin index) as bits. With RAW framing the payload boundary is
-implicit (trailing bits that do not fill a block are never encoded); with
-LENGTH framing a 32-bit big-endian bit count is prepended and the tail is
-zero-padded to a block boundary, so the exact byte payload is recoverable.
+Decoding needs no language model: ``decode``, the inverse of ``encode_bits``,
+drops common tokens and writes each carrier's slot (its bin index) as bits.
+Framing is written by ``payload_to_bits`` and read by ``decode_payload`` only.
+RAW leaves the payload boundary implicit (trailing bits short of a block are
+never encoded); LENGTH, the default, prepends a 32-bit big-endian bit count
+and zero-pads the tail to a block boundary, so the exact bytes come back.
 Tokens become slots in one pass (``StegoKey.slots``), the carriers' slots
-become the bit string in a few array operations, and ``decode_payload`` turns
-the framed bits into bytes in one integer conversion (``bits_to_bytes``).
+become the bit string in a few array operations, and the framed bits become
+bytes in one integer conversion (``bits_to_bytes``).
 
 Bit order is fixed: most significant bit first within each byte, and the
 leftmost bit of a block is its most significant when indexing bins.
@@ -51,7 +52,7 @@ class Payload:
     """Secret bytes plus the framing rule used to delimit them."""
 
     data: bytes
-    framing: Framing = Framing.RAW
+    framing: Framing = Framing.LENGTH_PREFIXED
 
     def __post_init__(self):
         if not isinstance(self.data, bytes):
@@ -246,17 +247,19 @@ def encode(
     return encode_bits(payload_to_bits(payload, key.block_bits), key, model, policy)
 
 
-def decode(tokens, key: StegoKey, framing: Framing = Framing.RAW) -> str:
-    """Recover the embedded bit string from a token sequence (no model needed)."""
-    if not isinstance(framing, Framing):
-        raise ConfigError(f"framing must be a Framing, not {framing!r}")
+def decode(tokens, key: StegoKey) -> str:
+    """The carrier bit string of a token sequence (no model needed): ``encode_bits`` inverted."""
     slots = key.slots(tokens)
     carriers = slots[slots >= 0]
     shifts = np.arange(key.block_bits - 1, -1, -1)
     digits = ((carriers[:, None] >> shifts) & 1).astype(np.uint8) + ord("0")
-    bits = digits.tobytes().decode("ascii")
-    if framing is Framing.RAW:
-        return bits
+    return digits.tobytes().decode("ascii")
+
+
+def decode_payload(tokens, key: StegoKey) -> bytes:
+    """Recover the exact byte payload of a LENGTH-framed encoding: the one
+    reader of the header ``payload_to_bits`` writes."""
+    bits = decode(tokens, key)
     if len(bits) < LENGTH_HEADER_BITS:
         raise DecodeError(
             f"only {len(bits)} bits decoded; the {LENGTH_HEADER_BITS}-bit length header is incomplete"
@@ -267,15 +270,9 @@ def decode(tokens, key: StegoKey, framing: Framing = Framing.RAW) -> str:
             f"header declares {declared} payload bits but only "
             f"{len(bits) - LENGTH_HEADER_BITS} are present"
         )
-    return bits[LENGTH_HEADER_BITS:LENGTH_HEADER_BITS + declared]
-
-
-def decode_payload(tokens, key: StegoKey) -> bytes:
-    """Recover the exact byte payload of a LENGTH-framed encoding."""
-    bits = decode(tokens, key, Framing.LENGTH_PREFIXED)
-    if len(bits) % 8:
-        raise DecodeError(f"declared payload of {len(bits)} bits is not byte-aligned")
-    return bits_to_bytes(bits)
+    if declared % 8:
+        raise DecodeError(f"declared payload of {declared} bits is not byte-aligned")
+    return bits_to_bytes(bits[LENGTH_HEADER_BITS:LENGTH_HEADER_BITS + declared])
 
 
 def render(tokens, *, capitalize: bool = False) -> str:

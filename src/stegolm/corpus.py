@@ -85,17 +85,18 @@ def tokenize(raw_text: str, config: CorpusConfig = CorpusConfig()) -> list[str]:
     Newline-terminated messages are followed by ``<eos>``; text after the
     final newline is treated as an unterminated message and gets no ``<eos>``.
     """
+    lower = str.lower if config.lowercase else str  # str(s) is s
     lines = raw_text.split("\n")
     out: list[str] = []
     for number, line in enumerate(lines, 1):
-        if config.replace_users_urls:
-            tokens = [URL_TOKEN if url else USER_TOKEN if user else word
+        if config.replace_users_urls:  # the sentinels themselves, never lowered copies
+            tokens = [URL_TOKEN if url else USER_TOKEN if user else lower(word)
                       for url, user, word in _TOKEN_RE.findall(line)]
         else:
-            tokens = _WORD_OR_PUNCT_RE.findall(line)
+            tokens = list(map(lower, _WORD_OR_PUNCT_RE.findall(line)))
         if not tokens or (config.drop_retweets and tokens[0].lower() == "rt"):
             continue
-        out.extend([t.lower() for t in tokens] if config.lowercase else tokens)
+        out.extend(tokens)
         if number < len(lines):
             out.append(EOS_TOKEN)
     return out

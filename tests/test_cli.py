@@ -13,8 +13,11 @@ import pytest
 
 from conftest import int_respellings
 import stegolm
+from stegolm import codec
 from stegolm.cli import build_parser, main
-from stegolm.corpus import Vocabulary
+from stegolm.codec import GenPolicy, Payload
+from stegolm.corpus import Vocabulary, read_token_file
+from stegolm.keying import load_key
 from stegolm.lm import LstmHyperparams, LstmModel, NgramConfig, load_model, save_model
 from stegolm.lm.lstm import init_params
 
@@ -216,6 +219,14 @@ def test_roundtrip_subcommand(capsys):
     assert "8/8 successes" in capsys.readouterr().out
 
 
+def test_roundtrip_names_each_mismatched_trial(monkeypatch, capsys):
+    monkeypatch.setattr(codec, "decode_payload", lambda tokens, key: b"wrong")
+    assert main(["roundtrip", "--trials", "2", "--seed", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert "0/2 successes" in out
+    assert err.splitlines() == ["trial 0: MISMATCH", "trial 1: MISMATCH"]
+
+
 def test_lstm_training_via_cli(workspace, tmp_path):
     assert main([
         "train", "--backend", "lstm", "--tokens", str(workspace / "tokens.txt"),
@@ -244,6 +255,26 @@ def test_train_ngram_defaults_are_ngram_config_defaults(workspace, tmp_path):
                  "--vocab", str(workspace / "vocab.tsv"), "--out", str(tmp_path / "m.slm")]) == 0
     model = load_model(tmp_path / "m.slm", Vocabulary.load(workspace / "vocab.tsv"))
     assert model.config == NgramConfig()
+
+
+def test_encode_decode_defaults_are_payload_defaults(workspace, tmp_path):
+    # without --framing, encode and decode pair as codec.encode(Payload(data))
+    # and codec.decode_payload do
+    data = b"same framing"
+    (tmp_path / "p.bin").write_bytes(data)
+    vocab_key = ["--vocab", str(workspace / "vocab.tsv"), "--key", str(workspace / "key.sk")]
+    assert main(["encode", *vocab_key, "--model", str(workspace / "model.slm"),
+                 "--in", str(tmp_path / "p.bin"), "--out", str(tmp_path / "s.txt"),
+                 "--emit-tokens", str(tmp_path / "s.tok"), "--seed", "4"]) == 0
+    assert main(["decode", *vocab_key, "--tokens", str(tmp_path / "s.tok"),
+                 "--out", str(tmp_path / "r.bin")]) == 0
+    assert (tmp_path / "r.bin").read_bytes() == data
+    vocab = Vocabulary.load(workspace / "vocab.tsv")
+    key = load_key(workspace / "key.sk", vocab)
+    model = load_model(workspace / "model.slm", vocab)
+    tokens = codec.encode(Payload(data), key, model, GenPolicy(seed=4)).tokens
+    assert read_token_file(tmp_path / "s.tok") == list(tokens)
+    assert codec.decode_payload(tokens, key) == data
 
 
 def test_stdin_stdout_piping(workspace, tmp_path):

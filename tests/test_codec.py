@@ -45,7 +45,7 @@ class TestBitBlocks:
         assert [b.bits for b in blocks] == ["10", "00"]
 
     def test_byte_msb_first(self):
-        blocks = split_blocks(payload_to_bits(Payload(b"\xa5"), 4), 4)
+        blocks = split_blocks(payload_to_bits(Payload(b"\xa5", Framing.RAW), 4), 4)
         assert [b.bits for b in blocks] == ["1010", "0101"]
 
     def test_length_framing_prepends_bit_count(self):
@@ -175,7 +175,7 @@ class TestEncode:
 
     def test_rejects_empty_raw_payload(self, fixture_key, steered_bigram):
         with pytest.raises(EncodeError):
-            encode(Payload(b""), fixture_key, steered_bigram, GREEDY)
+            encode(Payload(b"", Framing.RAW), fixture_key, steered_bigram, GREEDY)
         with pytest.raises(EncodeError):
             encode_bits("1", fixture_key, steered_bigram, GREEDY)
 
@@ -195,7 +195,7 @@ class TestEncode:
             block_bits = int(rng.integers(1, 4))
             common = int(rng.choice([0, 6]))
             key = generate_key(mini_vocab, block_bits, common, seed=trial)
-            payload = Payload(rng.bytes(int(rng.integers(1, 20))))
+            payload = Payload(rng.bytes(int(rng.integers(1, 20))), Framing.RAW)
             policy = GenPolicy(mode=Mode.SAMPLE if trial % 2 else Mode.GREEDY, seed=trial)
             out = encode(payload, key, mini_bigram, policy)
             blocks = split_blocks(payload_to_bits(payload, block_bits), block_bits)
@@ -222,14 +222,14 @@ class TestEncode:
 
     def test_greedy_is_deterministic(self, mini_bigram, mini_vocab):
         key = generate_key(mini_vocab, 2, 5, seed=11)
-        payload = Payload(b"determinism")
+        payload = Payload(b"determinism", Framing.RAW)
         a = encode(payload, key, mini_bigram, GREEDY)
         b = encode(payload, key, mini_bigram, GREEDY)
         assert a == b
 
     def test_sampling_reproducible_by_seed(self, mini_bigram, mini_vocab):
         key = generate_key(mini_vocab, 2, 5, seed=11)
-        payload = Payload(b"seeded")
+        payload = Payload(b"seeded", Framing.RAW)
         pol = GenPolicy(mode=Mode.SAMPLE, seed=77)
         assert encode(payload, key, mini_bigram, pol) == encode(payload, key, mini_bigram, pol)
         other = GenPolicy(mode=Mode.SAMPLE, seed=78)
@@ -256,7 +256,7 @@ class TestDecode:
     def test_common_tokens_are_transparent(self, mini_bigram, mini_vocab):
         rng = np.random.default_rng(21)
         key = generate_key(mini_vocab, 2, 6, seed=2)
-        payload = Payload(rng.bytes(12))
+        payload = Payload(rng.bytes(12), Framing.RAW)
         out = encode(payload, key, mini_bigram, GenPolicy(mode=Mode.SAMPLE, seed=5))
         reference = decode(out.tokens, key)
         common_surfaces = [mini_vocab.token(i) for i in key.common]
@@ -277,7 +277,7 @@ class TestDecode:
         key = generate_key(mini_vocab, 2, 0, seed=3)
         hp = LstmHyperparams(layers=1, units=8, embed_dim=4, unroll_steps=8, batch_size=4)
         lstm = train_lstm(mini_tokens[:500], mini_vocab, hp, epochs=1, seed=1)
-        payload = Payload(b"\x0f\xf0")
+        payload = Payload(b"\x0f\xf0", Framing.RAW)
         bits = bytes_to_bits(payload.data)
         for model in (mini_bigram, lstm):
             out = encode(payload, key, model, GenPolicy(mode=Mode.SAMPLE, seed=4))
@@ -286,8 +286,7 @@ class TestDecode:
     def test_length_header_truncation_errors(self, fixture_key):
         # 5 carriers = 10 bits: not enough for the 32-bit header
         with pytest.raises(DecodeError):
-            decode(["I", "am", "attaching", "an", "NDA"], fixture_key,
-                   Framing.LENGTH_PREFIXED)
+            decode_payload(["I", "am", "attaching", "an", "NDA"], fixture_key)
 
     @pytest.mark.parametrize("tokens, message, position", [
         (carriers("1000011011"),
@@ -314,7 +313,7 @@ class TestDecode:
         model = FixedModel(desk_vocab, np.full(len(desk_vocab), 1 / len(desk_vocab)))
         tokens = encode(Payload(data, Framing.LENGTH_PREFIXED), key, model,
                         GenPolicy(seed=seed)).tokens
-        bits = decode(tokens, key, Framing.RAW)
+        bits = decode(tokens, key)
         body = bits[32:32 + int(bits[:32], 2)]
         reference = bytes(int(body[i:i + 8], 2) for i in range(0, len(body), 8))
         assert reference == data
@@ -422,7 +421,8 @@ class TestRender:
         from stegolm.corpus import CorpusConfig, tokenize
 
         key = generate_key(mini_vocab, 2, 4, seed=6)
-        out = encode(Payload(b"safe!"), key, mini_bigram, GenPolicy(mode=Mode.SAMPLE, seed=8))
+        out = encode(Payload(b"safe!", Framing.RAW), key, mini_bigram,
+                     GenPolicy(mode=Mode.SAMPLE, seed=8))
         again = tokenize(render(out.tokens), CorpusConfig(lowercase=False))
         assert list(out.tokens) == again
         assert decode(again, key) == decode(out.tokens, key)
@@ -439,10 +439,6 @@ class TestArgumentKinds:
     def test_payload_framing_string_refused(self):
         with pytest.raises(ConfigError, match="framing"):
             Payload(b"\xa5", "raw")
-
-    def test_decode_framing_string_refused(self, fixture_key):
-        with pytest.raises(ConfigError, match="framing"):
-            decode(["I", "am", "attaching", "an", "NDA"], fixture_key, "raw")
 
     def test_payload_string_refused(self):
         with pytest.raises(ConfigError, match="payload data"):

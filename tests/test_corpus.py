@@ -121,6 +121,12 @@ class TestTokenize:
     def test_url_must_cover_whole_chunk(self):
         assert tokenize("nothttp://x.co") != [URL_TOKEN]
 
+    @pytest.mark.parametrize("lowercase", [True, False])
+    def test_mentions_and_urls_are_the_sentinels(self, lowercase):
+        # the shared constants themselves, not lowered copies of them
+        tokens = tokenize("@Bob see HTTP://x.co\n", CorpusConfig(lowercase=lowercase))
+        assert tokens[0] is USER_TOKEN and tokens[2] is URL_TOKEN
+
     @given(st.lists(st.one_of(st.sampled_from(PIECES), st.characters()), max_size=24))
     @settings(max_examples=300, deadline=None)
     def test_equals_the_per_chunk_reference(self, pieces):

@@ -7,15 +7,19 @@ NaN, +-inf, zero, a negative or any moderate value for a float flag, zero or
 a negative for an integer flag. Sizes stay small (a few hundred tokens, an
 LSTM of 4 units trained for one epoch), so the module stays fast.
 
-``keygen``, ``train --backend ngram`` and ``encode`` also have the stronger
-property: each exits 0 exactly when the objects its flags feed (``generate_key``;
-``NgramConfig`` and ``NgramModel``; ``GenPolicy``) accept the parsed values, and
-writes its file only then; the key and model files hold the values.
+``keygen``, ``train --backend ngram``, ``encode``, ``prep`` and ``eval
+--capacity`` also have the stronger property: each exits 0 exactly when the
+objects its flags feed (``generate_key``; ``NgramConfig`` and ``NgramModel``;
+``GenPolicy``; ``CorpusConfig``; ``capacity``) accept the parsed values, and
+writes its file only then; the key, model, vocabulary and report files hold
+the values.
 """
 
 import contextlib
+import dataclasses
 import io
 import itertools
+import json
 import math
 import re
 from pathlib import Path
@@ -27,9 +31,10 @@ from hypothesis import strategies as st
 from stegolm import errors
 from stegolm.cli import main
 from stegolm.codec import GenPolicy
-from stegolm.corpus import Vocabulary
-from stegolm.keying import generate_key
+from stegolm.corpus import CorpusConfig, Vocabulary, build_vocab, tokenize
+from stegolm.keying import MAX_BLOCK_BITS, generate_key
 from stegolm.lm import NgramConfig, NgramModel, load_model
+from stegolm.metrics import capacity
 
 CORPUS = (
     "the cat sat on the mat .\n"
@@ -210,3 +215,60 @@ def test_encode_runs_iff_gen_policy_accepts(ws, temp, seed, max_common_run):
                    f"--temp={temp!r} --seed={seed} --max-common-run={max_common_run}")
     assert (code == 0) == accepted, (code, temp, seed, max_common_run)
     assert out.exists() == accepted
+
+
+@FUZZ
+@given(max_vocab=st.one_of(st.none(), st.sampled_from([-1, 0, 1, 2, 3, 2**64]),
+                           st.integers(-1, 20)),
+       min_count=st.one_of(st.sampled_from([-1, 0, 1, 2**64]), st.integers(-1, 40)),
+       switches=st.tuples(st.booleans(), st.booleans(), st.booleans()))
+def test_prep_runs_iff_corpus_config_accepts(ws, max_vocab, min_count, switches):
+    """``prep`` exits 0 exactly when ``CorpusConfig`` accepts the parsed
+    ``--max-vocab`` and ``--min-count`` (no ``--max-vocab`` is None), and then
+    its vocabulary file is the library's vocabulary of the same text."""
+    lowercase, replace, retweets = switches
+    arguments = dict(lowercase=lowercase, replace_users_urls=replace, drop_retweets=retweets,
+                     max_vocab=max_vocab, min_count=min_count)
+    accepted = accepts(lambda: CorpusConfig(**arguments))
+    out = Path(ws["out"])
+    out.unlink(missing_ok=True)
+    argv = (f"prep --in {ws['corpus.txt']} --out-vocab {out} --min-count={min_count} "
+            + " ".join(f"--{'' if on else 'no-'}{flag}" for flag, on in
+                       [("lowercase", lowercase), ("replace-users-urls", replace),
+                        ("drop-retweets", retweets)]))
+    if max_vocab is not None:
+        argv += f" --max-vocab={max_vocab}"
+    code = run_cli(argv)
+    assert (code == 0) == accepted, (code, arguments)
+    if accepted:
+        config = CorpusConfig(**arguments)
+        text = Path(ws["corpus.txt"]).read_text(encoding="utf-8")
+        assert out.read_bytes() == build_vocab(tokenize(text, config), config).serialize()
+    else:
+        assert not out.exists()
+
+
+@FUZZ
+@given(block_bits=st.one_of(st.sampled_from([-1, 0, 1, MAX_BLOCK_BITS, MAX_BLOCK_BITS + 1,
+                                             2**64]), st.integers(-1, MAX_BLOCK_BITS + 1)),
+       common_fraction=st.one_of(REAL_EDGES, st.sampled_from([0.5, 1.0]), st.floats(-1, 2)),
+       mean_length=st.one_of(st.none(), REAL_EDGES, st.floats(-1, 1e3)))
+def test_eval_capacity_runs_iff_capacity_accepts(ws, block_bits, common_fraction, mean_length):
+    """``eval --capacity`` exits 0 exactly when ``capacity`` accepts the parsed
+    ``--block-bits``, ``--common-fraction`` and ``--mean-length`` (no
+    ``--mean-length`` is None), and then its ``--json`` report is that
+    capacity report."""
+    accepted = accepts(lambda: capacity(block_bits, common_fraction, mean_length))
+    out = Path(ws["out"])
+    out.unlink(missing_ok=True)
+    argv = (f"eval --capacity --json {out} --block-bits={block_bits} "
+            f"--common-fraction={common_fraction!r}")
+    if mean_length is not None:
+        argv += f" --mean-length={mean_length!r}"
+    code = run_cli(argv)
+    assert (code == 0) == accepted, (code, block_bits, common_fraction, mean_length)
+    if accepted:
+        report = dataclasses.asdict(capacity(block_bits, common_fraction, mean_length))
+        assert json.loads(out.read_text(encoding="utf-8")) == {"capacity": report}
+    else:
+        assert not out.exists()

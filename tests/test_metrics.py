@@ -458,12 +458,12 @@ class TestCapacityEmpirical:
         assert report.bits_per_word == pytest.approx(0.65)
 
     def test_identity_with_carrier_count(self, mini_bigram, mini_vocab):
-        from stegolm.codec import Payload, encode
+        from stegolm.codec import Framing, Payload, encode
 
         rng = np.random.default_rng(8)
         for seed in range(5):
             key = generate_key(mini_vocab, 2, 6, seed=seed)
-            out = encode(Payload(rng.bytes(10)), key, mini_bigram,
+            out = encode(Payload(rng.bytes(10), Framing.RAW), key, mini_bigram,
                          GenPolicy(mode=Mode.SAMPLE, seed=seed))
             report = capacity_empirical(out.tokens, key)
             assert report.carrier_count == out.carrier_count
@@ -477,14 +477,14 @@ class TestCapacityEmpirical:
             capacity_empirical([EOS_TOKEN], key)
 
     def test_arithmetic_agrees_with_empirical(self, mini_bigram, mini_vocab):
-        from stegolm.codec import Payload, encode
+        from stegolm.codec import Framing, Payload, encode
 
         rng = np.random.default_rng(31)
         for seed in range(8):
             block_bits = int(rng.integers(1, 4))
             key = generate_key(mini_vocab, block_bits, int(rng.choice([0, 4, 8])),
                                seed=seed)
-            out = encode(Payload(rng.bytes(8)), key, mini_bigram,
+            out = encode(Payload(rng.bytes(8), Framing.RAW), key, mini_bigram,
                          GenPolicy(mode=Mode.SAMPLE, seed=seed))
             empirical = capacity_empirical(out.tokens, key)
             arithmetic = capacity(block_bits, empirical.common_fraction)

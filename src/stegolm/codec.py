@@ -7,7 +7,10 @@ array. Common tokens are emitted for fluency but consume no bits; a run of
 them is capped at ``GenPolicy.max_common_run`` and never repeats a token
 within the run, which guarantees termination under greedy selection. Every
 emitted token, common or carrier, advances the model context. Generation
-starts from the model's initial state after consuming ``<eos>``.
+starts from the model's initial state after consuming ``<eos>``. One kernel,
+``_pick``, makes every selection; when the allowed masses are all equal (an
+n-gram context the model has never seen reads its one uniform row), SAMPLE
+draws from a CDF kept per allowed-set size, the one it would build anyway.
 
 Decoding needs no language model: ``decode``, the inverse of ``encode_bits``,
 drops common tokens and writes each carrier's slot (its bin index) as bits.
@@ -26,6 +29,8 @@ leftmost bit of a block is its most significant when indexing bins.
 from __future__ import annotations
 
 import enum
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,11 +134,32 @@ def split_blocks(bits: str, block_bits: int) -> list[BitBlock]:
     return [blocks[piece] for piece in pieces]
 
 
+#: Allowed-set sizes whose equal-mass CDF ``_uniform_cdf`` keeps; a bench pass
+#: draws from 5 sizes on one key and 25 over 128 fresh keys.
+_UNIFORM_CDFS = 32
+
+
+@functools.lru_cache(maxsize=_UNIFORM_CDFS)
+def _uniform_cdf(n: int) -> np.ndarray:
+    """The read-only CDF ``_pick`` builds from ``n`` weights of 1.0, by the same steps."""
+    cdf = np.ones(n)
+    cdf /= np.add.reduce(cdf)
+    cdf = np.add.accumulate(cdf, out=cdf)
+    cdf /= cdf[-1]
+    cdf.flags.writeable = False
+    return cdf
+
+
 def _pick(probs: np.ndarray, allowed: np.ndarray, policy: GenPolicy,
           rng: np.random.Generator | None) -> int:
     """The one selection kernel: the token of ``allowed`` that ``policy`` picks.
     Tempering divides by the largest probability first, so the weights keep a 1
-    and cannot all underflow to zero at low temperatures."""
+    and cannot all underflow to zero at low temperatures. When every allowed
+    mass equals that largest one and it is finite, every weight is exactly 1.0
+    at any temperature (``p / p == 1``, ``1.0 ** x == 1``), so the CDF depends
+    on ``len(allowed)`` alone and comes from ``_uniform_cdf``: an n-gram
+    context the model has never seen gives such a row. The draw still takes
+    one ``rng.random()``, so the stream and the index are the same."""
     mass = probs[allowed]
     top = np.maximum.reduce(mass, initial=0.0)
     if not top > 0:
@@ -142,14 +168,18 @@ def _pick(probs: np.ndarray, allowed: np.ndarray, policy: GenPolicy,
         return int(allowed[mass.argmax()])
     if rng is None:
         rng = np.random.default_rng(policy.seed)
-    mass /= top  # a gather, so a new array: tempered and normalised in place
-    if policy.temperature != 1:  # x ** 1.0 is x
-        mass **= 1.0 / policy.temperature
-    mass /= np.add.reduce(mass)
-    # Generator.choice(len(allowed), p=mass) without its argument checks:
-    # the same steps, so the same stream and the same index.
-    cdf = np.add.accumulate(mass, out=mass)
-    cdf /= cdf[-1]
+    # the last mass first: an unequal row (every LSTM row) pays one compare
+    if mass[-1] == top and top < math.inf and np.minimum.reduce(mass) == top:
+        cdf = _uniform_cdf(len(mass))
+    else:
+        mass /= top  # a gather, so a new array: tempered and normalised in place
+        if policy.temperature != 1:  # x ** 1.0 is x
+            mass **= 1.0 / policy.temperature
+        mass /= np.add.reduce(mass)
+        # Generator.choice(len(allowed), p=mass) without its argument checks:
+        # the same steps, so the same stream and the same index.
+        cdf = np.add.accumulate(mass, out=mass)
+        cdf /= cdf[-1]
     return int(allowed[cdf.searchsorted(rng.random(), side="right")])
 
 

@@ -11,7 +11,9 @@ int64 ``counts[a:b]``, from ``a = bounds[r]`` to ``b = bounds[r + 1]``, and its
 so their keys do; the constructor refuses ``|V| ** (order - 1) >= 2**63``, so
 every key fits. The order check finds where each n-gram first differs from the
 one before, and a difference inside the context starts a new one. ``runs``
-maps a key to ``(a, b, total)`` for ``next_distribution``; ``next_distributions``
+maps a key to ``(a, b, total)`` for ``next_distribution``; a context that is
+in no table reads a copy of the one uniform row ``k / (k * |V|)`` (a total of
+0), built once by the constructor. ``next_distributions``
 packs every full-length context of a block in numpy and finds them all with one
 ``keys.searchsorted``; ``to_payload`` unpacks the keys and writes from the arrays.
 
@@ -99,6 +101,8 @@ class NgramModel(LanguageModel):
             runs = dict(zip(keys.tolist(), zip(starts.tolist(), bounds[1:].tolist(),
                                                totals.tolist())))
             self._tables.append((runs, keys, bounds, totals, grams[:, -1].copy(), counts))
+        self._unseen = np.empty(size)  # the row of a context with no run: total 0
+        self._unseen.fill(config.add_k / (config.add_k * size))
 
     def initial_context(self) -> tuple[int, ...]:
         return ()
@@ -120,7 +124,10 @@ class NgramModel(LanguageModel):
                 index = self.check_index(index)
             key = key * size + index
         runs, _, _, _, successors, counts = self._tables[m]
-        a, b, total = runs.get(key, (0, 0, 0))
+        run = runs.get(key)
+        if run is None:
+            return self._unseen.copy()
+        a, b, total = run
         denom = total + k * size
         dist = np.empty(size)  # np.full without its Python wrapper
         dist.fill(k / denom)

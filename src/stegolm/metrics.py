@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Vocabulary
-from .errors import CorpusError, VocabMismatchError, check_int, check_real
+from .errors import ConfigError, CorpusError, VocabMismatchError, check_int, check_real
 from .keying import BIN_COMMON, BIN_RESERVED, MAX_BLOCK_BITS, StegoKey
 from .lm.base import LanguageModel
 
@@ -201,10 +201,15 @@ def stego_perplexity(model: LanguageModel, key: StegoKey,
 
 
 def _per_message(bits_per_word: float, mean_message_length: float | None) -> float | None:
-    """Bits per message of ``mean_message_length`` words, if a length is given."""
+    """Bits per message of ``mean_message_length`` words, if a length is given;
+    ``ConfigError`` when that product overflows to infinity."""
     if mean_message_length is None:
         return None
-    return bits_per_word * check_real("mean message length", mean_message_length, 0)
+    bits = bits_per_word * check_real("mean message length", mean_message_length, 0)
+    if not math.isfinite(bits):
+        raise ConfigError(f"{bits_per_word!r} bits/word * mean message length "
+                          f"{mean_message_length!r} overflows")
+    return bits
 
 
 def capacity(block_bits: int, common_fraction: float,

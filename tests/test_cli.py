@@ -560,6 +560,7 @@ def lstm_file(workspace):
      ("lstm", lstm_header(b'"layers": 1,', b'"layers": 100000,')), "ModelFormatError"),
     (TRAIN + " lstm --clip-norm -1", None, "ConfigError"),
     (TRAIN + " lstm --clip-norm=-inf", None, "ConfigError"),
+    ("eval --capacity --block-bits 16 --mean-length 1e308", None, "ConfigError"),
 ], ids=["temp-0", "max-common-run-0", "order-0", "units-0", "max-vocab-1", "block-bits-neg",
         "vocab-not-utf8", "key-not-utf8", "model-not-utf8", "encode-seed-neg", "train-seed-neg",
         "max-bytes-0", "trials-neg", "roundtrip-seed-neg", "decode-tokens-not-utf8",
@@ -581,7 +582,7 @@ def lstm_file(workspace):
         "model-config-nested", "ngram-payload-nested", "model-payload-bytes-arabic-indic",
         "model-payload-bytes-fullwidth", "model-payload-bytes-nbsp",
         "model-payload-bytes-grouped", "key-bin-tab-lost", "lstm-layers-huge",
-        "clip-norm-neg", "clip-norm-neg-inf"])
+        "clip-norm-neg", "clip-norm-neg-inf", "bits-per-message-overflows"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_input_prints_one_error_line(workspace, lstm_file, tmp_path, capsys,
                                          argv, damage, error):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import FixedModel
@@ -383,6 +383,32 @@ class TestDraw:
         policy = GenPolicy(mode=Mode.SAMPLE, temperature=temperature)
         mass = probs[allowed]
         weights = (mass / mass.max()) ** (1.0 / temperature)
+        weights /= weights.sum()
+        ours, theirs = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        for _ in range(25):
+            want = int(allowed[theirs.choice(n, p=weights)])
+            assert codec._pick(probs, allowed, policy, ours) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(mass=st.builds(lambda n, value: [value] * n, st.integers(1, 600),
+                          st.one_of(st.sampled_from([1 / 529, 1.0, 5e-324]),
+                                    st.floats(5e-324, 1.0))),
+           temperature=st.one_of(st.just(1.0), st.floats(0.002, 5)),
+           seed=st.integers(0, 2**32 - 1))
+    # first and last masses equal the largest, a middle one does not: not uniform
+    @example(mass=[1.0, 0.5, 1.0], temperature=1.0, seed=1)
+    @example(mass=[1.0, 5e-324, 1.0], temperature=0.5, seed=1)
+    @example(mass=[1 / 529] * 300 + [0.5 / 529] + [1 / 529] * 299, temperature=1.0, seed=2)
+    def test_equal_masses_same_index_as_generator_choice(self, mass, temperature, seed):
+        """Equal allowed masses take the kept uniform CDF; the index and the
+        RNG stream stay ``Generator.choice``'s over 25 draws in a row."""
+        n = len(mass)
+        data = np.random.default_rng(seed)
+        probs = data.random(2 * n)  # the tokens outside ``allowed`` differ
+        allowed = np.sort(data.choice(2 * n, size=n, replace=False))
+        probs[allowed] = mass
+        policy = GenPolicy(mode=Mode.SAMPLE, temperature=temperature)
+        weights = (np.array(mass) / max(mass)) ** (1.0 / temperature)
         weights /= weights.sum()
         ours, theirs = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
         for _ in range(25):

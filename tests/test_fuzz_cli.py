@@ -7,12 +7,12 @@ NaN, +-inf, zero, a negative or any moderate value for a float flag, zero or
 a negative for an integer flag. Sizes stay small (a few hundred tokens, an
 LSTM of 4 units trained for one epoch), so the module stays fast.
 
-``keygen``, ``train --backend ngram``, ``encode``, ``prep`` and ``eval
+``keygen``, ``train`` (both backends), ``encode``, ``prep`` and ``eval
 --capacity`` also have the stronger property: each exits 0 exactly when the
 objects its flags feed (``generate_key``; ``NgramConfig`` and ``NgramModel``;
-``GenPolicy``; ``CorpusConfig``; ``capacity``) accept the parsed values, and
-writes its file only then; the key, model, vocabulary and report files hold
-the values.
+``LstmHyperparams`` and ``train_lstm``; ``GenPolicy``; ``CorpusConfig``;
+``capacity``) accept the parsed values, and writes its file only then; the
+key, model, vocabulary and report files hold the values.
 """
 
 import contextlib
@@ -31,9 +31,10 @@ from hypothesis import strategies as st
 from stegolm import errors
 from stegolm.cli import main
 from stegolm.codec import GenPolicy
-from stegolm.corpus import CorpusConfig, Vocabulary, build_vocab, tokenize
+from stegolm.corpus import CorpusConfig, Vocabulary, build_vocab, read_token_file, tokenize
 from stegolm.keying import MAX_BLOCK_BITS, generate_key
-from stegolm.lm import NgramConfig, NgramModel, load_model
+from stegolm.lm import (LstmHyperparams, NgramConfig, NgramModel, load_model, serialize_model,
+                        train_lstm)
 from stegolm.metrics import capacity
 
 CORPUS = (
@@ -252,7 +253,7 @@ def test_prep_runs_iff_corpus_config_accepts(ws, max_vocab, min_count, switches)
 @given(block_bits=st.one_of(st.sampled_from([-1, 0, 1, MAX_BLOCK_BITS, MAX_BLOCK_BITS + 1,
                                              2**64]), st.integers(-1, MAX_BLOCK_BITS + 1)),
        common_fraction=st.one_of(REAL_EDGES, st.sampled_from([0.5, 1.0]), st.floats(-1, 2)),
-       mean_length=st.one_of(st.none(), REAL_EDGES, st.floats(-1, 1e3)))
+       mean_length=st.one_of(st.none(), REAL_EDGES, st.just(1e308), st.floats(-1, 1e3)))
 def test_eval_capacity_runs_iff_capacity_accepts(ws, block_bits, common_fraction, mean_length):
     """``eval --capacity`` exits 0 exactly when ``capacity`` accepts the parsed
     ``--block-bits``, ``--common-fraction`` and ``--mean-length`` (no
@@ -270,5 +271,67 @@ def test_eval_capacity_runs_iff_capacity_accepts(ws, block_bits, common_fraction
     if accepted:
         report = dataclasses.asdict(capacity(block_bits, common_fraction, mean_length))
         assert json.loads(out.read_text(encoding="utf-8")) == {"capacity": report}
+    else:
+        assert not out.exists()
+
+
+def lstm_flags(tokens: int) -> dict:
+    """``flag: (dest, ordinary, edge)`` of every ``train --backend lstm`` number.
+    The size flags have no upper bound and a large one is that much memory or
+    time, so their edges are the lower bound; ``--unroll`` and ``--batch-size``
+    also get the corpus bound and 2**64 (``train_lstm`` refuses a product past
+    ``tokens`` before it allocates), ``--seed`` the 64-bit bounds."""
+    size = st.sampled_from([-1, 0, 1])
+    window = st.sampled_from([-1, 0, 1, tokens, tokens + 1, 2**63, 2**64])
+
+    def real(lo: float, hi: float, *more: float):
+        return st.floats(lo, hi), st.one_of(REAL_EDGES, st.sampled_from(more))
+
+    return {
+        "--layers": ("layers", st.integers(1, 2), size),
+        "--units": ("units", st.integers(1, 4), size),
+        "--embed-dim": ("embed_dim", st.integers(1, 4), size),
+        "--unroll": ("unroll_steps", st.integers(1, 8), window),
+        "--batch-size": ("batch_size", st.integers(1, 4), window),
+        "--lr": ("lr_init", *real(0.1, 5, 1e300)),
+        "--lr-decay": ("lr_decay", *real(1.1, 4, 1.0)),
+        "--clip-norm": ("clip_norm", st.one_of(st.just(0.0), st.floats(0.01, 5)),
+                        st.one_of(REAL_EDGES, st.just(1e300))),
+        "--dropout": ("dropout", *real(0, 0.9, 1.0, 0.9999)),
+        "--epochs": ("epochs", st.integers(1, 2), size),
+        "--seed": ("seed", st.integers(0, 2**32),
+                   st.sampled_from([-1, 0, 2**64 - 1, 2**64])),
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_train_lstm_runs_iff_hyperparams_and_train_lstm_accept(ws, data):
+    """``train --backend lstm`` exits 0 exactly when ``LstmHyperparams`` and
+    ``train_lstm`` accept the parsed values (every flag is given, so the preset
+    sets none), and then its model file is the library's model, whose header
+    holds them. Up to two flags take an edge value, the rest ordinary ones."""
+    vocab, tokens = Vocabulary.load(ws["vocab.tsv"]), read_token_file(ws["tokens.txt"])
+    specs = lstm_flags(len(tokens))
+    wild = data.draw(st.sets(st.sampled_from(sorted(specs)), max_size=2))
+    values = {flag: data.draw(edge if flag in wild else ordinary, label=flag)
+              for flag, (_, ordinary, edge) in sorted(specs.items())}
+    given_values = {specs[flag][0]: value for flag, value in values.items()}
+    epochs, seed = given_values.pop("epochs"), given_values.pop("seed")
+    if given_values["clip_norm"] == 0:  # the one remap: --clip-norm 0 disables clipping
+        given_values["clip_norm"] = None
+    try:
+        model = train_lstm(tokens, vocab, LstmHyperparams(**given_values), epochs=epochs,
+                           seed=seed)
+    except errors.StegolmError:
+        model = None
+    out = Path(ws["out"])
+    out.unlink(missing_ok=True)
+    code = run_cli(f"train --backend lstm --tokens {ws['tokens.txt']} --vocab {ws['vocab.tsv']} "
+                   f"--out {out} " + " ".join(f"{flag}={value!r}" for flag, value in values.items()))
+    assert (code == 0) == (model is not None), (code, values)
+    if model is not None:
+        assert out.read_bytes() == serialize_model(model)
+        assert load_model(out, vocab).hp == LstmHyperparams(**given_values)
     else:
         assert not out.exists()

@@ -152,9 +152,13 @@ class TestNgram:
                   for m in range(order) for _ in range(20)]
         unseen = [ctx for ctx in unseen if ctx not in contexts[len(ctx)]]
         assert unseen or order == 1
-        for ctx in seen + unseen + seen:  # a second read gives the same distribution
-            assert np.array_equal(model.next_distribution(ctx),
-                                  reference_distribution(counts, len(mini_vocab), 0.07, ctx)), ctx
+        # a second read gives the same distribution: each row is the caller's own,
+        # writable and shared with no other read
+        for ctx in seen + unseen + seen + unseen:
+            dist = model.next_distribution(ctx)
+            assert np.array_equal(dist, reference_distribution(counts, len(mini_vocab), 0.07,
+                                                               ctx)), ctx
+            dist.fill(-1.0)
 
     def test_payload_out_of_order_refused_at_load(self, mini_vocab):
         doc = {"order": 2, "add_k": 0.5, "tables": [

@@ -421,6 +421,11 @@ class TestCapacity:
         assert capacity(3, 0.0, 16.04).bits_per_message == pytest.approx(48.12)
         assert capacity(2, 0.0, 16.04).bits_per_message == pytest.approx(32.08)
 
+    def test_bits_per_message_overflow_refused(self):
+        assert capacity(16, 0.0, 1e307).bits_per_message == 16 * 1e307
+        with pytest.raises(ConfigError, match="overflows"):
+            capacity(16, 0.0, 1e308)
+
     def test_fraction_range_enforced(self):
         with pytest.raises(ValueError):
             capacity(2, 1.0)
@@ -470,6 +475,13 @@ class TestCapacityEmpirical:
             assert report.carrier_count + report.common_count == len(out.tokens)
             assert report.bits_per_word * report.token_count == pytest.approx(
                 key.block_bits * report.carrier_count, abs=1e-9)
+
+    def test_bits_per_message_overflow_refused(self, mini_vocab):
+        key = generate_key(mini_vocab, 2, 0, seed=5)
+        stream = [mini_vocab.token(i) for i in key.bins[0][:3]]
+        assert capacity_empirical(stream, key, 1e307).bits_per_message == 2 * 1e307
+        with pytest.raises(ConfigError, match="overflows"):
+            capacity_empirical(stream, key, 1e308)
 
     def test_undecodable_token_rejected(self, mini_vocab):
         key = generate_key(mini_vocab, 1, 0, seed=5)

@@ -33,14 +33,16 @@ from .lm import (
 )
 
 
-def _corpus_config(args) -> CorpusConfig:
-    return CorpusConfig(
-        lowercase=args.lowercase,
-        replace_users_urls=args.replace_users_urls,
-        drop_retweets=args.drop_retweets,
-        max_vocab=args.max_vocab,
-        min_count=args.min_count,
-    )
+def _given(config, args) -> dict:
+    """The fields of dataclass ``config`` whose flags were given: each config
+    flag's dest is its field, and an unset flag (None) keeps the field's default."""
+    return {field.name: getattr(args, field.name) for field in dataclasses.fields(config)
+            if getattr(args, field.name, None) is not None}
+
+
+def _choice(enum) -> dict:
+    """``add_argument`` keywords for a flag that takes one value of ``enum``."""
+    return {"type": enum, "metavar": "{" + ",".join(member.value for member in enum) + "}"}
 
 
 def _read_bytes(path: str | None) -> bytes:
@@ -84,7 +86,7 @@ def _inputs(args):
 
 
 def cmd_prep(args) -> int:
-    config = _corpus_config(args)
+    config = CorpusConfig(**_given(CorpusConfig, args))
     raw = corpus.read_text_file(args.infile)
     tokens = corpus.tokenize(raw, config)
     vocab = corpus.build_vocab(tokens, config)
@@ -100,11 +102,9 @@ def cmd_train(args) -> int:
     inputs = _inputs(args)
     vocab, tokens = inputs("vocab"), inputs("tokens")
     if args.backend == "ngram":
-        model = train_ngram(tokens, vocab, NgramConfig(order=args.order, add_k=args.add_k))
+        model = train_ngram(tokens, vocab, NgramConfig(**_given(NgramConfig, args)))
     else:
-        # every LstmHyperparams field is the dest of one flag; unset flags keep the preset
-        overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(LstmHyperparams)
-                     if getattr(args, f.name) is not None}
+        overrides = _given(LstmHyperparams, args)  # unset flags keep the preset's values
         if overrides.get("clip_norm") == 0:  # 0 disables clipping; the rest reach LstmHyperparams
             overrides["clip_norm"] = None
         hp = dataclasses.replace(PRESETS[args.preset], **overrides)
@@ -138,11 +138,8 @@ def cmd_keygen(args) -> int:
 def cmd_encode(args) -> int:
     inputs = _inputs(args)
     key, model = inputs("key"), inputs("model")
-    payload = Payload(_read_bytes(args.infile), Framing(args.framing))
-    policy = GenPolicy(
-        mode=Mode(args.mode), temperature=args.temp, seed=args.seed,
-        max_common_run=args.max_common_run,
-    )
+    payload = Payload(_read_bytes(args.infile), **_given(Payload, args))
+    policy = GenPolicy(**_given(GenPolicy, args))
     stegotext = codec.encode(payload, key, model, policy)
     if args.emit_tokens:
         corpus.write_token_file(args.emit_tokens, stegotext.tokens)
@@ -166,10 +163,10 @@ def cmd_decode(args) -> int:
         # Line boundaries re-tokenize to <eos>, which carries no payload.
         raw = corpus.read_text_file(args.text)
         tokens = [
-            t for t in corpus.tokenize(raw, CorpusConfig(lowercase=args.lowercase_text))
+            t for t in corpus.tokenize(raw, CorpusConfig(**_given(CorpusConfig, args)))
             if t != corpus.EOS_TOKEN
         ]
-    if Framing(args.framing) is Framing.LENGTH_PREFIXED:
+    if args.framing is Framing.LENGTH_PREFIXED:
         _write(args.out, codec.decode_payload(tokens, key))
     else:
         _write(args.out, (codec.decode(tokens, key) + "\n").encode("ascii"))
@@ -259,14 +256,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True, help="UTF-8 text, one message per line")
     p.add_argument("--out-tokens", help="write the token stream, one token per line")
     p.add_argument("--out-vocab", required=True, help="write the STEGOVOCAB file")
-    p.add_argument("--lowercase", action=argparse.BooleanOptionalAction,
-                   default=CorpusConfig.lowercase)
-    p.add_argument("--replace-users-urls", action=argparse.BooleanOptionalAction,
-                   default=CorpusConfig.replace_users_urls)
-    p.add_argument("--drop-retweets", action=argparse.BooleanOptionalAction,
-                   default=CorpusConfig.drop_retweets)
-    p.add_argument("--max-vocab", type=int, default=CorpusConfig.max_vocab)
-    p.add_argument("--min-count", type=int, default=CorpusConfig.min_count)
+    p.add_argument("--lowercase", action=argparse.BooleanOptionalAction)
+    p.add_argument("--replace-users-urls", action=argparse.BooleanOptionalAction)
+    p.add_argument("--drop-retweets", action=argparse.BooleanOptionalAction)
+    p.add_argument("--max-vocab", type=int)
+    p.add_argument("--min-count", type=int)
     p.set_defaults(func=cmd_prep)
 
     p = sub.add_parser("train", help="train a language model on a token stream")
@@ -274,9 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tokens", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--order", type=int, default=NgramConfig.order, help="ngram order")
-    p.add_argument("--add-k", type=float, default=NgramConfig.add_k,
-                   help="ngram smoothing constant")
+    p.add_argument("--order", type=int, help="ngram order")
+    p.add_argument("--add-k", type=float, help="ngram smoothing constant")
     p.add_argument("--preset", choices=sorted(PRESETS), default="desk")
     p.add_argument("--layers", type=int)
     p.add_argument("--units", type=int)
@@ -310,12 +303,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", help="payload bytes (default: stdin)")
     p.add_argument("--out", help="rendered stegotext (default: stdout)")
     p.add_argument("--emit-tokens", help="sidecar token file, one token per line")
-    p.add_argument("--mode", choices=[m.value for m in Mode], default=GenPolicy.mode.value)
-    p.add_argument("--temp", type=float, default=GenPolicy.temperature)
-    p.add_argument("--seed", type=int, default=GenPolicy.seed)
-    p.add_argument("--framing", choices=[f.value for f in Framing],
-                   default=Payload.framing.value)
-    p.add_argument("--max-common-run", type=int, default=GenPolicy.max_common_run)
+    p.add_argument("--mode", **_choice(Mode))
+    p.add_argument("--temp", dest="temperature", metavar="TEMP", type=float)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--framing", **_choice(Framing))
+    p.add_argument("--max-common-run", type=int)
     p.add_argument("--capitalize", action="store_true")
     p.set_defaults(func=cmd_encode)
 
@@ -325,11 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--tokens", help="token sidecar file (canonical input)")
     src.add_argument("--text", help="rendered text file (best-effort re-tokenization)")
-    p.add_argument("--lowercase-text", action=argparse.BooleanOptionalAction,
-                   default=CorpusConfig.lowercase,
+    p.add_argument("--lowercase-text", dest="lowercase", action=argparse.BooleanOptionalAction,
                    help="lowercase when re-tokenizing --text input")
-    p.add_argument("--framing", choices=[f.value for f in Framing],
-                   default=Payload.framing.value)
+    p.add_argument("--framing", **_choice(Framing), default=Payload.framing)
     p.add_argument("--out", help="payload bytes (length framing) or bit string (raw)")
     p.set_defaults(func=cmd_decode)
 

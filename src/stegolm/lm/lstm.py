@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import asdict, dataclass
+import os
+from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -31,6 +32,8 @@ from .base import LanguageModel, softmax
 #: Validation-loss slack below which an epoch counts as "did not improve".
 IMPROVE_TOLERANCE = 1e-4
 VAL_FRACTION = 0.1
+#: Bytes of arrays that training may hold: the machine's physical memory.
+MEMORY_CEILING = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
 @dataclass(frozen=True)
@@ -103,6 +106,19 @@ def param_shapes(vocab_size: int, hp: LstmHyperparams) -> dict[str, tuple[int, .
     shapes["wo"] = (hp.units, vocab_size)
     shapes["bo"] = (vocab_size,)
     return shapes
+
+
+def training_bytes(vocab_size: int, hp: LstmHyperparams) -> int:
+    """Bytes of the float64 arrays training holds at once, counted in Python ints
+    before any is built: every ``param_shapes`` array and its gradient, and per
+    window the (B, T, |V|) array, the inputs and each layer's per-step caches."""
+    shapes = param_shapes(vocab_size, replace(hp, layers=min(hp.layers, 2)))
+    params = sum(math.prod(shape) for shape in shapes.values())
+    if hp.layers > 2:  # every layer past the second has the second's shapes
+        params += (hp.layers - 2) * sum(math.prod(shapes[f"{name}1"]) for name in ("wx", "wh", "b"))
+    # per layer and step: h, c, the (B, 4U) gate block, the g gate and the output row
+    per_position = vocab_size + hp.embed_dim + 8 * hp.units * hp.layers
+    return 8 * (2 * params + hp.batch_size * hp.unroll_steps * per_position)
 
 
 def init_params(vocab_size: int, hp: LstmHyperparams, seed: int) -> dict[str, np.ndarray]:
@@ -405,7 +421,9 @@ class LstmModel(LanguageModel):
 
 def train_lstm(tokens: Sequence[str], vocab: Vocabulary, hp: LstmHyperparams,
                epochs: int, seed: int) -> LstmModel:
-    """Train on a token stream (OOV folded to <unk>), last 10% held out."""
+    """Train on a token stream (OOV folded to <unk>), last 10% held out. Sizes
+    whose ``training_bytes`` pass ``MEMORY_CEILING`` are refused before anything
+    is allocated, and a ``MemoryError`` while training ends as ``TrainingError``."""
     check_int("seed", seed, 0)
     check_int("epochs", epochs, 1)
     if len(tokens) < hp.unroll_steps * hp.batch_size:
@@ -413,6 +431,19 @@ def train_lstm(tokens: Sequence[str], vocab: Vocabulary, hp: LstmHyperparams,
             f"corpus of {len(tokens)} tokens is smaller than "
             f"unroll_steps*batch_size = {hp.unroll_steps * hp.batch_size}"
         )
+    need = training_bytes(len(vocab), hp)
+    if need > MEMORY_CEILING:
+        raise TrainingError(f"training needs {need} bytes of arrays, more than the "
+                            f"{MEMORY_CEILING} bytes of physical memory")
+    try:
+        return _train(tokens, vocab, hp, epochs, seed)
+    except MemoryError as exc:
+        raise TrainingError(f"out of memory while training: {exc}") from None
+
+
+def _train(tokens: Sequence[str], vocab: Vocabulary, hp: LstmHyperparams,
+           epochs: int, seed: int) -> LstmModel:
+    """``train_lstm`` once its arguments are checked."""
     ids = vocab.indices_or_unk(tokens)
     split = int(round(len(ids) * (1.0 - VAL_FRACTION)))
     train_data = _batchify(ids[:split], hp.batch_size)

@@ -16,9 +16,10 @@ import stegolm
 from stegolm import codec
 from stegolm.cli import build_parser, main
 from stegolm.codec import GenPolicy, Payload
-from stegolm.corpus import Vocabulary, read_token_file
+from stegolm.corpus import CorpusConfig, Vocabulary, read_token_file
 from stegolm.keying import load_key
 from stegolm.lm import LstmHyperparams, LstmModel, NgramConfig, load_model, save_model
+from stegolm.lm import lstm
 from stegolm.lm.lstm import init_params
 
 # Child interpreters import the same stegolm as this process, installed or not.
@@ -150,6 +151,41 @@ def test_decode_from_rendered_text(workspace, tmp_path):
     assert (tmp_path / "r.bin").read_bytes() == b"ok"
 
 
+def test_decode_text_keeps_case_with_no_lowercase_text(tmp_path, capsys):
+    # a vocabulary built with --no-lowercase holds capitalised tokens only, so
+    # re-tokenizing the rendered text must keep its case to find them
+    (tmp_path / "corpus.txt").write_text("Alpha Beta Gamma Delta .\nDelta Gamma Beta Alpha !\n"
+                                         "Beta Delta Alpha Gamma ?\n" * 40, encoding="utf-8")
+    (tmp_path / "p.bin").write_bytes(b"Case")
+    for argv in (
+        "prep --in {d}/corpus.txt --out-tokens {d}/tokens.txt --out-vocab {d}/vocab.tsv"
+        " --no-lowercase",
+        "train --backend ngram --tokens {d}/tokens.txt --vocab {d}/vocab.tsv --out {d}/m.slm",
+        "keygen --vocab {d}/vocab.tsv --block-bits 1 --seed 5 --out {d}/key.sk",
+        "encode --vocab {d}/vocab.tsv --key {d}/key.sk --model {d}/m.slm --in {d}/p.bin"
+        " --out {d}/s.txt",
+    ):
+        assert main(argv.format(d=tmp_path).split()) == 0
+    decode = f"decode --vocab {tmp_path}/vocab.tsv --key {tmp_path}/key.sk --text {tmp_path}/s.txt"
+    assert main([*decode.split(), "--no-lowercase-text", "--out", str(tmp_path / "r.bin")]) == 0
+    assert (tmp_path / "r.bin").read_bytes() == b"Case"
+    capsys.readouterr()
+    assert main([*decode.split(), "--lowercase-text"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: DecodeError: token not in key"), lines
+
+
+@pytest.mark.parametrize("flag, common", [
+    ([], "common:\tthe\t."),
+    (["--common-eos"], "common:\t<eos>\tthe\t."),  # ascending index order
+], ids=["no-flag", "common-eos"])
+def test_keygen_common_eos_puts_eos_on_the_common_line(workspace, tmp_path, flag, common):
+    assert main(["keygen", "--vocab", str(workspace / "vocab.tsv"), "--block-bits", "1",
+                 "--common", "2", "--seed", "1", "--out", str(tmp_path / "key.sk"), *flag]) == 0
+    lines = (tmp_path / "key.sk").read_text(encoding="utf-8").splitlines()
+    assert [line for line in lines if line.startswith("common:")] == [common]
+
+
 def test_eval_capacity_line(capsys):
     assert main(["eval", "--capacity", "--block-bits", "2"]) == 0
     out = capsys.readouterr().out
@@ -250,6 +286,24 @@ def test_clip_norm_flag(workspace, tmp_path, clip):
     assert model.hp.clip_norm == (float(clip) or None)
 
 
+@pytest.mark.parametrize("size", ["--embed-dim 4611686018427387904", "--units 3000000",
+                                  "--layers 100000"])
+def test_lstm_size_past_memory_refused_before_allocating(workspace, tmp_path, capsys,
+                                                           monkeypatch, size):
+    def allocate(*args):
+        raise AssertionError("init_params ran")
+
+    monkeypatch.setattr(lstm, "init_params", allocate)
+    monkeypatch.setattr(lstm, "MEMORY_CEILING", 2**34)  # 16 GiB, not this machine's memory
+    capsys.readouterr()
+    assert main(["train", "--backend", "lstm", "--tokens", str(workspace / "tokens.txt"),
+                 "--vocab", str(workspace / "vocab.tsv"), "--out", str(tmp_path / "m.slm"),
+                 *size.split()]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: TrainingError: "), lines
+    assert not (tmp_path / "m.slm").exists()
+
+
 def test_train_ngram_defaults_are_ngram_config_defaults(workspace, tmp_path):
     assert main(["train", "--backend", "ngram", "--tokens", str(workspace / "tokens.txt"),
                  "--vocab", str(workspace / "vocab.tsv"), "--out", str(tmp_path / "m.slm")]) == 0
@@ -333,16 +387,39 @@ def test_text_only_stdout_gets_the_text(workspace, tmp_path):
         assert out.getvalue() == want
 
 
-def test_every_lstm_hyperparameter_is_the_dest_of_one_train_flag():
-    # cmd_train reads its overrides by field name, so a field with no flag,
-    # or a flag with another dest, would be ignored without a word
-    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    dests = [action.dest for action in sub.choices["train"]._actions]
-    names = [field.name for field in dataclasses.fields(LstmHyperparams)]
+SUBCOMMANDS = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def field_names(config, *leave_out: str) -> list[str]:
+    return [f.name for f in dataclasses.fields(config) if f.name not in leave_out]
+
+
+@pytest.mark.parametrize("command, names", [
+    ("prep", field_names(CorpusConfig)),
+    ("train", field_names(NgramConfig)),
+    ("train", field_names(LstmHyperparams)),
+    ("encode", field_names(GenPolicy)),
+    ("encode", field_names(Payload, "data")),
+    ("decode", ["lowercase"]),
+], ids=["prep-CorpusConfig", "train-NgramConfig", "train-LstmHyperparams",
+        "encode-GenPolicy", "encode-Payload", "decode-CorpusConfig.lowercase"])
+def test_every_config_field_is_the_dest_of_one_flag(command, names):
+    # each command builds its config objects from the flags by field name, so a
+    # field with no flag, or a flag with another dest, would be ignored without
+    # a word; a flag default would override the dataclass (or preset) default
+    actions = SUBCOMMANDS[command]._actions
+    dests = [a.dest for a in actions]
     assert {name: dests.count(name) for name in names} == dict.fromkeys(names, 1)
-    args = build_parser().parse_args(
-        "train --backend lstm --tokens t --vocab v --out o --unroll 5 --lr 3".split())
-    assert (args.unroll_steps, args.lr_init) == (5, 3.0)
+    assert {a.dest: a.default for a in actions if a.dest in names} == dict.fromkeys(names)
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+def test_every_subcommand_help_exits_0(command, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: stegolm {command} ")
 
 
 ENCODE = "encode --vocab {vocab} --key {key} --model {model} --in {corpus} --out {out}"

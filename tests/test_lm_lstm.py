@@ -3,7 +3,7 @@ import json
 import math
 import tracemalloc
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -25,6 +25,7 @@ from stegolm.lm.lstm import (
     param_shapes,
     sgd_step,
     train_lstm,
+    training_bytes,
     window_forward,
     window_loss_and_grads,
 )
@@ -333,6 +334,42 @@ class TestTraining:
         vocab = tiny_vocab(6)
         hp = LstmHyperparams(unroll_steps=16, batch_size=16)
         with pytest.raises(TrainingError):
+            train_lstm(toy_stream(vocab, 100), vocab, hp, epochs=1, seed=0)
+
+    @pytest.mark.parametrize("layers", [1, 2, 3, 5])
+    def test_training_bytes_counts_every_param_shapes_array(self, layers):
+        hp = LstmHyperparams(layers=layers, units=3, embed_dim=2, unroll_steps=4, batch_size=5)
+        params = sum(math.prod(shape) for shape in param_shapes(7, hp).values())
+        window = 4 * 5 * (7 + 2 + 8 * 3 * layers)  # (B, T, |V|), inputs and caches
+        assert training_bytes(7, hp) == 8 * (2 * params + window)
+
+    @pytest.mark.parametrize("size", ["layers", "units", "embed_dim"])
+    def test_size_past_the_ceiling_refused_before_allocating(self, monkeypatch, size):
+        import stegolm.lm.lstm as lstm_mod
+
+        def allocate(*args):
+            raise AssertionError("init_params ran")
+
+        monkeypatch.setattr(lstm_mod, "init_params", allocate)
+        vocab = tiny_vocab(6)
+        hp = LstmHyperparams(units=4, embed_dim=4, unroll_steps=4, batch_size=4)
+        monkeypatch.setattr(lstm_mod, "MEMORY_CEILING", training_bytes(len(vocab), hp))
+        with pytest.raises(AssertionError, match="init_params ran"):  # at the ceiling
+            train_lstm(toy_stream(vocab, 100), vocab, hp, epochs=1, seed=0)
+        bigger = replace(hp, **{size: getattr(hp, size) + 1})
+        with pytest.raises(TrainingError, match="physical memory"):
+            train_lstm(toy_stream(vocab, 100), vocab, bigger, epochs=1, seed=0)
+
+    def test_memory_error_while_training_is_a_training_error(self, monkeypatch):
+        import stegolm.lm.lstm as lstm_mod
+
+        def allocate(*args):
+            raise MemoryError("Unable to allocate 262. TiB")
+
+        monkeypatch.setattr(lstm_mod, "init_params", allocate)
+        vocab = tiny_vocab(6)
+        hp = LstmHyperparams(units=4, embed_dim=4, unroll_steps=4, batch_size=4)
+        with pytest.raises(TrainingError, match="out of memory while training"):
             train_lstm(toy_stream(vocab, 100), vocab, hp, epochs=1, seed=0)
 
     def test_presets_carry_published_scales(self):

@@ -1,4 +1,4 @@
-"""Command-line toolchain: prep, train, keygen, encode, decode, eval, roundtrip.
+"""Command-line toolchain: prep, train, keygen, encode, decode, eval.
 
 Every subcommand is a pure function of its flags and input files; all
 randomness comes from explicit ``--seed`` flags. Payload bytes travel on
@@ -12,16 +12,16 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import inspect
 import json
+import math
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import codec, corpus, keying, metrics
 from .codec import Framing, GenPolicy, Mode, Payload
 from .corpus import CorpusConfig, Vocabulary
-from .errors import ConfigError, StegolmError, check_int
+from .errors import ConfigError, StegolmError
 from .lm import (
     LstmHyperparams,
     NgramConfig,
@@ -33,11 +33,13 @@ from .lm import (
 )
 
 
-def _given(config, args) -> dict:
-    """The fields of dataclass ``config`` whose flags were given: each config
-    flag's dest is its field, and an unset flag (None) keeps the field's default."""
-    return {field.name: getattr(args, field.name) for field in dataclasses.fields(config)
-            if getattr(args, field.name, None) is not None}
+def _given(target, args) -> dict:
+    """The keyword arguments of ``target`` (a config class or a function) whose
+    flags were given: each such flag's dest is the parameter's name, and an unset
+    flag (None) keeps the parameter's default."""
+    return {name: getattr(args, name)
+            for name, param in inspect.signature(target).parameters.items()
+            if param.default is not param.empty and getattr(args, name, None) is not None}
 
 
 def _choice(enum) -> dict:
@@ -99,16 +101,23 @@ def cmd_prep(args) -> int:
 
 
 def cmd_train(args) -> int:
+    ngram = _given(NgramConfig, args)
+    lstm = _given(LstmHyperparams, args)  # unset flags keep the preset's values
+    run = _given(train_lstm, args)  # --epochs and --seed
+    other = ngram if args.backend == "lstm" else {**lstm, **run, "preset": args.preset}
+    unused = sorted(name for name, value in other.items() if value is not None)
+    if unused:
+        raise ConfigError(f"train --backend {args.backend} does not read "
+                          + ", ".join(unused))
     inputs = _inputs(args)
     vocab, tokens = inputs("vocab"), inputs("tokens")
     if args.backend == "ngram":
-        model = train_ngram(tokens, vocab, NgramConfig(**_given(NgramConfig, args)))
+        model = train_ngram(tokens, vocab, NgramConfig(**ngram))
     else:
-        overrides = _given(LstmHyperparams, args)  # unset flags keep the preset's values
-        if overrides.get("clip_norm") == 0:  # 0 disables clipping; the rest reach LstmHyperparams
-            overrides["clip_norm"] = None
-        hp = dataclasses.replace(PRESETS[args.preset], **overrides)
-        model = train_lstm(tokens, vocab, hp, epochs=args.epochs, seed=args.seed)
+        if lstm.get("clip_norm") == 0:  # 0 disables clipping; the rest reach LstmHyperparams
+            lstm["clip_norm"] = None
+        base = PRESETS[args.preset] if args.preset else LstmHyperparams()
+        model = train_lstm(tokens, vocab, dataclasses.replace(base, **lstm), **run)
         for st in model.history:
             print(
                 f"epoch {st.epoch}: train_nll {st.train_nll:.4f} "
@@ -153,6 +162,9 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
+    if args.tokens and args.lowercase is not None:
+        raise ConfigError("--lowercase-text re-tokenizes --text input; --tokens input "
+                          "is read as it is")
     inputs = _inputs(args)
     key = inputs("key")
     if args.tokens:
@@ -196,53 +208,14 @@ def cmd_eval(args) -> int:
         )
     print("\n".join(f"[{name}]\n{report.to_text()}" for name, report in reports.items()))
     if args.json:
-        sections = {name: dataclasses.asdict(report) for name, report in reports.items()}
-        Path(args.json).write_text(json.dumps(sections, sort_keys=True, indent=2),
-                                   encoding="utf-8")
+        # JSON has no infinity: a perplexity with a zero-probability word is null,
+        # and its infinite_positions say where
+        sections = {name: {field: None if isinstance(value, float) and not math.isfinite(value)
+                           else value for field, value in dataclasses.asdict(report).items()}
+                    for name, report in reports.items()}
+        Path(args.json).write_text(json.dumps(sections, sort_keys=True, indent=2,
+                                              allow_nan=False), encoding="utf-8")
     return 0
-
-
-def cmd_roundtrip(args) -> int:
-    """Self-test: random payloads through encode/decode on a synthetic corpus."""
-    check_int("--trials", args.trials, 1)
-    check_int("--max-bytes", args.max_bytes, 1)
-    check_int("--seed", args.seed, 0)
-    rng = np.random.default_rng(args.seed)
-    base = corpus.tokenize(_roundtrip_corpus(args.seed), CorpusConfig())
-    vocab = corpus.build_vocab(base, CorpusConfig())
-    models = {"ngram": train_ngram(base, vocab, NgramConfig(order=2, add_k=0.1))}
-    if args.backend in ("lstm", "both"):
-        hp = LstmHyperparams(units=32, embed_dim=16, unroll_steps=8, batch_size=8)
-        models["lstm"] = train_lstm(base, vocab, hp, epochs=1, seed=args.seed)
-    backends = list(models) if args.backend == "both" else [args.backend]
-    successes = 0
-    for trial in range(args.trials):
-        block_bits = int(rng.integers(1, 4))
-        common = int(rng.choice([0, 10]))
-        key = keying.generate_key(vocab, block_bits, common, seed=int(rng.integers(1 << 30)))
-        payload = Payload(rng.bytes(int(rng.integers(1, args.max_bytes + 1))))
-        policy = GenPolicy(
-            mode=Mode.SAMPLE if trial % 2 else Mode.GREEDY,
-            seed=int(rng.integers(1 << 30)),
-        )
-        model = models[backends[trial % len(backends)]]
-        stegotext = codec.encode(payload, key, model, policy)
-        if codec.decode_payload(stegotext.tokens, key) == payload.data:
-            successes += 1
-        else:
-            print(f"trial {trial}: MISMATCH", file=sys.stderr)
-    print(f"{successes}/{args.trials} successes")
-    return 0 if successes == args.trials else 1
-
-
-def _roundtrip_corpus(seed: int) -> str:
-    rng = np.random.default_rng([seed, 0xC0])
-    words = [f"w{i}" for i in range(40)]
-    lines = []
-    for _ in range(400):
-        n = int(rng.integers(3, 9))
-        lines.append(" ".join(rng.choice(words, size=n)) + " .")
-    return "\n".join(lines) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -270,7 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--order", type=int, help="ngram order")
     p.add_argument("--add-k", type=float, help="ngram smoothing constant")
-    p.add_argument("--preset", choices=sorted(PRESETS), default="desk")
+    p.add_argument("--preset", choices=sorted(PRESETS),
+                   help="lstm hyperparameters the other lstm flags override "
+                        "(unset: the LstmHyperparams defaults, named desk)")
     p.add_argument("--layers", type=int)
     p.add_argument("--units", type=int)
     p.add_argument("--embed-dim", type=int)
@@ -280,8 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr-decay", type=float)
     p.add_argument("--clip-norm", type=float, help="0 disables clipping")
     p.add_argument("--dropout", type=float)
-    p.add_argument("--epochs", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("keygen", help="generate the shared bin-partition key")
@@ -337,13 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mean-length", type=float)
     p.add_argument("--json", help="also write a machine-readable JSON report")
     p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("roundtrip", help="encode/decode self-test on random payloads")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-bytes", type=int, default=32)
-    p.add_argument("--backend", choices=["ngram", "lstm", "both"], default="ngram")
-    p.set_defaults(func=cmd_roundtrip)
     return parser
 
 

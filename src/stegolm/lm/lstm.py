@@ -420,7 +420,7 @@ class LstmModel(LanguageModel):
 
 
 def train_lstm(tokens: Sequence[str], vocab: Vocabulary, hp: LstmHyperparams,
-               epochs: int, seed: int) -> LstmModel:
+               epochs: int = 3, seed: int = 0) -> LstmModel:
     """Train on a token stream (OOV folded to <unk>), last 10% held out. Sizes
     whose ``training_bytes`` pass ``MEMORY_CEILING`` are refused before anything
     is allocated, and a ``MemoryError`` while training ends as ``TrainingError``."""

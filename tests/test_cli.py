@@ -209,6 +209,28 @@ def test_eval_reports_and_json(workspace, tmp_path, capsys):
     assert doc["stego_perplexity"]["perplexity"] >= doc["perplexity"]["perplexity"]
 
 
+def test_eval_json_report_of_a_zero_probability_word_is_standard_json(workspace, tmp_path):
+    # a finite output bias of -1000 gives "the" probability 0 in every context:
+    # the perplexity is infinite, which JSON cannot spell, so the report says null
+    vocab = Vocabulary.load(workspace / "vocab.tsv")
+    hp = LstmHyperparams(units=4, embed_dim=4, unroll_steps=4, batch_size=2)
+    params = init_params(len(vocab), hp, 0)
+    params["bo"][vocab.index_of("the")] = -1000.0
+    save_model(LstmModel(vocab, hp, params), tmp_path / "lstm.slm")
+    json_path = tmp_path / "report.json"
+    assert main(["eval", "--vocab", str(workspace / "vocab.tsv"),
+                 "--model", str(tmp_path / "lstm.slm"), "--tokens", str(workspace / "tokens.txt"),
+                 "--ppl", "--json", str(json_path)]) == 0
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not standard JSON")
+
+    report = json.loads(json_path.read_text(encoding="utf-8"), parse_constant=refuse)["perplexity"]
+    tokens = read_token_file(workspace / "tokens.txt")
+    assert report["mean_nll"] is None and report["perplexity"] is None
+    assert report["infinite_positions"] == [i for i, t in enumerate(tokens) if t == "the"]
+
+
 def test_eval_capacity_empirical(workspace, tmp_path, capsys):
     payload = tmp_path / "p.bin"
     payload.write_bytes(b"measure me")
@@ -248,19 +270,6 @@ def test_mismatched_key_model_fails_with_error_class(workspace, tmp_path, capsys
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: VocabMismatchError:")
-
-
-def test_roundtrip_subcommand(capsys):
-    assert main(["roundtrip", "--trials", "8", "--seed", "1"]) == 0
-    assert "8/8 successes" in capsys.readouterr().out
-
-
-def test_roundtrip_names_each_mismatched_trial(monkeypatch, capsys):
-    monkeypatch.setattr(codec, "decode_payload", lambda tokens, key: b"wrong")
-    assert main(["roundtrip", "--trials", "2", "--seed", "1"]) == 1
-    out, err = capsys.readouterr()
-    assert "0/2 successes" in out
-    assert err.splitlines() == ["trial 0: MISMATCH", "trial 1: MISMATCH"]
 
 
 def test_lstm_training_via_cli(workspace, tmp_path):
@@ -399,15 +408,17 @@ def field_names(config, *leave_out: str) -> list[str]:
     ("prep", field_names(CorpusConfig)),
     ("train", field_names(NgramConfig)),
     ("train", field_names(LstmHyperparams)),
+    ("train", ["epochs", "seed"]),
     ("encode", field_names(GenPolicy)),
     ("encode", field_names(Payload, "data")),
     ("decode", ["lowercase"]),
-], ids=["prep-CorpusConfig", "train-NgramConfig", "train-LstmHyperparams",
+], ids=["prep-CorpusConfig", "train-NgramConfig", "train-LstmHyperparams", "train-train_lstm",
         "encode-GenPolicy", "encode-Payload", "decode-CorpusConfig.lowercase"])
 def test_every_config_field_is_the_dest_of_one_flag(command, names):
-    # each command builds its config objects from the flags by field name, so a
-    # field with no flag, or a flag with another dest, would be ignored without
-    # a word; a flag default would override the dataclass (or preset) default
+    # each command builds its config objects (and train_lstm's keyword arguments)
+    # from the flags by name, so a field with no flag, or a flag with another dest,
+    # would be ignored without a word; a flag default would override the dataclass
+    # (or preset, or function) default
     actions = SUBCOMMANDS[command]._actions
     dests = [a.dest for a in actions]
     assert {name: dests.count(name) for name in names} == dict.fromkeys(names, 1)
@@ -531,6 +542,11 @@ def payload_bytes_respelt(which: int):
     return damage
 
 
+def without_eos(data: bytes) -> bytes:
+    """A token file with its ``<eos>`` lines dropped: every token is in a bin or common."""
+    return b"".join(line for line in data.splitlines(keepends=True) if line != b"<eos>\n")
+
+
 def swapped_bin_tokens(data: bytes) -> bytes:
     """A key file whose first bin line is out of ascending vocabulary order."""
     lines = data.split(b"\n")
@@ -560,9 +576,6 @@ def lstm_file(workspace):
     (ENCODE, ("model", not_utf8), "ModelFormatError"),
     (ENCODE + " --seed -1", None, "ConfigError"),
     (TRAIN + " lstm --seed -1", None, "ConfigError"),
-    ("roundtrip --max-bytes 0", None, "ConfigError"),
-    ("roundtrip --trials -1", None, "ConfigError"),
-    ("roundtrip --seed -1", None, "ConfigError"),
     (DECODE + " --tokens {tokens}", ("tokens", not_utf8), "CorpusError"),
     (DECODE + " --text {corpus}", ("corpus", not_utf8), "CorpusError"),
     ("prep --in {corpus} --out-vocab {out}", ("corpus", not_utf8), "CorpusError"),
@@ -638,9 +651,14 @@ def lstm_file(workspace):
     (TRAIN + " lstm --clip-norm -1", None, "ConfigError"),
     (TRAIN + " lstm --clip-norm=-inf", None, "ConfigError"),
     ("eval --capacity --block-bits 16 --mean-length 1e308", None, "ConfigError"),
+    (TRAIN + " ngram --units 5 --epochs 9 --preset paper-enron --dropout 0.3", None,
+     "ConfigError"),
+    (TRAIN + " lstm --order 7 --add-k 3.0", None, "ConfigError"),
+    (DECODE + " --tokens {tokens} --framing raw --no-lowercase-text", ("tokens", without_eos),
+     "ConfigError"),
 ], ids=["temp-0", "max-common-run-0", "order-0", "units-0", "max-vocab-1", "block-bits-neg",
         "vocab-not-utf8", "key-not-utf8", "model-not-utf8", "encode-seed-neg", "train-seed-neg",
-        "max-bytes-0", "trials-neg", "roundtrip-seed-neg", "decode-tokens-not-utf8",
+        "decode-tokens-not-utf8",
         "decode-text-not-utf8",
         "prep-in-not-utf8", "train-tokens-not-utf8", "eval-tokens-not-utf8",
         "ngram-index-high", "ngram-index-neg", "ngram-order-float", "ngram-count-0",
@@ -659,7 +677,8 @@ def lstm_file(workspace):
         "model-config-nested", "ngram-payload-nested", "model-payload-bytes-arabic-indic",
         "model-payload-bytes-fullwidth", "model-payload-bytes-nbsp",
         "model-payload-bytes-grouped", "key-bin-tab-lost", "lstm-layers-huge",
-        "clip-norm-neg", "clip-norm-neg-inf", "bits-per-message-overflows"])
+        "clip-norm-neg", "clip-norm-neg-inf", "bits-per-message-overflows",
+        "train-ngram-lstm-flags", "train-lstm-ngram-flags", "decode-tokens-lowercase-text"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_input_prints_one_error_line(workspace, lstm_file, tmp_path, capsys,
                                          argv, damage, error):

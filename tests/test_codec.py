@@ -24,6 +24,7 @@ from stegolm.codec import (
 from stegolm.corpus import EOS_TOKEN, USER_TOKEN, build_vocab
 from stegolm.errors import ConfigError, DecodeError, EncodeError, VocabMismatchError
 from stegolm.keying import BitBlock, generate_key
+from stegolm.lm import LstmHyperparams, train_lstm
 
 GREEDY = GenPolicy(mode=Mode.GREEDY)
 #: One token of each bin of the fixture key (block_bits 2), by block.
@@ -33,6 +34,12 @@ FIXTURE_CARRIER = {"00": "am", "01": "was", "10": "I", "11": "NDA"}
 def carriers(bits: str) -> list[str]:
     """Fixture-key tokens that decode to ``bits`` (an even number of them)."""
     return [FIXTURE_CARRIER[bits[i:i + 2]] for i in range(0, len(bits), 2)]
+
+
+@pytest.fixture(scope="module")
+def tiny_lstm(mini_tokens, mini_vocab):
+    hp = LstmHyperparams(layers=1, units=8, embed_dim=4, unroll_steps=8, batch_size=4)
+    return train_lstm(mini_tokens[:500], mini_vocab, hp, epochs=1, seed=1)
 
 
 class TestBitBlocks:
@@ -271,15 +278,11 @@ class TestDecode:
         ]
         assert decode(stripped, key) == reference
 
-    def test_decode_is_model_independent(self, mini_vocab, mini_bigram, mini_tokens):
-        from stegolm.lm.lstm import LstmHyperparams, train_lstm
-
+    def test_decode_is_model_independent(self, mini_vocab, mini_bigram, tiny_lstm):
         key = generate_key(mini_vocab, 2, 0, seed=3)
-        hp = LstmHyperparams(layers=1, units=8, embed_dim=4, unroll_steps=8, batch_size=4)
-        lstm = train_lstm(mini_tokens[:500], mini_vocab, hp, epochs=1, seed=1)
         payload = Payload(b"\x0f\xf0", Framing.RAW)
         bits = bytes_to_bits(payload.data)
-        for model in (mini_bigram, lstm):
+        for model in (mini_bigram, tiny_lstm):
             out = encode(payload, key, model, GenPolicy(mode=Mode.SAMPLE, seed=4))
             assert decode(out.tokens, key) == bits
 
@@ -356,6 +359,18 @@ class TestRoundTrip:
             bits = bytes_to_bits(payload.data)
             prefix_len = (len(bits) // block_bits) * block_bits
             assert decode(out.tokens, key) == bits[:prefix_len]
+
+    @pytest.mark.parametrize("mode", [Mode.GREEDY, Mode.SAMPLE])
+    @pytest.mark.parametrize("common", [0, 10])
+    @pytest.mark.parametrize("block_bits", [1, 2, 3])
+    def test_length_framed_payload_over_lstm(self, tiny_lstm, mini_vocab, block_bits, common,
+                                             mode):
+        rng = np.random.default_rng([block_bits, common])
+        data = rng.bytes(int(rng.integers(1, 33)))
+        key = generate_key(mini_vocab, block_bits, common, seed=int(rng.integers(1 << 30)))
+        policy = GenPolicy(mode=mode, seed=int(rng.integers(1 << 30)))
+        out = encode(Payload(data, Framing.LENGTH_PREFIXED), key, tiny_lstm, policy)
+        assert decode_payload(out.tokens, key) == data
 
 
 class TestLowTemperature:

@@ -42,6 +42,15 @@ def _given(target, args) -> dict:
             if param.default is not param.empty and getattr(args, name, None) is not None}
 
 
+def _refuse(args, dests, command: str) -> None:
+    """``ConfigError`` naming each flag in ``dests`` that was given (not None) by
+    its first option string (``--no-lowercase-text`` is ``--lowercase-text``):
+    ``command`` does not read it."""
+    given = sorted(args.flags[dest] for dest in dests if getattr(args, dest) is not None)
+    if given:
+        raise ConfigError(f"{command} does not read {', '.join(given)}")
+
+
 def _choice(enum) -> dict:
     """``add_argument`` keywords for a flag that takes one value of ``enum``."""
     return {"type": enum, "metavar": "{" + ",".join(member.value for member in enum) + "}"}
@@ -104,11 +113,8 @@ def cmd_train(args) -> int:
     ngram = _given(NgramConfig, args)
     lstm = _given(LstmHyperparams, args)  # unset flags keep the preset's values
     run = _given(train_lstm, args)  # --epochs and --seed
-    other = ngram if args.backend == "lstm" else {**lstm, **run, "preset": args.preset}
-    unused = sorted(name for name, value in other.items() if value is not None)
-    if unused:
-        raise ConfigError(f"train --backend {args.backend} does not read "
-                          + ", ".join(unused))
+    other = ngram if args.backend == "lstm" else [*lstm, *run, "preset"]
+    _refuse(args, other, f"train --backend {args.backend}")
     inputs = _inputs(args)
     vocab, tokens = inputs("vocab"), inputs("tokens")
     if args.backend == "ngram":
@@ -162,9 +168,8 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    if args.tokens and args.lowercase is not None:
-        raise ConfigError("--lowercase-text re-tokenizes --text input; --tokens input "
-                          "is read as it is")
+    if args.tokens:
+        _refuse(args, ["lowercase"], "decode --tokens")
     inputs = _inputs(args)
     key = inputs("key")
     if args.tokens:
@@ -186,6 +191,10 @@ def cmd_decode(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if not args.capacity:
+        _refuse(args, ["block_bits", "common_fraction"], "eval without --capacity")
+        if not args.capacity_empirical:
+            _refuse(args, ["mean_length"], "eval without --capacity or --capacity-empirical")
     inputs = _inputs(args)
     reports = {}
     if args.ppl:
@@ -196,8 +205,8 @@ def cmd_eval(args) -> int:
     if args.capacity:
         if args.block_bits is None:
             raise ConfigError("--capacity requires --block-bits")
-        reports["capacity"] = metrics.capacity(args.block_bits, args.common_fraction,
-                                               args.mean_length)
+        reports["capacity"] = metrics.capacity(args.block_bits, **_given(metrics.capacity, args),
+                                               mean_message_length=args.mean_length)
     if args.capacity_empirical:
         reports["capacity_empirical"] = metrics.capacity_empirical(
             inputs("tokens"), inputs("key"), args.mean_length)
@@ -308,10 +317,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--capacity", action="store_true")
     p.add_argument("--capacity-empirical", action="store_true")
     p.add_argument("--block-bits", type=int)
-    p.add_argument("--common-fraction", type=float, default=0.0)
+    p.add_argument("--common-fraction", type=float)
     p.add_argument("--mean-length", type=float)
     p.add_argument("--json", help="also write a machine-readable JSON report")
     p.set_defaults(func=cmd_eval)
+    for p in sub.choices.values():  # a refusal names each flag, not its dest
+        p.set_defaults(flags={a.dest: a.option_strings[0] for a in p._actions if a.option_strings})
     return parser
 
 

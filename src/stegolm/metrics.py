@@ -8,10 +8,10 @@ are averaged over the ``2**block_bits`` equally likely blocks. Bins, common
 set and the reserved sentinels (in no bin and not common) are read off the
 key's slot array (``StegoKey.lookup_array``); sentinels are skipped and
 counted instead of contributing ``-inf``. Scoring takes the stream in blocks of
-``BLOCK`` positions: one ``next_distributions`` call and one ``_stego_factor``
-(every row's per-bin masses in one ``bincount``) per block, then each position's
-factor is read for the word that was read only; the full stego distribution is
-never built.
+``BLOCK`` positions: one ``next_distributions`` call and one ``_word_probs`` call
+(every row's per-bin masses in one ``bincount``) per block, which reads each
+position's average for the word that was read only; the full stego distribution
+is never built.
 
 A single-bin key with no common tokens constrains nothing, so its stego
 perplexity is by definition the plain perplexity (the masks are vacuous).
@@ -135,48 +135,42 @@ def is_vacuous(key: StegoKey) -> bool:
     return key.block_bits == 0 and not key.common
 
 
-def _stego_factor(probs: np.ndarray, key: StegoKey) -> tuple[np.ndarray, np.ndarray]:
-    """``(factor, rows)`` with ``stego_distribution(probs, key)`` equal to
-    ``probs * factor[..., rows]``: token ``w``'s column of ``factor`` is
-    ``rows[w]``. A carrier's factor is its bin's inverse mask mass, a common
-    token's the sum of them all, each over ``num_bins``; a reserved sentinel's is
-    0, and a vacuous key's is 1 for every token."""
-    lead = probs.shape[:-1]
-    if is_vacuous(key):
-        return np.ones((*lead, 1)), np.zeros(probs.shape[-1], np.intp)
+def _word_probs(probs: np.ndarray, words: list[int] | np.ndarray,
+                key: StegoKey | None) -> np.ndarray:
+    """``probs[t, words[t]]`` for each row ``t`` of a block, or with a key each
+    word's block-averaged probability: the mean over the ``num_bins`` blocks of
+    its probability masked to the block's bin plus the common set and
+    renormalized. A carrier is in one mask, a common token in all of them and a
+    reserved sentinel in none (0); a vacuous key returns ``probs[t, words[t]]``.
+    ``words`` holds one index per row, or a row of indices per row."""
+    words = np.asarray(words, dtype=np.intp)
+    t = np.arange(len(probs)).reshape(-1, *(1,) * (words.ndim - 1))  # broadcasts on words
+    picked = probs[t, words]
+    if key is None or is_vacuous(key):
+        return picked
     rows = key.lookup_array() - BIN_COMMON  # common -> 0, reserved -> 1, bin b -> b + 2
     width = key.num_bins + 2
-    # One bincount for every distribution: distribution r's slots are offset by
-    # r * width, and each slot adds its entries in vocabulary order.
-    offsets = np.arange(math.prod(lead))[:, None] * width
-    masses = np.bincount((offsets + rows).ravel(), weights=probs.ravel(),
-                         minlength=offsets.size * width).reshape(*lead, width)
-    mask_mass = masses[..., 2:] + masses[..., :1]
+    # One bincount for the block: row t's slots are offset by t * width, and each
+    # slot adds its entries in vocabulary order.
+    masses = np.bincount((t.reshape(-1, 1) * width + rows).ravel(), weights=probs.ravel(),
+                         minlength=len(probs) * width).reshape(-1, width)
+    mask_mass = masses[:, 2:] + masses[:, :1]
     inv = np.divide(1.0, mask_mass, out=np.zeros_like(mask_mass), where=mask_mass > 0)
-    factor = np.concatenate((inv.sum(axis=-1, keepdims=True), np.zeros((*lead, 1)), inv),
-                            axis=-1) / key.num_bins
-    return factor, rows
+    # factor[t, rows[w]]: a common token's is the sum of the inverse mask
+    # masses, a reserved sentinel's 0 and a carrier's its bin's, each over num_bins
+    factor = np.concatenate((inv.sum(axis=1, keepdims=True), np.zeros((len(probs), 1)), inv),
+                            axis=1) / key.num_bins
+    return picked * factor[t, rows[words]]
 
 
 def stego_distribution(probs: np.ndarray, key: StegoKey) -> np.ndarray:
-    """Block-averaged probabilities of each distribution along the last axis of
-    ``probs``: mean over bins of the masked, renormalized distribution. Reserved
-    sentinels get 0; a vacuous key returns ``probs``."""
+    """Block-averaged probabilities of every word, for each distribution along
+    the last axis of ``probs``: ``_word_probs`` reading every word of every row.
+    Scoring never builds it."""
     probs = np.asarray(probs, dtype=np.float64)
-    factor, rows = _stego_factor(probs, key)
-    return probs * factor[..., rows]
-
-
-def _word_probs(probs: np.ndarray, words: list[int], key: StegoKey | None) -> np.ndarray:
-    """``probs[t, words[t]]`` for each row ``t``, or with a key
-    ``stego_distribution(probs, key)[t, words[t]]``: the same product, taken for
-    the read word only."""
-    t = np.arange(len(words))
-    picked = probs[t, words]
-    if key is None:
-        return picked
-    factor, rows = _stego_factor(probs, key)
-    return picked * factor[t, rows[words]]
+    block = probs.reshape(-1, probs.shape[-1])
+    every = np.broadcast_to(np.arange(block.shape[1]), block.shape)
+    return _word_probs(block, every, key).reshape(probs.shape)
 
 
 def stego_word_prob(model: LanguageModel, ctx, key: StegoKey, word_index: int) -> float:
@@ -184,9 +178,7 @@ def stego_word_prob(model: LanguageModel, ctx, key: StegoKey, word_index: int) -
     if model.vocab_hash != key.vocab_hash:
         raise VocabMismatchError("model and key were built from different vocabularies")
     model.check_index(word_index)
-    probs = model.next_distribution(ctx)
-    factor, rows = _stego_factor(probs, key)
-    return float(probs[word_index] * factor[rows[word_index]])
+    return float(_word_probs(model.next_distribution(ctx)[None], [word_index], key)[0])
 
 
 def stego_perplexity(model: LanguageModel, key: StegoKey,
@@ -212,7 +204,7 @@ def _per_message(bits_per_word: float, mean_message_length: float | None) -> flo
     return bits
 
 
-def capacity(block_bits: int, common_fraction: float,
+def capacity(block_bits: int, common_fraction: float = 0.0,
              mean_message_length: float | None = None) -> CapacityReport:
     """Exact arithmetic: (1 - common_fraction) * block_bits bits per word."""
     check_int("block_bits", block_bits, 0, MAX_BLOCK_BITS + 1)

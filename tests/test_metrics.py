@@ -190,15 +190,21 @@ class TestStegoDistributionReference:
 class TestStegoDistributionShapes:
     @pytest.mark.parametrize("block_bits, common", [(0, 0), (0, 3), (1, 0), (2, 3), (4, 0)])
     def test_any_leading_shape_equals_row_by_row(self, mini_vocab, block_bits, common):
+        # a (3, 5) draw of rows is one 15-row kernel block; each entry must equal
+        # a one-row, one-word kernel call bit for bit
         key = generate_key(mini_vocab, block_bits, common, seed=2)
-        probs = np.random.default_rng(block_bits).dirichlet(np.ones(len(mini_vocab)), (3, 5))
+        size = len(mini_vocab)
+        probs = np.random.default_rng(block_bits).dirichlet(np.ones(size), (3, 5))
         probs[1, 2, list(key.bins[0]) + list(key.common)] = 0.0  # one row's bin 0 has no mass
         probs[1, 2] /= probs[1, 2].sum()
         got = stego_distribution(probs, key)
-        want = np.array([[stego_distribution(p, key) for p in row] for row in probs])
-        assert got.shape == probs.shape and np.array_equal(got, want)
-        np.testing.assert_allclose(got[1, 2], reference_stego_distribution(probs[1, 2], key),
-                                   rtol=0, atol=1e-12)
+        rows = probs.reshape(-1, size)
+        want = np.array([[_word_probs(row[None], [w], key)[0] for w in range(size)]
+                         for row in rows])
+        assert got.shape == probs.shape and np.array_equal(got.reshape(-1, size), want)
+        for row, value in zip(rows, want):
+            np.testing.assert_allclose(value, reference_stego_distribution(row, key),
+                                       rtol=0, atol=1e-12)
 
 
 class TestStegoPerplexity:
@@ -368,9 +374,9 @@ class TestBlockScoring:
 
     def test_read_word_values_equal_stego_distribution(self, desk_trigram, desk_tokens,
                                                        desk_vocab):
-        # scoring reads each position's factor for its word only; the value must
-        # be the full stego distribution's entry, and the report the mean of -ln
-        # of exactly these values in stream order
+        # scoring reads each position's average for its word only; the value must
+        # be the entry of that row's full stego distribution, and the report the
+        # mean of -ln of exactly these values in stream order
         tokens = desk_tokens[-BLOCK:]
         ids = desk_vocab.indices_or_unk(tokens).tolist()
         probs, _ = desk_trigram.next_distributions((), ids)
@@ -378,7 +384,11 @@ class TestBlockScoring:
         assert np.array_equal(_word_probs(probs, ids, None), probs[t, ids])
         for b, c in KEY_SHAPES:
             key = generate_key(desk_vocab, b, c, 7)
-            want = stego_distribution(probs, key)[t, ids]
+            full = stego_distribution(probs, key)
+            for row, value in zip(probs, full):
+                np.testing.assert_allclose(value, reference_stego_distribution(row, key),
+                                           rtol=0, atol=1e-12)
+            want = full[t, ids]
             assert np.array_equal(_word_probs(probs, ids, key), want)
             skip = (key.lookup_array()[ids] == BIN_RESERVED) & (not is_vacuous(key))
             total = 0.0
